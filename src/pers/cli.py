@@ -41,7 +41,6 @@ SCHEMA: dict[str, tuple[type, object, str]] = {
     "out_dir": (str, ".", "directory for outputs and the run manifest"),
     "dataset_name": (str, "dataset", "name used in the stats table"),
     "seed": (int, 0, "master RNG seed"),
-    "threads": (int, 1, "worker cap (PERS_THREADS is the fallback)"),
     "strict": (bool, False, "abort on the first malformed input line"),
     # model widths
     "d_p": (int, 128, "exercise embedding width"),
@@ -135,11 +134,6 @@ def resolve_config(args: argparse.Namespace) -> dict:
         value = getattr(args, key, None)
         if value is not None:
             config[key] = value
-    if config["threads"] == SCHEMA["threads"][1] and os.environ.get("PERS_THREADS"):
-        try:
-            config["threads"] = int(os.environ["PERS_THREADS"])
-        except ValueError as exc:
-            raise ConfigError("PERS_THREADS must be an integer") from exc
     for key in REQUIRED[args.command]:
         if config.get(key) is None:
             raise ConfigError(f"command '{args.command}' needs config key '{key}'")

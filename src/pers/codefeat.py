@@ -93,22 +93,6 @@ class HashedTokenSource:
             w[self.bucket(tok)] += 1.0
         return w / len(tokens)
 
-    def vector(self, interaction: Interaction, table: np.ndarray) -> np.ndarray:
-        if table.shape != (self.buckets, self.dim):
-            raise CodeFeatureError(
-                f"bucket table shape {list(table.shape)} != ({self.buckets}, {self.dim})"
-            )
-        return self.weights(interaction) @ table
-
-
-def code_vector(source, interaction: Interaction, table: np.ndarray | None = None) -> np.ndarray:
-    """Resolve the initial code embedding for one interaction."""
-    if source.kind == "precomputed":
-        return source.vector(interaction)
-    if table is None:
-        raise CodeFeatureError("hashed_tokens source needs its bucket table")
-    return source.vector(interaction, table)
-
 
 def write_vectors(path, table: dict[str, np.ndarray], dim: int) -> None:
     with open(path, "w", encoding="utf-8") as fh:

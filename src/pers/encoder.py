@@ -4,7 +4,8 @@ Exercise ids index an embedding table whose row is concatenated with a
 sinusoidal position code and projected to width d_k; code vectors are
 concatenated with status / execution-time / memory embeddings and
 projected likewise. All functions operate on batches: index arrays of
-shape (B,) produce (B, d_k) graph nodes.
+shape (B,) produce (B, d_k) graph nodes, where a row may be any step of
+any window.
 """
 
 from __future__ import annotations
@@ -53,17 +54,21 @@ class HyperParams:
         return self.n_exercises + 2
 
 
-def positional_encoding(t: int, d_pos: int) -> np.ndarray:
-    """Sinusoid position code: entry 2i = sin(t/10000^(2i/d)), 2i+1 = cos."""
+def positional_encoding(t, d_pos: int) -> np.ndarray:
+    """Sinusoid position code: entry 2i = sin(t/10000^(2i/d)), 2i+1 = cos.
+
+    t is one position or an array of positions; the code is the last axis.
+    """
     if d_pos % 2 != 0:
         raise ValueError(f"d_pos must be even, got {d_pos}")
-    if t < 0:
-        raise ValueError(f"position must be >= 0, got {t}")
+    t = np.asarray(t)
+    if np.any(t < 0):
+        raise ValueError(f"position must be >= 0, got {t.min()}")
     i = np.arange(d_pos // 2)
-    angle = t / np.power(10000.0, 2.0 * i / d_pos)
-    out = np.empty(d_pos)
-    out[0::2] = np.sin(angle)
-    out[1::2] = np.cos(angle)
+    angle = t[..., None] / np.power(10000.0, 2.0 * i / d_pos)
+    out = np.empty(angle.shape[:-1] + (d_pos,))
+    out[..., 0::2] = np.sin(angle)
+    out[..., 1::2] = np.cos(angle)
     return out
 
 
@@ -121,9 +126,9 @@ def _add_mlp(params: dict, rng: np.random.Generator, tag: str, d_in: int, d_out:
 
 def apply_mlp(params: dict[str, tk.Tensor], tag: str, x: tk.Tensor, layers: int = 1) -> tk.Tensor:
     """Affine projection, deepened by (tanh, affine) pairs when layers > 1."""
-    y = tk.add_bias(tk.matmul(x, params[f"W_{tag}"]), params[f"b_{tag}"])
+    y = tk.affine(x, params[f"W_{tag}"], params[f"b_{tag}"])
     for l in range(2, layers + 1):
-        y = tk.add_bias(tk.matmul(tk.tanh(y), params[f"W_{tag}.{l}"]), params[f"b_{tag}.{l}"])
+        y = tk.affine(tk.tanh(y), params[f"W_{tag}.{l}"], params[f"b_{tag}.{l}"])
     return y
 
 
@@ -131,23 +136,23 @@ def enhance_exercise(
     params: dict[str, tk.Tensor],
     hp: HyperParams,
     indices: np.ndarray,
-    t: int,
+    t,
     use_position: bool = True,
     layers: int = 1,
 ) -> tk.Tensor:
-    """Position-aware exercise embedding for one time step of a batch.
+    """Position-aware exercise embedding for a batch of (B,) indices.
 
-    With use_position=False (position-encoding ablation) the position
-    slot is zeros, keeping the projection shape unchanged.
+    t is the position of every row: one int, or a (B,) int array. With
+    use_position=False (position-encoding ablation) the position slot is
+    zeros, keeping the projection shape unchanged.
     """
     idx = np.asarray(indices)
     e_p = tk.gather_rows(params["E_p"], idx)
     if use_position:
-        pos_row = positional_encoding(t, hp.d_pos)
+        pos = positional_encoding(np.broadcast_to(t, idx.shape), hp.d_pos)
     else:
-        pos_row = np.zeros(hp.d_pos)
-    pos = tk.tensor(np.tile(pos_row, (idx.shape[0], 1)))
-    return apply_mlp(params, "1", tk.concat([e_p, pos]), layers)
+        pos = np.zeros((idx.shape[0], hp.d_pos))
+    return apply_mlp(params, "1", tk.concat([e_p, tk.tensor(pos)]), layers)
 
 
 def enhance_code(

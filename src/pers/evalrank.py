@@ -17,8 +17,8 @@ from . import perscell, training
 from .codefeat import HashedTokenSource, PrecomputedSource
 from .dataio import MaskedWindow, Vocabulary
 from .encoder import HyperParams
-from .perscell import assemble_batch, output_class_mask, run_window
-from .training import Checkpoint, TrainConfig
+from .perscell import assemble_batch, run_window
+from .training import Checkpoint, DivergenceError, TrainConfig
 
 
 class VocabularyMismatch(ValueError):
@@ -79,12 +79,6 @@ def metrics_at_k(ranks, k: int = 10) -> Metrics:
     return Metrics(hits / n, rr / n, gain / n, n, k)
 
 
-def _masked_scores(logits: np.ndarray) -> np.ndarray:
-    scores = logits.copy()
-    scores[:, :2] = -np.inf
-    return scores
-
-
 def evaluate(
     checkpoint: Checkpoint,
     test_windows: list[MaskedWindow],
@@ -92,7 +86,11 @@ def evaluate(
     code_source: PrecomputedSource | HashedTokenSource | None = None,
     batch_size: int | None = None,
 ) -> tuple[Metrics, list[RankResult]]:
-    """Rank every held-out next-item target under the checkpoint model."""
+    """Rank every held-out next-item target under the checkpoint model.
+
+    Raises DivergenceError if any target step's logits are not finite: a
+    NaN target would otherwise rank first.
+    """
     if vocab != checkpoint.vocab:
         raise VocabularyMismatch("checkpoint vocabulary differs from the dataset's")
     if not test_windows:
@@ -103,21 +101,23 @@ def evaluate(
         batch_size = checkpoint.config.eval_batch_size
     needs_code = perscell.uses_code(model.variant)
     results: list[RankResult] = []
-    event_index = 0
     for lo in range(0, len(test_windows), batch_size):
         chunk = test_windows[lo : lo + batch_size]
         batch = assemble_batch(chunk, vocab, hp, code_source if needs_code else None)
         run = run_window(model, batch)
-        for t, logits in enumerate(run.logits):
-            mask_t = batch.loss_mask[:, t]
-            if not mask_t.any():
-                continue
-            scores = _masked_scores(logits.data)
-            for row in np.nonzero(mask_t)[0]:
-                r = rank_event(scores[row], int(batch.targets[row, t]))
-                h, m, g = contributions(r)
-                results.append(RankResult(batch.learner_ids[row], event_index, r, h, m, g))
-                event_index += 1
+        if not run.logits:
+            continue
+        logits = run.logits[0].data
+        # min/max propagate NaN and expose +-inf without an (N, M) temporary.
+        if not (np.isfinite(logits.min()) and np.isfinite(logits.max())):
+            raise DivergenceError("non-finite logits at an evaluation target")
+        rows, steps = batch.target_cells()
+        for i, (row, t) in enumerate(zip(rows, steps)):
+            scores = logits[i].copy()
+            scores[:2] = -np.inf
+            r = rank_event(scores, int(batch.targets[row, t]))
+            h, m, g = contributions(r)
+            results.append(RankResult(batch.learner_ids[row], len(results), r, h, m, g))
     return metrics_at_k([r.rank for r in results]), results
 
 

@@ -1,11 +1,16 @@
 """The recurrence cell: differencing, latent-state updates, prediction.
 
-One step consumes the enhanced exercise/code embeddings of the current
+Each step consumes the enhanced exercise/code embeddings of the current
 and previous events, updates the three latent vectors (programming
 ability PA, processing style PS, understanding style US), and projects
-them to next-exercise logits. `run_window` unrolls a batch of windows,
-blending state through padding steps so trailing padding leaves state
-untouched.
+them to next-exercise logits. The cell is linear in its latent state:
+PA_t = dPA_t W_6a + PA_{t-1} W_6b + b_6, PS_t = PS_{t-1} W_8a +
+(g_ps * dc_t) W_8b + b_8 and US_t = US_{t-1} + (g_us * e_p,t) W_10, where
+every gate, difference and embedding reads only the inputs. `run_window`
+therefore computes those over all B*L steps of a batch at once and
+leaves three linear scans as the only sequential work. Padding is
+trailing, so it never reaches a real step's state; logits are computed
+only at the steps that have a target.
 
 Ablation variants share this single code path and only flip inputs:
 position or code inputs collapse to zeros, or one latent is replaced by
@@ -60,43 +65,6 @@ def excluded_params(variant: str, names) -> set[str]:
     elif latent == "us":
         dead |= {"W_9", "b_9", "W_10"}
     return dead & set(names)
-
-
-@dataclass
-class LatentState:
-    """The three intrinsic vectors, (B, d_k) nodes; zeros at t=0."""
-
-    pa: tk.Tensor
-    ps: tk.Tensor
-    us: tk.Tensor
-
-    @classmethod
-    def zeros(cls, batch: int, d_k: int) -> "LatentState":
-        return cls(
-            tk.tensor(np.zeros((batch, d_k))),
-            tk.tensor(np.zeros((batch, d_k))),
-            tk.tensor(np.zeros((batch, d_k))),
-        )
-
-
-@dataclass
-class StepTrace:
-    """Raw values captured at one step of a batch (no graph references).
-
-    Rows where `valid` is 0 are padding: their entries are carried state,
-    not real computation, and `row_traces` filters them out.
-    """
-
-    valid: np.ndarray
-    delta_exercise: np.ndarray
-    delta_exercise_mlp: np.ndarray
-    delta_code_mlp: np.ndarray
-    gate_ps: np.ndarray
-    gate_us: np.ndarray
-    logits: np.ndarray
-    pa: np.ndarray
-    ps: np.ndarray
-    us: np.ndarray
 
 
 @dataclass
@@ -168,7 +136,7 @@ def init_model_params(
 
 
 def _affine(params: dict[str, tk.Tensor], tag: str, x: tk.Tensor) -> tk.Tensor:
-    return tk.add_bias(tk.matmul(x, params[f"W_{tag}"]), params[f"b_{tag}"])
+    return tk.affine(x, params[f"W_{tag}"], params[f"b_{tag}"])
 
 
 def diff_exercise(
@@ -195,29 +163,6 @@ def diff_code(
     return delta, _affine(params, "4", tk.concat([delta, enh_t, enh_prev]))
 
 
-def update_pa(
-    params: dict[str, tk.Tensor], pa_prev: tk.Tensor, enh_p: tk.Tensor, enh_c: tk.Tensor
-) -> tk.Tensor:
-    delta_pa = _affine(params, "5", tk.concat([enh_p, enh_c]))
-    return _affine(params, "6", tk.concat([delta_pa, pa_prev]))
-
-
-def update_ps(
-    params: dict[str, tk.Tensor], ps_prev: tk.Tensor, delta_p_mlp: tk.Tensor, delta_c_mlp: tk.Tensor
-) -> tuple[tk.Tensor, tk.Tensor]:
-    gate = tk.tanh(_affine(params, "7", delta_p_mlp))
-    ps = _affine(params, "8", tk.concat([ps_prev, tk.hadamard(gate, delta_c_mlp)]))
-    return ps, gate
-
-
-def update_us(
-    params: dict[str, tk.Tensor], us_prev: tk.Tensor, delta_p_mlp: tk.Tensor, enh_p: tk.Tensor
-) -> tuple[tk.Tensor, tk.Tensor]:
-    gate = tk.tanh(_affine(params, "9", delta_p_mlp))
-    us = tk.add(us_prev, tk.matmul(tk.hadamard(gate, enh_p), params["W_10"]))
-    return us, gate
-
-
 def output_class_mask(vocab_size: int) -> np.ndarray:
     """Real exercises only: padding (0) and unknown (1) never predicted."""
     mask = np.ones(vocab_size, dtype=bool)
@@ -227,57 +172,23 @@ def output_class_mask(vocab_size: int) -> np.ndarray:
 
 def predict(
     params: dict[str, tk.Tensor],
-    state: LatentState,
+    pa: tk.Tensor,
+    ps: tk.Tensor,
+    us: tk.Tensor,
     variant: str = "PERS",
     layers: int = 1,
 ) -> tk.Tensor:
-    """Project the latent state to next-exercise logits (B, M).
+    """Project (R, d_k) latent rows to next-exercise logits (R, M).
 
     The variant's ablated latent enters the concat as zeros; downstream
     consumers mask classes 0 and 1 before softmax or ranking.
     """
-    slots = {"pa": state.pa, "ps": state.ps, "us": state.us}
+    slots = {"pa": pa, "ps": ps, "us": us}
     dropped = ablated_latent(variant)
     if dropped is not None:
         slots[dropped] = tk.tensor(np.zeros_like(slots[dropped].data))
     pre = apply_mlp(params, "11", tk.concat([slots["pa"], slots["ps"], slots["us"]]), layers)
     return _affine(params, "12", pre)
-
-
-def _blend(mask: tk.Tensor, inv_mask: tk.Tensor, new: tk.Tensor, old: tk.Tensor) -> tk.Tensor:
-    return tk.add(tk.scale_rows(new, mask), tk.scale_rows(old, inv_mask))
-
-
-def step(
-    params: dict[str, tk.Tensor],
-    state: LatentState,
-    enh_p_t: tk.Tensor,
-    enh_p_prev: tk.Tensor,
-    enh_c_t: tk.Tensor,
-    enh_c_prev: tk.Tensor,
-    delta_p: tk.Tensor | None = None,
-    variant: str = "PERS",
-    layers: int = 1,
-) -> tuple[LatentState, dict[str, tk.Tensor]]:
-    """One full cell step over prepared embeddings; returns the new state
-    and the intermediate nodes (deltas, gates, logits)."""
-    delta_p, delta_p_mlp = diff_exercise(params, enh_p_t, enh_p_prev, delta_p)
-    delta_c, delta_c_mlp = diff_code(params, enh_c_t, enh_c_prev)
-    pa = update_pa(params, state.pa, enh_p_t, enh_c_t)
-    ps, gate_ps = update_ps(params, state.ps, delta_p_mlp, delta_c_mlp)
-    us, gate_us = update_us(params, state.us, delta_p_mlp, enh_p_t)
-    new_state = LatentState(pa, ps, us)
-    logits = predict(params, new_state, variant, layers)
-    nodes = {
-        "delta_exercise": delta_p,
-        "delta_exercise_mlp": delta_p_mlp,
-        "delta_code": delta_c,
-        "delta_code_mlp": delta_c_mlp,
-        "gate_ps": gate_ps,
-        "gate_us": gate_us,
-        "logits": logits,
-    }
-    return new_state, nodes
 
 
 @dataclass
@@ -309,6 +220,12 @@ class WindowBatch:
     def length(self) -> int:
         return self.exercise_idx.shape[1]
 
+    def target_cells(self) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, steps) of the loss_mask cells in (step, row) order, the
+        row order of a run's target logits."""
+        steps, rows = np.nonzero(self.loss_mask.T > 0.0)
+        return rows, steps
+
     def take(self, rows: np.ndarray) -> "WindowBatch":
         """Row-sliced view for mini-batching an assembled dataset."""
         return WindowBatch(
@@ -327,34 +244,26 @@ class WindowBatch:
 
 @dataclass
 class WindowRun:
-    logits: list[tk.Tensor]  # per step, (B, M)
-    final_state: LatentState
-    traces: list[StepTrace] | None
+    """An unrolled window batch. Every (B*L, .) node has row b*L + t for
+    step t of window b; rows at padding steps are computed but mean
+    nothing, and no real step reads them."""
 
+    logits: list[tk.Tensor]  # [(N_targets, M)] in target_cells order; [] without targets
+    pa: tk.Tensor  # (B*L, d_k) state after each step
+    ps: tk.Tensor
+    us: tk.Tensor
+    delta_exercise: tk.Tensor  # (B*L, d_k) exercise difference embedding
+    gate_ps: tk.Tensor  # (B*L, d_k)
+    gate_us: tk.Tensor
+    valid: np.ndarray  # (B, L) float 0/1
 
-def row_traces(run: WindowRun, row: int) -> list[StepTrace]:
-    """One row's traces, real steps only (padding steps emit no trace)."""
-    if run.traces is None:
-        raise ValueError("run_window was called without collect_traces")
-    out = []
-    for tr in run.traces:
-        if tr.valid[row] == 0.0:
-            continue
-        out.append(
-            StepTrace(
-                valid=tr.valid[row : row + 1],
-                delta_exercise=tr.delta_exercise[row],
-                delta_exercise_mlp=tr.delta_exercise_mlp[row],
-                delta_code_mlp=tr.delta_code_mlp[row],
-                gate_ps=tr.gate_ps[row],
-                gate_us=tr.gate_us[row],
-                logits=tr.logits[row],
-                pa=tr.pa[row],
-                ps=tr.ps[row],
-                us=tr.us[row],
-            )
-        )
-    return out
+    def row_states(self, row: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(PA, PS, US) after each real step of one window, each
+        (n_valid, d_k) views; the last row is the window's final state."""
+        length = self.valid.shape[1]
+        lo = row * length
+        hi = lo + int(self.valid[row].sum())
+        return self.pa.data[lo:hi], self.ps.data[lo:hi], self.us.data[lo:hi]
 
 
 def assemble_batch(
@@ -427,22 +336,17 @@ def assemble_batch(
     )
 
 
-def _code_vec_node(params: ModelParams, batch: WindowBatch, t: int) -> tk.Tensor:
-    hp = params.hyper
-    if not uses_code(params.variant):
-        return tk.tensor(np.zeros((batch.batch, hp.d_c)))
+def _code_inputs(params: ModelParams, batch: WindowBatch) -> tk.Tensor:
+    """The initial code embedding of every step, (B*L, d_c)."""
+    n = batch.batch * batch.length
     if batch.code_weights is not None:
-        return tk.matmul(tk.tensor(batch.code_weights[:, t, :]), params.tensors["code_table"])
+        # A reshape of the assembled array, not a copy: the hashed weights
+        # are the largest array of a batch.
+        weights = tk.tensor(batch.code_weights.reshape(n, -1))
+        return tk.matmul(weights, params.tensors["code_table"])
     if batch.code_vecs is not None:
-        return tk.tensor(batch.code_vecs[:, t, :])
+        return tk.tensor(batch.code_vecs.reshape(n, -1))
     raise ValueError("windows carry no code features but the variant needs them")
-
-
-def _dropout_mask(rng: np.random.Generator | None, rate: float, shape) -> tk.Tensor | None:
-    if rng is None or rate <= 0.0:
-        return None
-    keep = (rng.random(shape) >= rate) / (1.0 - rate)
-    return tk.tensor(keep)
 
 
 def run_window(
@@ -450,107 +354,79 @@ def run_window(
     batch: WindowBatch,
     dropout: float = 0.0,
     rng: np.random.Generator | None = None,
-    collect_traces: bool = False,
 ) -> WindowRun:
-    """Unroll the cell over a window batch.
+    """Unroll the cell over a window batch in one pass over all steps.
 
-    Padding steps leave the latent state unchanged (masked blend) and get
-    no trace. Dropout (training only) hits the enhanced embeddings; the
-    same exercise-side mask covers the current embedding and the
-    position-matched previous one, so the intra-exercise zero-delta
-    property survives dropout.
+    Dropout (training only) hits the enhanced embeddings, with masks drawn
+    once per batch; the same exercise-side mask covers the current
+    embedding and the position-matched previous one, so the
+    intra-exercise zero-delta property survives dropout.
     """
     hp = params.hyper
     tensors = params.tensors
+    layers = params.layers
     b, length = batch.exercise_idx.shape
-    state = LatentState.zeros(b, hp.d_k)
-    zeros_dk = tk.tensor(np.zeros((b, hp.d_k)))
+    n = b * length
+    d = hp.d_k
+    positions = np.tile(np.arange(length), b)
+    # 1 where a step has a predecessor in its window, 0 at t = 0.
+    not_first = tk.tensor(np.repeat((positions > 0).astype(np.float64)[:, None], d, axis=1))
+    prev_row = np.maximum(np.arange(n) - 1, 0)
+    use_pos = uses_position(params.variant)
 
-    prev_idx = np.zeros(b, dtype=np.int64)
-    prev_enh_p: tk.Tensor | None = None
-    prev_enh_c: tk.Tensor | None = None
-    logits_steps: list[tk.Tensor] = []
-    traces: list[StepTrace] | None = [] if collect_traces else None
-
-    for t in range(length):
-        idx_t = batch.exercise_idx[:, t]
-        enh_p_t = enhance_exercise(tensors, hp, idx_t, t, uses_position(params.variant), params.layers)
-        mask_p = _dropout_mask(rng, dropout, enh_p_t.data.shape)
-        if mask_p is not None:
-            enh_p_t = tk.hadamard(enh_p_t, mask_p)
-
-        if t == 0:
-            enh_p_prev = zeros_dk
-            enh_c_prev = zeros_dk
-            delta_p = tk.sub(enh_p_t, zeros_dk)
-        else:
-            enh_p_prev = prev_enh_p
-            enh_c_prev = prev_enh_c
-            # Previous exercise re-embedded at the current position: the
-            # positional and bias terms cancel in the subtraction, so a
-            # repeat gives a bitwise-zero difference.
-            prev_at_t = enhance_exercise(tensors, hp, prev_idx, t, uses_position(params.variant), params.layers)
-            if mask_p is not None:
-                prev_at_t = tk.hadamard(prev_at_t, mask_p)
-            delta_p = tk.sub(enh_p_t, prev_at_t)
-
-        if uses_code(params.variant):
-            enh_c_t = enhance_code(
-                tensors,
-                hp,
-                _code_vec_node(params, batch, t),
-                batch.status_idx[:, t],
-                batch.time_idx[:, t],
-                batch.memory_idx[:, t],
-                params.layers,
-            )
-        else:
-            # Code-ablated variants: all code-side inputs collapse to zeros,
-            # so the projection reduces to its bias and no table is touched.
-            zeros_in = tk.tensor(np.zeros((b, hp.d_c + hp.d_cs + hp.d_ct + hp.d_cm)))
-            enh_c_t = apply_mlp(tensors, "2", zeros_in, params.layers)
-        mask_c = _dropout_mask(rng, dropout, enh_c_t.data.shape)
-        if mask_c is not None:
-            enh_c_t = tk.hadamard(enh_c_t, mask_c)
-
-        new_state, nodes = step(
+    enh_p = enhance_exercise(tensors, hp, batch.exercise_idx.reshape(n), positions, use_pos, layers)
+    # The previous exercise re-embedded at the current position: the
+    # positional and bias terms cancel in the subtraction, so a repeat
+    # gives a bitwise-zero difference. It must be a second call of the
+    # same shape and row order, so that equal rows round equally.
+    prev_idx = np.roll(batch.exercise_idx, 1, axis=1).reshape(n)
+    prev_at_t = enhance_exercise(tensors, hp, prev_idx, positions, use_pos, layers)
+    if uses_code(params.variant):
+        enh_c = enhance_code(
             tensors,
-            state,
-            enh_p_t,
-            enh_p_prev,
-            enh_c_t,
-            enh_c_prev,
-            delta_p,
-            params.variant,
-            params.layers,
+            hp,
+            _code_inputs(params, batch),
+            batch.status_idx.reshape(n),
+            batch.time_idx.reshape(n),
+            batch.memory_idx.reshape(n),
+            layers,
         )
+    else:
+        # Code-ablated variants: all code-side inputs collapse to zeros,
+        # so the projection reduces to its bias and no table is touched.
+        zeros_in = tk.tensor(np.zeros((n, hp.d_c + hp.d_cs + hp.d_ct + hp.d_cm)))
+        enh_c = apply_mlp(tensors, "2", zeros_in, layers)
+    if rng is not None and dropout > 0.0:
+        keep = (rng.random((2, n, d)) >= dropout) / (1.0 - dropout)
+        mask_p, mask_c = tk.tensor(keep[0]), tk.tensor(keep[1])
+        enh_p = tk.hadamard(enh_p, mask_p)
+        prev_at_t = tk.hadamard(prev_at_t, mask_p)
+        enh_c = tk.hadamard(enh_c, mask_c)
 
-        mask = tk.tensor(batch.valid[:, t])
-        inv_mask = tk.tensor(1.0 - batch.valid[:, t])
-        state = LatentState(
-            _blend(mask, inv_mask, new_state.pa, state.pa),
-            _blend(mask, inv_mask, new_state.ps, state.ps),
-            _blend(mask, inv_mask, new_state.us, state.us),
-        )
-        logits_steps.append(nodes["logits"])
-        if traces is not None:
-            traces.append(
-                StepTrace(
-                    valid=batch.valid[:, t].copy(),
-                    delta_exercise=nodes["delta_exercise"].data,
-                    delta_exercise_mlp=nodes["delta_exercise_mlp"].data,
-                    delta_code_mlp=nodes["delta_code_mlp"].data,
-                    gate_ps=nodes["gate_ps"].data,
-                    gate_us=nodes["gate_us"].data,
-                    logits=nodes["logits"].data,
-                    pa=state.pa.data,
-                    ps=state.ps.data,
-                    us=state.us.data,
-                )
-            )
+    delta_p = tk.sub(enh_p, tk.hadamard(prev_at_t, not_first))
+    enh_p_prev = tk.hadamard(tk.gather_rows(enh_p, prev_row), not_first)
+    enh_c_prev = tk.hadamard(tk.gather_rows(enh_c, prev_row), not_first)
+    delta_p, delta_p_mlp = diff_exercise(tensors, enh_p, enh_p_prev, delta_p)
+    _, delta_c_mlp = diff_code(tensors, enh_c, enh_c_prev)
 
-        prev_idx = idx_t
-        prev_enh_p = enh_p_t
-        prev_enh_c = enh_c_t
+    # W_6 and W_8 split into their input and carry row blocks.
+    top, bottom = np.arange(d), np.arange(d, 2 * d)
+    w_6, w_8 = tensors["W_6"], tensors["W_8"]
+    delta_pa = _affine(tensors, "5", tk.concat([enh_p, enh_c]))
+    pa_in = tk.affine(delta_pa, tk.gather_rows(w_6, top), tensors["b_6"])
+    pa = tk.linear_scan(pa_in, tk.gather_rows(w_6, bottom), length)
 
-    return WindowRun(logits_steps, state, traces)
+    gate_ps = tk.tanh(_affine(tensors, "7", delta_p_mlp))
+    ps_in = tk.affine(tk.hadamard(gate_ps, delta_c_mlp), tk.gather_rows(w_8, bottom), tensors["b_8"])
+    ps = tk.linear_scan(ps_in, tk.gather_rows(w_8, top), length)
+
+    gate_us = tk.tanh(_affine(tensors, "9", delta_p_mlp))
+    us = tk.linear_scan(tk.matmul(tk.hadamard(gate_us, enh_p), tensors["W_10"]), None, length)
+
+    rows, target_steps = batch.target_cells()
+    logits = []
+    if rows.size:
+        at = rows * length + target_steps
+        latents = (tk.gather_rows(s, at) for s in (pa, ps, us))
+        logits.append(predict(tensors, *latents, params.variant, layers))
+    return WindowRun(logits, pa, ps, us, delta_p, gate_ps, gate_us, batch.valid)

@@ -20,6 +20,7 @@ from .perscell import assemble_batch, run_window, uses_code
 from .training import Checkpoint
 
 DIMENSIONS = ("processing", "understanding")
+EXPORT_BATCH = 64  # learners per export unroll
 
 
 @dataclass(frozen=True)
@@ -31,13 +32,14 @@ class LatentRow:
     us: np.ndarray
 
 
-def export_latents(
+def _history_states(
     checkpoint: Checkpoint,
     sequences: list[LearnerSequence],
-    code_source: PrecomputedSource | HashedTokenSource | None = None,
-    batch_size: int = 64,
-) -> list[LatentRow]:
-    """Latents at the last time step of each learner's full history.
+    code_source: PrecomputedSource | HashedTokenSource | None,
+    batch_size: int,
+):
+    """Yield (full history, (PA, PS, US) after each of its events) per
+    learner, in first-seen order.
 
     Training chunks histories into windows, but the style vectors are a
     property of the learner, so the export unrolls the recurrence over
@@ -46,32 +48,30 @@ def export_latents(
     training window.
     """
     model = checkpoint.model
-    events: dict[str, list] = {}
-    order: list[str] = []
-    for seq in sequences:
-        if seq.learner_id not in events:
-            order.append(seq.learner_id)
-            events[seq.learner_id] = []
-        events[seq.learner_id].extend(seq.events)
-
-    rows: list[LatentRow] = []
     source = code_source if uses_code(model.variant) else None
-    for lo in range(0, len(order), batch_size):
-        lids = order[lo : lo + batch_size]
-        windows = [MaskedWindow(LearnerSequence(lid, tuple(events[lid])), ()) for lid in lids]
-        batch = assemble_batch(windows, checkpoint.vocab, model.hyper, source)
-        run = run_window(model, batch)
-        for i, lid in enumerate(lids):
-            rows.append(
-                LatentRow(
-                    learner_id=lid,
-                    length=len(events[lid]),
-                    pa=run.final_state.pa.data[i].copy(),
-                    ps=run.final_state.ps.data[i].copy(),
-                    us=run.final_state.us.data[i].copy(),
-                )
-            )
-    return rows
+    events: dict[str, list] = {}
+    for seq in sequences:
+        events.setdefault(seq.learner_id, []).extend(seq.events)
+    histories = [LearnerSequence(lid, tuple(evs)) for lid, evs in events.items()]
+    for lo in range(0, len(histories), batch_size):
+        chunk = histories[lo : lo + batch_size]
+        windows = [MaskedWindow(history, ()) for history in chunk]
+        run = run_window(model, assemble_batch(windows, checkpoint.vocab, model.hyper, source))
+        for i, history in enumerate(chunk):
+            yield history, run.row_states(i)
+
+
+def export_latents(
+    checkpoint: Checkpoint,
+    sequences: list[LearnerSequence],
+    code_source: PrecomputedSource | HashedTokenSource | None = None,
+    batch_size: int = EXPORT_BATCH,
+) -> list[LatentRow]:
+    """Latents at the last time step of each learner's full history."""
+    return [
+        LatentRow(history.learner_id, len(history), *(s[-1].copy() for s in states))
+        for history, states in _history_states(checkpoint, sequences, code_source, batch_size)
+    ]
 
 
 def export_step_latents(
@@ -84,22 +84,10 @@ def export_step_latents(
     Uses the same stateful full-history unroll as export_latents, so the
     final row of each learner matches their exported final-step latents.
     """
-    model = checkpoint.model
-    source = code_source if uses_code(model.variant) else None
-    events: dict[str, list] = {}
-    order: list[str] = []
-    for seq in sequences:
-        if seq.learner_id not in events:
-            order.append(seq.learner_id)
-            events[seq.learner_id] = []
-        events[seq.learner_id].extend(seq.events)
     out = []
-    for lid in order:
-        window = MaskedWindow(LearnerSequence(lid, tuple(events[lid])), ())
-        batch = assemble_batch([window], checkpoint.vocab, model.hyper, source)
-        run = run_window(model, batch, collect_traces=True)
-        for t, tr in enumerate(run.traces):
-            out.append((lid, t, tr.pa[0].copy(), tr.ps[0].copy(), tr.us[0].copy()))
+    for history, states in _history_states(checkpoint, sequences, code_source, EXPORT_BATCH):
+        for t, (pa, ps, us) in enumerate(zip(*states)):
+            out.append((history.learner_id, t, pa.copy(), ps.copy(), us.copy()))
     return out
 
 
@@ -124,20 +112,6 @@ def write_latents(path, rows: list[LatentRow]) -> None:
             for vec in (row.pa, row.ps, row.us):
                 vals.extend(_fmt(v) for v in vec)
             fh.write("\t".join(vals) + "\n")
-
-
-def read_latents(path) -> list[LatentRow]:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n").split("\t")
-        d_k = sum(1 for c in header if c.startswith("pa_"))
-        rows = []
-        for line in fh:
-            parts = line.rstrip("\n").split("\t")
-            vec = np.array([float(x) for x in parts[2:]])
-            rows.append(
-                LatentRow(parts[0], int(parts[1]), vec[:d_k], vec[d_k : 2 * d_k], vec[2 * d_k :])
-            )
-    return rows
 
 
 @dataclass(frozen=True)
@@ -250,18 +224,6 @@ def dimension_features(
             feats.append(row.us)
             labs.append(understanding)
     return np.array(feats), labs
-
-
-def probe_dimension(
-    rows: list[LatentRow],
-    labels: dict[str, tuple[str, str]],
-    dimension: str,
-    seed: int = 0,
-    min_per_class: int = 20,
-) -> ProbeResult:
-    """Probe one style dimension from its aligned latent vector."""
-    feats, labs = dimension_features(rows, labels, dimension)
-    return fit_probe(feats, labs, seed=seed, min_per_class=min_per_class)
 
 
 def permutation_null(

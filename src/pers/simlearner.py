@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codefeat import PrecomputedSource, write_vectors
-from .dataio import Interaction, write_log
+from .codefeat import PrecomputedSource
+from .dataio import Interaction
 
 PROCESSING = ("active", "reflective")
 UNDERSTANDING = ("sequential", "global")
@@ -219,8 +219,3 @@ def read_labels(path) -> dict[str, tuple[str, str]]:
             labels[lid] = (processing, understanding)
     return labels
 
-
-def write_population(population: Population, log_path, vectors_path, labels_path) -> None:
-    write_log(log_path, population.interactions)
-    write_vectors(vectors_path, population.vectors, population.d_c)
-    write_labels(labels_path, population.labels)

@@ -3,8 +3,9 @@
 All model arithmetic is built from the small op set below. Ops evaluate
 eagerly and record their inputs, so a computation is a DAG of `Tensor`
 nodes; `backward` walks it in reverse topological order. Shapes are
-explicit: the only implicit broadcast is scalar*tensor, plus the two
-documented row-wise ops (`add_bias`, `scale_rows`).
+explicit: the only implicit broadcast is the row-wise bias of `affine`.
+`linear_scan` runs a linear recurrence along the time axis of a batch of
+sequences in one node, so a whole unrolled window stays a short tape.
 """
 
 from __future__ import annotations
@@ -23,12 +24,10 @@ __all__ = [
     "matmul",
     "add",
     "sub",
-    "add_bias",
+    "affine",
     "hadamard",
-    "scale_rows",
-    "smul",
     "tanh",
-    "sigmoid",
+    "linear_scan",
     "concat",
     "gather_rows",
     "sum_all",
@@ -136,17 +135,19 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     return Tensor(a.data - b.data, (a, b), lambda g: (g, -g))
 
 
-def add_bias(m: Tensor, bias: Tensor) -> Tensor:
-    """Add a length-c vector to every row of an (r,c) matrix."""
-    _require(m.data.ndim == 2 and bias.data.ndim == 1, "add_bias", "need (r,c) matrix and (c,) vector", m, bias)
-    _require(
-        m.data.shape[1] == bias.data.shape[0],
-        "add_bias",
-        f"row width {m.dims[1]} != bias length {bias.dims[0]}",
-        m,
-        bias,
-    )
-    return Tensor(m.data + bias.data, (m, bias), lambda g: (g, g.sum(axis=0)))
+def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b: (m,k) @ (k,n) plus a length-n bias on every row, in one
+    output array."""
+    _require(x.data.ndim == 2 and w.data.ndim == 2 and b.data.ndim == 1, "affine", "need (m,k), (k,n), (n,)", x, w, b)
+    chained = x.data.shape[1] == w.data.shape[0] and w.data.shape[1] == b.data.shape[0]
+    _require(chained, "affine", f"dims do not chain: {x.dims} @ {w.dims} + {b.dims}", x, w, b)
+    out = x.data @ w.data
+    out += b.data
+
+    def vjp(g: np.ndarray) -> tuple[np.ndarray, ...]:
+        return g @ w.data.T, x.data.T @ g, g.sum(axis=0)
+
+    return Tensor(out, (x, w, b), vjp)
 
 
 def hadamard(a: Tensor, b: Tensor) -> Tensor:
@@ -154,38 +155,56 @@ def hadamard(a: Tensor, b: Tensor) -> Tensor:
     return Tensor(a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data))
 
 
-def scale_rows(m: Tensor, scales: Tensor) -> Tensor:
-    """Multiply row i of an (r,c) matrix by scales[i]."""
-    _require(m.data.ndim == 2 and scales.data.ndim == 1, "scale_rows", "need (r,c) matrix and (r,) vector", m, scales)
-    _require(
-        m.data.shape[0] == scales.data.shape[0],
-        "scale_rows",
-        f"row count {m.dims[0]} != scale length {scales.dims[0]}",
-        m,
-        scales,
-    )
-    col = scales.data[:, None]
-
-    def vjp(g: np.ndarray) -> tuple[np.ndarray, ...]:
-        return g * col, (g * m.data).sum(axis=1)
-
-    return Tensor(m.data * col, (m, scales), vjp)
-
-
-def smul(s: float, a: Tensor) -> Tensor:
-    """Scalar times tensor (the one permitted broadcast)."""
-    s = float(s)
-    return Tensor(s * a.data, (a,), lambda g: (s * g,))
-
-
 def tanh(a: Tensor) -> Tensor:
     out = np.tanh(a.data)
     return Tensor(out, (a,), lambda g: (g * (1.0 - out * out),))
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    out = 1.0 / (1.0 + np.exp(-a.data))
-    return Tensor(out, (a,), lambda g: (g * out * (1.0 - out),))
+def linear_scan(x: Tensor, carry: Tensor | None, length: int) -> Tensor:
+    """h_t = h_{t-1} @ carry + x_t along every sequence, from h_{-1} = 0.
+
+    x is (B*length, d) with the rows of each sequence contiguous: row
+    b*length + t is step t of sequence b. carry is (d, d), or None for the
+    identity, which makes h a running sum. The vjp runs the recurrence
+    backwards with carry transposed.
+    """
+    _require(x.data.ndim == 2, "linear_scan", "x must be rank 2", x)
+    n, d = x.data.shape
+    _require(length >= 1 and n % length == 0, "linear_scan", f"{n} rows are not whole sequences of {length}", x)
+    if carry is not None:
+        _require(carry.data.shape == (d, d), "linear_scan", f"carry must be ({d},{d})", x, carry)
+    # Time-major views of sequence-major memory (empty_like keeps it), so to_rows copies nothing.
+    xs = x.data.reshape(n // length, length, d).transpose(1, 0, 2)
+    if carry is None:
+        h = np.cumsum(xs, axis=0)
+    else:
+        c = carry.data
+        h = np.empty_like(xs)
+        h[0] = xs[0]
+        for t in range(1, length):
+            h[t] = h[t - 1] @ c + xs[t]
+
+    def to_rows(a: np.ndarray) -> np.ndarray:
+        return a.transpose(1, 0, 2).reshape(n, d)
+
+    def vjp(g: np.ndarray) -> tuple[np.ndarray, ...]:
+        gs = g.reshape(n // length, length, d).transpose(1, 0, 2)
+        if carry is None:
+            return (to_rows(np.cumsum(gs[::-1], axis=0)[::-1]),)
+        c_t = carry.data.T
+        acc = np.empty_like(gs)
+        acc[-1] = gs[-1]
+        for t in range(length - 2, -1, -1):
+            acc[t] = acc[t + 1] @ c_t + gs[t]
+        g_x = to_rows(acc)
+        h_seq = out.reshape(n // length, length, d)
+        g_seq = g_x.reshape(n // length, length, d)
+        g_carry = h_seq[:, :-1].reshape(-1, d).T @ g_seq[:, 1:].reshape(-1, d)
+        return g_x, g_carry
+
+    out = to_rows(h)
+    parents = (x,) if carry is None else (x, carry)
+    return Tensor(out, parents, vjp)
 
 
 def concat(parts: Iterable[Tensor]) -> Tensor:
@@ -252,7 +271,6 @@ def cross_entropy(
     targets: np.ndarray,
     step_mask: np.ndarray,
     class_mask: np.ndarray,
-    denom: float | None = None,
 ) -> Tensor:
     """Mean negative log softmax probability of each target class.
 
@@ -260,8 +278,7 @@ def cross_entropy(
     the rows that contribute; masked-out rows get zero gradient. Classes
     where class_mask is False are excluded from the softmax entirely (they
     get probability 0 and no gradient), which realises the padding/unknown
-    mask without -inf arithmetic. `denom` overrides the divisor so several
-    calls can be summed into one mean over a larger population.
+    mask without -inf arithmetic.
     """
     _require(logits.data.ndim == 2, "cross_entropy", "logits must be (B,M)", logits)
     b, m = logits.data.shape
@@ -273,20 +290,21 @@ def cross_entropy(
     active = step_mask > 0.0
     if np.any(~class_mask[targets[active]]):
         raise ValueError("cross_entropy: a masked-out class appears as a target")
-    count = float(active.sum()) if denom is None else float(denom)
+    count = float(active.sum())
     if count == 0.0:
         return Tensor(np.asarray(0.0), (logits,), lambda g: (np.zeros_like(logits.data),))
 
-    neg_inf = -np.inf
-    z = np.where(class_mask[None, :], logits.data, neg_inf)
-    zmax = z.max(axis=1, keepdims=True)
-    expz = np.exp(z - zmax)
+    # One (B,M) buffer, updated in place: for the targets of a whole batch
+    # a fresh temporary of this size costs more than the arithmetic on it.
+    expz = np.where(class_mask[None, :], logits.data, -np.inf)
+    zmax = expz.max(axis=1, keepdims=True)
+    np.exp(np.subtract(expz, zmax, out=expz), out=expz)
     denom = expz.sum(axis=1, keepdims=True)
     log_denom = np.log(denom) + zmax
     nll = log_denom[:, 0] - logits.data[np.arange(b), targets]
     value = float((nll * step_mask).sum() / count)
 
-    probs = expz / denom  # rows over allowed classes only
+    probs = np.divide(expz, denom, out=expz)  # rows over allowed classes only
 
     def vjp(g: np.ndarray) -> tuple[np.ndarray, ...]:
         w = float(g) * step_mask / count
@@ -302,13 +320,11 @@ def bce_with_negatives(
     targets: np.ndarray,
     negatives: np.ndarray,
     step_mask: np.ndarray,
-    denom: float | None = None,
 ) -> Tensor:
     """Sampled binary objective: -log sig(z_target) - sum log(1 - sig(z_neg)).
 
     negatives: (B,k) ints, assumed distinct from the target per row. The
-    per-row losses are averaged over rows where step_mask is nonzero, or
-    over `denom` when given.
+    per-row losses are averaged over rows where step_mask is nonzero.
     """
     _require(logits.data.ndim == 2, "bce_with_negatives", "logits must be (B,M)", logits)
     b, _ = logits.data.shape
@@ -318,7 +334,7 @@ def bce_with_negatives(
     if targets.shape != (b,) or negatives.ndim != 2 or negatives.shape[0] != b:
         raise ShapeError("bce_with_negatives: targets/negatives shapes do not line up")
     active = step_mask > 0.0
-    count = float(active.sum()) if denom is None else float(denom)
+    count = float(active.sum())
     if count == 0.0:
         return Tensor(np.asarray(0.0), (logits,), lambda g: (np.zeros_like(logits.data),))
 

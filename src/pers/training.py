@@ -9,6 +9,7 @@ replays the identical randomness an uninterrupted run would have used.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -89,28 +90,21 @@ def sequence_loss(
     mode: str = "full_softmax",
     negatives: np.ndarray | None = None,
 ) -> tk.Tensor:
-    """Scalar loss over every masked step of a window batch."""
-    masked = batch.loss_mask > 0.0
-    if np.any(batch.targets[masked] < 2):
-        raise ValueError("loss target is a padding/unknown index")
-    total_count = float(masked.sum())
-    if total_count == 0.0:
+    """Scalar mean loss over every masked step of a window batch.
+
+    negatives is (B, L, k), read at the masked cells (sampled_bce only).
+    """
+    rows, steps = batch.target_cells()
+    if rows.size == 0:
         raise ValueError("batch has no loss steps")
-    class_mask = output_class_mask(vocab_size)
-    total: tk.Tensor | None = None
-    for t, logits in enumerate(run.logits):
-        if not masked[:, t].any():
-            continue
-        if mode == "full_softmax":
-            term = tk.cross_entropy(
-                logits, batch.targets[:, t], batch.loss_mask[:, t], class_mask, denom=total_count
-            )
-        else:
-            term = tk.bce_with_negatives(
-                logits, batch.targets[:, t], negatives[:, t, :], batch.loss_mask[:, t], denom=total_count
-            )
-        total = term if total is None else tk.add(total, term)
-    return total
+    targets = batch.targets[rows, steps]
+    if np.any(targets < 2):
+        raise ValueError("loss target is a padding/unknown index")
+    (logits,) = run.logits
+    every = np.ones(rows.size)
+    if mode == "full_softmax":
+        return tk.cross_entropy(logits, targets, every, output_class_mask(vocab_size))
+    return tk.bce_with_negatives(logits, targets, negatives[rows, steps], every)
 
 
 def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> dict[str, np.ndarray]:
@@ -284,6 +278,8 @@ def load_checkpoint(path) -> Checkpoint:
         if len(raw_len) != 8:
             raise CheckpointError("truncated header length")
         header_len = int.from_bytes(raw_len, "little")
+        if header_len > os.fstat(fh.fileno()).st_size - fh.tell():
+            raise CheckpointError(f"header length {header_len} runs past the end of the file")
         blob = fh.read(header_len)
         if len(blob) != header_len:
             raise CheckpointError("truncated header")
@@ -319,12 +315,10 @@ def load_checkpoint(path) -> Checkpoint:
         else:
             tensors[name] = tk.parameter(arr, name)
 
-    if "E_p" not in tensors or tensors["E_p"].data.shape != (hyper.vocab_size, hyper.d_p):
-        raise CheckpointError("E_p shape does not match the stored hyperparams")
     if len(header["vocab"]) != hyper.n_exercises:
         raise CheckpointError("vocabulary size does not match the stored hyperparams")
-
     model = ModelParams(hyper, header["variant"], header["layers"], header["code_buckets"], tensors)
+    _check_tensor_shapes(model, best_tensors, adam)
     config = TrainConfig(**header["config"])
     if header.get("best_is_final", True):
         best = tensors if header.get("best_epoch", -1) >= 0 else None
@@ -341,6 +335,30 @@ def load_checkpoint(path) -> Checkpoint:
         best_epoch=header.get("best_epoch", -1),
         best_tensors=best,
     )
+
+
+def _check_tensor_shapes(model: ModelParams, best: dict[str, tk.Tensor], adam: tk.AdamState) -> None:
+    """Every stored tensor set must be exactly the one the stored
+    hyperparams, variant, layers and bucket count define. Only the model
+    tensors are always stored: a run that never stepped has no moments,
+    one whose best epoch is its last no separate best copy."""
+    try:
+        fresh = perscell.init_model_params(
+            np.random.default_rng(0), model.hyper, model.variant, model.layers, model.code_buckets
+        )
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"stored model settings are invalid: {exc}") from exc
+    want = {name: t.data.shape for name, t in fresh.tensors.items()}
+    groups = {
+        "tensors": {name: t.data.shape for name, t in model.tensors.items()},
+        "best tensors": {name: t.data.shape for name, t in best.items()},
+        "adam first moments": {name: a.shape for name, a in adam.m.items()},
+        "adam second moments": {name: a.shape for name, a in adam.v.items()},
+    }
+    for what, got in groups.items():
+        if got != want and (got or what == "tensors"):
+            bad = sorted(n for n in want.keys() | got.keys() if got.get(n) != want.get(n))
+            raise CheckpointError(f"stored {what} differ from the stored model settings at {bad}")
 
 
 def run_gradcheck(d_k: int = 8, n_exercises: int = 10, steps: int = 3, seed: int = 0) -> dict[str, float]:

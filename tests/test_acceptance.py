@@ -283,13 +283,12 @@ def test_c9_intra_exercise_zero_delta():
         window = MaskedWindow(LearnerSequence("u", events), ())
         table = {f"{trial}:{t}": gen.normal(size=hp.d_c) for t in range(len(ids))}
         batch = perscell.assemble_batch([window], dataio.Vocabulary([f"p{i}" for i in range(8)]), hp, PrecomputedSource(table, hp.d_c))
-        run = perscell.run_window(model, batch, collect_traces=True)
-        traces = perscell.row_traces(run, 0)
+        deltas = perscell.run_window(model, batch).delta_exercise.data
         for t in range(1, len(ids)):
             if ids[t] == ids[t - 1]:
-                assert np.all(traces[t].delta_exercise == 0.0), (trial, t)
+                assert np.all(deltas[t] == 0.0), (trial, t)
                 checked += 1
             else:
-                assert np.any(traces[t].delta_exercise != 0.0)
+                assert np.any(deltas[t] != 0.0)
     assert checked > 10
     report("c9 intra-exercise", f"{checked} repeat steps, all with bitwise-zero exercise deltas")

@@ -3,9 +3,10 @@ from __future__ import annotations
 import json
 import os
 
+import numpy as np
 import pytest
 
-from pers import cli
+from pers import cli, tensorkit as tk, training
 
 
 def run(argv):
@@ -133,8 +134,6 @@ def test_flag_overrides_config(tmp_path):
 
 
 def test_divergent_training_exits_3(tmp_path, capsys):
-    import numpy as np
-
     config_path, cfg, paths = simulate(tmp_path)
     argv = [
         "train", "--config", config_path, "--data", paths["data"],
@@ -224,3 +223,52 @@ def test_ablate_command_emits_all_variants(tmp_path):
     lines = open(os.path.join(cfg["out_dir"], "ablation.tsv")).read().strip().split("\n")
     assert len(lines) == 8
     assert [l.split("\t")[0] for l in lines[1:]] == list(cli.perscell.VARIANTS)
+
+
+def trained_checkpoint(tmp_path):
+    config_path, cfg, paths = simulate(tmp_path)
+    argv = ["train", "--config", config_path, "--data", paths["data"], "--vectors", paths["vectors"]]
+    assert run(argv) == 0
+    model = os.path.join(cfg["out_dir"], "model.pers")
+    eval_argv = [
+        "eval", "--config", config_path, "--data", paths["data"],
+        "--vectors", paths["vectors"], "--checkpoint", model,
+    ]
+    return model, eval_argv
+
+
+def assert_one_line_error(capsys, fragment):
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and fragment in err[0], err
+
+
+def test_eval_with_nan_logits_exits_3(tmp_path, capsys):
+    model, eval_argv = trained_checkpoint(tmp_path)
+    cp = training.load_checkpoint(model)
+    cp.model.tensors["b_12"] = tk.parameter(np.full_like(cp.model.tensors["b_12"].data, np.nan), "b_12")
+    training.save_checkpoint(model, cp)
+    capsys.readouterr()
+    assert run(eval_argv) == 3
+    assert_one_line_error(capsys, "non-finite logits")
+    assert not os.path.exists(os.path.join(os.path.dirname(model), "report.tsv"))
+
+
+def test_eval_checkpoint_missing_tensor_exits_2(tmp_path, capsys):
+    model, eval_argv = trained_checkpoint(tmp_path)
+    cp = training.load_checkpoint(model)
+    del cp.model.tensors["W_3"]
+    training.save_checkpoint(model, cp)
+    capsys.readouterr()
+    assert run(eval_argv) == 2
+    assert_one_line_error(capsys, "tensors differ from the stored model settings at ['W_3']")
+
+
+def test_eval_checkpoint_header_length_past_end_exits_2(tmp_path, capsys):
+    model, eval_argv = trained_checkpoint(tmp_path)
+    data = open(model, "rb").read()
+    magic = len(training.CHECKPOINT_MAGIC)
+    with open(model, "wb") as fh:
+        fh.write(data[:magic] + (2**40).to_bytes(8, "little") + data[magic + 8 :])
+    capsys.readouterr()
+    assert run(eval_argv) == 2
+    assert_one_line_error(capsys, "header length")

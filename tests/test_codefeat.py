@@ -26,23 +26,22 @@ def test_tokenize_lowercases_and_splits():
 def test_precomputed_lookup_is_bit_exact():
     vec = np.array([0.5, -1.25, 3.0])
     src = codefeat.PrecomputedSource({"v17": vec}, 3)
-    out = codefeat.code_vector(src, interaction(ref="v17"))
+    out = src.vector(interaction(ref="v17"))
     assert out.tobytes() == vec.tobytes()
 
 
 def test_precomputed_missing_ref():
     src = codefeat.PrecomputedSource({}, 3)
     with pytest.raises(codefeat.CodeFeatureError, match="v9"):
-        codefeat.code_vector(src, interaction(ref="v9"))
+        src.vector(interaction(ref="v9"))
     with pytest.raises(codefeat.CodeFeatureError):
-        codefeat.code_vector(src, interaction())
+        src.vector(interaction())
 
 
 def test_hashed_empty_code_gives_zero_vector():
     src = codefeat.HashedTokenSource(buckets=8, dim=4)
-    table = np.ones((8, 4))
-    out = codefeat.code_vector(src, interaction(code="  !! "), table=table)
-    assert np.all(out == 0.0) and out.shape == (4,)
+    w = src.weights(interaction(code="  !! "))
+    assert np.all(w == 0.0) and w.shape == (8,)
 
 
 def test_hashed_mean_matches_hand_evaluation():
@@ -53,32 +52,35 @@ def test_hashed_mean_matches_hand_evaluation():
     h_a = codefeat.fnv1a64(b"a") % 16
     h_b = codefeat.fnv1a64(b"b") % 16
     expected = (2.0 * table[h_a] + table[h_b]) / 3.0
-    out = codefeat.code_vector(src, interaction(code="a a b"), table=table)
-    np.testing.assert_allclose(out, expected, atol=1e-15)
+    w = src.weights(interaction(code="a a b"))
+    assert w[h_a] == pytest.approx(2.0 / 3.0) and w[h_b] == pytest.approx(1.0 / 3.0)
+    np.testing.assert_allclose(w @ table, expected, atol=1e-15)
 
 
 def test_hashed_missing_code_text():
     src = codefeat.HashedTokenSource(buckets=8, dim=4)
     with pytest.raises(codefeat.CodeFeatureError, match="no code text"):
-        codefeat.code_vector(src, interaction(ref="v1"), table=np.zeros((8, 4)))
+        src.weights(interaction(ref="v1"))
 
 
 def test_same_code_same_vector():
     src = codefeat.HashedTokenSource(buckets=32, dim=5)
-    table = np.random.default_rng(1).normal(size=(32, 5))
-    a = codefeat.code_vector(src, interaction(code="for i in range(9)"), table=table)
-    b = codefeat.code_vector(src, interaction(code="for i in range(9)"), table=table)
+    a = src.weights(interaction(code="for i in range(9)"))
+    b = src.weights(interaction(code="for i in range(9)"))
     assert a.tobytes() == b.tobytes()
 
 
 def test_hashed_output_norm_bounded_by_max_bucket_norm():
+    # The weights are convex, so the code embedding is a convex combination
+    # of bucket rows and no longer than the longest of them.
     src = codefeat.HashedTokenSource(buckets=8, dim=4)
     rng = np.random.default_rng(2)
     table = rng.normal(size=(8, 4))
     max_norm = np.linalg.norm(table, axis=1).max()
     for code in ("a b c d", "x", "loop while loop", "alpha beta gamma delta epsilon"):
-        out = codefeat.code_vector(src, interaction(code=code), table=table)
-        assert np.linalg.norm(out) <= max_norm + 1e-12
+        w = src.weights(interaction(code=code))
+        assert np.all(w >= 0.0) and w.sum() == pytest.approx(1.0, abs=1e-15)
+        assert np.linalg.norm(w @ table) <= max_norm + 1e-12
 
 
 def test_vectors_file_round_trip(tmp_path):

@@ -187,7 +187,7 @@ def test_padding_row_gets_zero_gradient_when_masked():
     params = as_tensors(encoder.init_encoder_params(np.random.default_rng(9), hp))
     idx = np.array([0, 3])  # row 0 is padding
     out = encoder.enhance_exercise(params, hp, idx, t=0)
-    masked = tk.scale_rows(out, tk.tensor(np.array([0.0, 1.0])))
+    masked = tk.hadamard(out, tk.tensor(np.repeat([[0.0], [1.0]], hp.d_k, axis=1)))
     grads = tk.backward(tk.sum_all(masked), {"E_p": params["E_p"]})
     assert np.all(grads["E_p"][0] == 0.0)
     assert np.any(grads["E_p"][3] != 0.0)

@@ -3,8 +3,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from hypothesis import given, settings, strategies as st
+
 from conftest import source_for, vocab_for, window_of
-from pers import perscell, tensorkit as tk
+from pers import encoder, perscell, tensorkit as tk, training
+from pers.codefeat import HashedTokenSource
+from pers.dataio import Interaction, LearnerSequence, MaskedWindow
 from pers.encoder import HyperParams
 
 
@@ -14,9 +18,10 @@ def small_hp(n_exercises=10, d_k=8):
     )
 
 
-def make_params(seed=0, variant="PERS", n_exercises=10, d_k=8, layers=1):
+def make_params(seed=0, variant="PERS", n_exercises=10, d_k=8, layers=1, buckets=None):
     return perscell.init_model_params(
-        np.random.default_rng(seed), small_hp(n_exercises, d_k), variant=variant, layers=layers
+        np.random.default_rng(seed), small_hp(n_exercises, d_k), variant=variant, layers=layers,
+        code_buckets=buckets,
     )
 
 
@@ -81,99 +86,238 @@ def test_diff_code_matches_oracle(rng):
         np.testing.assert_allclose(fused.data[row], params["W_4"].data.T @ x + params["b_4"].data, atol=1e-12)
 
 
+# --- shared unroll helpers and the step-by-step oracle -----------------------
+
+
+def run_tiny(model, ids_by_row, statuses=None, code_vecs=None):
+    windows = [
+        window_of(ids, lid=f"u{i}", with_refs=True, statuses=statuses)
+        for i, ids in enumerate(ids_by_row)
+    ]
+    vocab = vocab_for([f"p{i}" for i in range(model.hyper.n_exercises)])
+    source = source_for(windows, model.hyper.d_c)
+    batch = perscell.assemble_batch(windows, vocab, model.hyper, source)
+    if code_vecs is not None:
+        batch.code_vecs = code_vecs
+    run = perscell.run_window(model, batch)
+    return run, batch, vocab
+
+
+def with_tensors(model, **arrays):
+    tensors = dict(model.tensors)
+    for name, a in arrays.items():
+        tensors[name] = tk.parameter(a, name)
+    return model.replace_tensors(tensors)
+
+
+def step_oracle(model, batch):
+    """Reference unroll: each window alone, one step at a time, every
+    update written as the paper's concat-then-affine map on full W_6/W_8.
+
+    Returns the states after every real step per row ((n_valid, d_k)
+    arrays), the target logits in (step, row) order (rows of a tape node)
+    and the full-softmax mean loss node over them.
+    """
+    T = model.tensors
+    hp = model.hyper
+    variant, layers = model.variant, model.layers
+    use_pos = perscell.uses_position(variant)
+
+    def aff(tag, x):
+        return tk.affine(x, T[f"W_{tag}"], T[f"b_{tag}"])
+
+    zeros = tk.tensor(np.zeros((1, hp.d_k)))
+    states, target_logits = [], {}
+    for row in range(batch.batch):
+        pa = ps = us = prev_p = prev_c = zeros
+        prev_idx = None
+        steps_of_row = []
+        for t in range(int(batch.valid[row].sum())):
+            idx = batch.exercise_idx[row, t : t + 1]
+            ep = encoder.enhance_exercise(T, hp, idx, t, use_pos, layers)
+            if prev_idx is None:
+                delta_p = ep
+            else:
+                delta_p = tk.sub(ep, encoder.enhance_exercise(T, hp, prev_idx, t, use_pos, layers))
+            if not perscell.uses_code(variant):
+                ec = encoder.apply_mlp(T, "2", tk.tensor(np.zeros((1, hp.d_c + hp.d_cs + hp.d_ct + hp.d_cm))), layers)
+            else:
+                if batch.code_weights is not None:
+                    code = tk.matmul(tk.tensor(batch.code_weights[row, t : t + 1]), T["code_table"])
+                else:
+                    code = tk.tensor(batch.code_vecs[row, t : t + 1])
+                ec = encoder.enhance_code(
+                    T, hp, code, batch.status_idx[row, t : t + 1], batch.time_idx[row, t : t + 1],
+                    batch.memory_idx[row, t : t + 1], layers,
+                )
+            dp_mlp = aff("3", tk.concat([delta_p, ep, prev_p]))
+            dc_mlp = aff("4", tk.concat([tk.sub(ec, prev_c), ec, prev_c]))
+            pa = aff("6", tk.concat([aff("5", tk.concat([ep, ec])), pa]))
+            g_ps = tk.tanh(aff("7", dp_mlp))
+            ps = aff("8", tk.concat([ps, tk.hadamard(g_ps, dc_mlp)]))
+            g_us = tk.tanh(aff("9", dp_mlp))
+            us = tk.add(us, tk.matmul(tk.hadamard(g_us, ep), T["W_10"]))
+            steps_of_row.append((pa.data[0], ps.data[0], us.data[0]))
+            if batch.loss_mask[row, t] > 0:
+                slots = {"pa": pa, "ps": ps, "us": us}
+                dropped = perscell.ablated_latent(variant)
+                if dropped is not None:
+                    slots[dropped] = zeros
+                pre = encoder.apply_mlp(T, "11", tk.concat([slots["pa"], slots["ps"], slots["us"]]), layers)
+                target_logits[(row, t)] = aff("12", pre)
+            prev_p, prev_c, prev_idx = ep, ec, idx
+        states.append(tuple(np.array(s) for s in zip(*steps_of_row)) if steps_of_row else None)
+
+    cells = [(r, t) for t in range(batch.length) for r in range(batch.batch) if (r, t) in target_logits]
+    ordered = [target_logits[cell] for cell in cells]
+    class_mask = perscell.output_class_mask(hp.vocab_size)
+    loss = tk.Tensor(np.asarray(0.0))
+    for lg, (r, t) in zip(ordered, cells):
+        loss = tk.add(loss, tk.cross_entropy(lg, batch.targets[r, t : t + 1], np.ones(1), class_mask))
+    return states, ordered, tk.hadamard(loss, tk.Tensor(np.asarray(1.0 / max(len(ordered), 1))))
+
+
+def rel_err(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    scale = np.abs(b).max() if b.size else 0.0
+    if scale == 0.0:
+        return float(np.abs(a).max()) if a.size else 0.0
+    return float(np.abs(a - b).max() / scale)
+
+
+def ragged_batch(model, lengths, ids_seed, code_source):
+    """Windows of the given lengths (trailing padding up to the longest),
+    about 40% repeats, carrying both code text and vector refs."""
+    gen = np.random.default_rng(ids_seed)
+    n_ex = model.hyper.n_exercises
+    windows = []
+    for i, n in enumerate(lengths):
+        ids = [f"p{gen.integers(0, n_ex)}"]
+        while len(ids) < n:
+            ids.append(ids[-1] if gen.random() < 0.4 else f"p{gen.integers(0, n_ex)}")
+        events = tuple(
+            Interaction(
+                f"u{i}", eid, t, "accepted" if gen.random() < 0.5 else "wrong_answer",
+                int(gen.integers(1, 500)), int(gen.integers(1, 4000)),
+                code=f"for x{gen.integers(0, 9)} in y{eid}", code_vec_ref=f"u{i}:{t}",
+            )
+            for t, eid in enumerate(ids)
+        )
+        windows.append(MaskedWindow(LearnerSequence(f"u{i}", events), tuple(range(n - 1))))
+    vocab = vocab_for([f"p{i}" for i in range(n_ex)])
+    if code_source == "hashed":
+        source = HashedTokenSource(model.code_buckets, model.hyper.d_c)
+    else:
+        source = source_for(windows, model.hyper.d_c, seed=ids_seed)
+    return perscell.assemble_batch(windows, vocab, model.hyper, source)
+
+
+def assert_matches_oracle(model, batch, tol=1e-12):
+    run = perscell.run_window(model, batch)
+    states, ordered, oracle_loss = step_oracle(model, batch)
+    for row, want in enumerate(states):
+        got = run.row_states(row)
+        if want is None:
+            assert all(g.shape[0] == 0 for g in got)
+            continue
+        for g, w in zip(got, want):
+            assert rel_err(g, w) <= tol  # every valid step, the last being the final latents
+    if not ordered:
+        assert run.logits == []
+        return
+    want_logits = np.concatenate([lg.data for lg in ordered])
+    assert rel_err(run.logits[0].data, want_logits) <= tol
+    loss = training.sequence_loss(run, batch, model.hyper.vocab_size)
+    assert rel_err(loss.data, oracle_loss.data) <= tol
+    got_g = tk.backward(loss, model.tensors)
+    want_g = tk.backward(oracle_loss, model.tensors)
+    for name in model.tensors:
+        assert rel_err(got_g[name], want_g[name]) <= tol, name
+
+
 # --- updating ---------------------------------------------------------------
 
 
-def test_update_pa_all_zero_params_and_state(rng):
-    params = make_params(5).tensors
-    for name in ("W_5", "b_5", "W_6", "b_6"):
-        params[name] = tk.parameter(np.zeros_like(params[name].data), name)
-    zeros = tk.tensor(np.zeros((2, 8)))
-    pa = perscell.update_pa(params, zeros, rand_node(rng, (2, 8)), rand_node(rng, (2, 8)))
-    assert np.all(pa.data == 0.0)
+def test_update_pa_all_zero_params_and_state():
+    model = make_params(5)
+    model = with_tensors(model, **{n: np.zeros_like(model.tensors[n].data) for n in ("W_5", "b_5", "W_6", "b_6")})
+    run, _, _ = run_tiny(model, [["p0", "p1", "p1", "p4"], ["p2", "p3"]])
+    assert np.all(run.pa.data == 0.0)
 
 
-def test_update_pa_identity_carry(rng):
-    params = make_params(6).tensors
+def test_update_pa_identity_carry():
+    # W_6 = [0; I], b_6 = c: PA_t = PA_{t-1} + c, so PA_t = (t+1) c exactly
+    # for a c of small binary fractions.
+    model = make_params(6)
     w6 = np.zeros((16, 8))
-    w6[8:, :] = np.eye(8)  # select the previous-PA slot
-    params["W_6"] = tk.parameter(w6, "W_6")
-    params["b_6"] = tk.parameter(np.zeros(8), "b_6")
-    pa_prev = rand_node(rng, (2, 8))
-    pa = perscell.update_pa(params, pa_prev, rand_node(rng, (2, 8)), rand_node(rng, (2, 8)))
-    np.testing.assert_array_equal(pa.data, pa_prev.data)
+    w6[8:, :] = np.eye(8)
+    c = np.array([0.5, -0.25, 0.125, 1.0, -2.0, 0.0, 0.75, -0.5])
+    run, _, _ = run_tiny(with_tensors(model, W_6=w6, b_6=c), [["p0", "p1", "p2", "p3", "p4"]])
+    pa, _, _ = run.row_states(0)
+    for t in range(5):
+        assert pa[t].tobytes() == ((t + 1) * c).tobytes()
 
 
-def test_update_pa_two_stage_oracle(rng):
-    params = make_params(7).tensors
-    e_p, e_c, pa_prev = (rng.normal(size=(2, 8)) for _ in range(3))
-    pa = perscell.update_pa(params, tk.tensor(pa_prev), tk.tensor(e_p), tk.tensor(e_c))
-    for row in range(2):
-        d = params["W_5"].data.T @ np.concatenate([e_p[row], e_c[row]]) + params["b_5"].data
-        expected = params["W_6"].data.T @ np.concatenate([d, pa_prev[row]]) + params["b_6"].data
-        np.testing.assert_allclose(pa.data[row], expected, atol=1e-12)
+def test_update_pa_two_stage_oracle():
+    model = make_params(7)
+    _, batch, _ = run_tiny(model, [["p1", "p4", "p4", "p2"], ["p3", "p0"]])
+    assert_matches_oracle(model, batch)
 
 
 def test_update_ps_zero_gate_annihilates_code(rng):
-    params = make_params(8).tensors
-    params["W_7"] = tk.parameter(np.zeros((8, 8)), "W_7")
-    params["b_7"] = tk.parameter(np.zeros(8), "b_7")
-    ps_prev = rand_node(rng, (2, 8))
-    ps1, gate = perscell.update_ps(params, ps_prev, rand_node(rng, (2, 8)), rand_node(rng, (2, 8)))
-    ps2, _ = perscell.update_ps(params, ps_prev, rand_node(rng, (2, 8)), rand_node(rng, (2, 8)))
-    assert np.all(gate.data == 0.0)
-    np.testing.assert_array_equal(ps1.data, ps2.data)  # code branch contributes nothing
+    # W_7 = b_7 = 0 closes the PS gate: the code branch contributes nothing,
+    # so PS is the same bitwise under any code vectors.
+    model = with_tensors(make_params(8), W_7=np.zeros((8, 8)), b_7=np.zeros(8))
+    ids = [["p0", "p2", "p2", "p5"], ["p1", "p3", "p4", "p4"]]
+    run1, batch, _ = run_tiny(model, ids)
+    run2, _, _ = run_tiny(model, ids, code_vecs=rng.normal(size=batch.code_vecs.shape))
+    assert np.all(run1.gate_ps.data == 0.0)
+    assert run1.ps.data.tobytes() == run2.ps.data.tobytes()
+    assert not np.array_equal(run1.pa.data, run2.pa.data)  # the code inputs did change
 
 
-def test_update_ps_gate_strictly_inside_unit_interval(rng):
-    params = make_params(9).tensors
-    for _ in range(5):
-        _, gate = perscell.update_ps(
-            params, rand_node(rng, (4, 8)), rand_node(rng, (4, 8)), rand_node(rng, (4, 8))
-        )
-        assert np.all(gate.data > -1.0) and np.all(gate.data < 1.0)
+def test_update_ps_gate_strictly_inside_unit_interval():
+    for seed in range(5):
+        run, _, _ = run_tiny(make_params(9 + seed), [["p0", "p1", "p0", "p2"], ["p3", "p3", "p3", "p3"]])
+        assert np.all(run.gate_ps.data > -1.0) and np.all(run.gate_ps.data < 1.0)
 
 
-def test_update_ps_matches_oracle(rng):
-    params = make_params(10).tensors
-    ps_prev, dp, dc = (rng.normal(size=(2, 8)) for _ in range(3))
-    ps, gate = perscell.update_ps(params, tk.tensor(ps_prev), tk.tensor(dp), tk.tensor(dc))
-    for row in range(2):
-        g = np.tanh(params["W_7"].data.T @ dp[row] + params["b_7"].data)
-        expected = params["W_8"].data.T @ np.concatenate([ps_prev[row], g * dc[row]]) + params["b_8"].data
-        np.testing.assert_allclose(gate.data[row], g, atol=1e-12)
-        np.testing.assert_allclose(ps.data[row], expected, atol=1e-12)
+def test_update_ps_matches_oracle():
+    model = make_params(10)
+    _, batch, _ = run_tiny(model, [["p5", "p5", "p1", "p9", "p1"]])
+    run = perscell.run_window(model, batch)
+    states, _, _ = step_oracle(model, batch)
+    assert rel_err(run.row_states(0)[1], states[0][1]) <= 1e-12
 
 
-def test_update_us_zero_gate_keeps_state_bitwise(rng):
-    params = make_params(11).tensors
-    params["W_9"] = tk.parameter(np.zeros((8, 8)), "W_9")
-    params["b_9"] = tk.parameter(np.zeros(8), "b_9")
-    us_prev = rand_node(rng, (2, 8))
-    us, gate = perscell.update_us(params, us_prev, rand_node(rng, (2, 8)), rand_node(rng, (2, 8)))
-    assert np.all(gate.data == 0.0)
-    assert us.data.tobytes() == us_prev.data.tobytes()
+def test_update_us_zero_gate_keeps_state_bitwise():
+    # W_9 = b_9 = 0 closes the US gate: US stays bitwise zero across the window.
+    model = with_tensors(make_params(11), W_9=np.zeros((8, 8)), b_9=np.zeros(8))
+    run, _, _ = run_tiny(model, [["p0", "p1", "p1", "p7", "p2"], ["p3", "p4"]])
+    assert np.all(run.gate_us.data == 0.0)
+    assert np.all(run.us.data == 0.0)
+    assert np.any(run.pa.data != 0.0)
 
 
-def test_update_us_single_step_unrolling(rng):
-    params = make_params(12).tensors
-    zeros = tk.tensor(np.zeros((2, 8)))
-    dp, e_p = rng.normal(size=(2, 8)), rng.normal(size=(2, 8))
-    us, gate = perscell.update_us(params, zeros, tk.tensor(dp), tk.tensor(e_p))
-    for row in range(2):
-        expected = params["W_10"].data.T @ (gate.data[row] * e_p[row])
-        np.testing.assert_allclose(us.data[row], expected, atol=1e-12)
+def test_update_us_single_step_unrolling():
+    model = make_params(12)
+    params = model.tensors
+    _, batch, _ = run_tiny(model, [["p3", "p6"]])
+    run = perscell.run_window(model, batch)
+    x = np.concatenate([params["E_p"].data[batch.exercise_idx[0, 0]], encoder.positional_encoding(0, 8)])
+    e_p = params["W_1"].data.T @ x + params["b_1"].data
+    us = run.row_states(0)[2][0]
+    expected = params["W_10"].data.T @ (run.gate_us.data[0] * e_p)
+    np.testing.assert_allclose(us, expected, atol=1e-12)
 
 
-def test_update_us_constant_over_zero_gated_run(rng):
-    params = make_params(13).tensors
-    params["W_9"] = tk.parameter(np.zeros((8, 8)), "W_9")
-    params["b_9"] = tk.parameter(np.zeros(8), "b_9")
-    us = rand_node(rng, (2, 8))
-    start = us.data.tobytes()
-    for _ in range(4):
-        us, _ = perscell.update_us(params, us, rand_node(rng, (2, 8)), rand_node(rng, (2, 8)))
-    assert us.data.tobytes() == start
+def test_update_us_constant_over_zero_gated_run():
+    # A zero difference signal (W_3 = b_3 = 0) with b_9 = 0 also closes the
+    # US gate, whatever W_9 is: US holds its zero start at every step.
+    model = with_tensors(make_params(13), W_3=np.zeros((24, 8)), b_3=np.zeros(8), b_9=np.zeros(8))
+    run, _, _ = run_tiny(model, [["p0", "p4", "p4", "p2", "p9", "p1"]])
+    assert np.any(model.tensors["W_9"].data != 0.0)
+    assert np.all(run.us.data == 0.0)
 
 
 # --- predicting -------------------------------------------------------------
@@ -188,10 +332,9 @@ def softmax_masked(logits, vocab_size):
 
 def test_predict_zero_state_zero_params_uniform_over_real_exercises(rng):
     model = make_params(14)
-    for name in ("W_11", "b_11", "W_12", "b_12"):
-        model.tensors[name] = tk.parameter(np.zeros_like(model.tensors[name].data), name)
-    state = perscell.LatentState.zeros(1, 8)
-    logits = perscell.predict(model.tensors, state)
+    model = with_tensors(model, **{n: np.zeros_like(model.tensors[n].data) for n in ("W_11", "b_11", "W_12", "b_12")})
+    zeros = tk.tensor(np.zeros((1, 8)))
+    logits = perscell.predict(model.tensors, zeros, zeros, zeros)
     probs = softmax_masked(logits.data[0], model.hyper.vocab_size)
     np.testing.assert_allclose(probs[2:], np.full(10, 1.0 / 10.0), atol=1e-12)
     assert probs[0] == 0.0 and probs[1] == 0.0
@@ -199,8 +342,7 @@ def test_predict_zero_state_zero_params_uniform_over_real_exercises(rng):
 
 def test_predict_masked_indices_never_in_topk(rng):
     model = make_params(15)
-    state = perscell.LatentState(*(rand_node(rng, (3, 8)) for _ in range(3)))
-    logits = perscell.predict(model.tensors, state)
+    logits = perscell.predict(model.tensors, *(rand_node(rng, (3, 8)) for _ in range(3)))
     mask = perscell.output_class_mask(model.hyper.vocab_size)
     z = np.where(mask, logits.data, -np.inf)
     top = np.argsort(-z, axis=1)[:, :10]
@@ -211,7 +353,7 @@ def test_predict_softmax_sums_to_one_and_matches_oracle(rng):
     model = make_params(16)
     params = model.tensors
     pa, ps, us = (rng.normal(size=(2, 8)) for _ in range(3))
-    logits = perscell.predict(params, perscell.LatentState(tk.tensor(pa), tk.tensor(ps), tk.tensor(us)))
+    logits = perscell.predict(params, tk.tensor(pa), tk.tensor(ps), tk.tensor(us))
     for row in range(2):
         pre = params["W_11"].data.T @ np.concatenate([pa[row], ps[row], us[row]]) + params["b_11"].data
         expected = params["W_12"].data.T @ pre + params["b_12"].data
@@ -222,97 +364,66 @@ def test_predict_softmax_sums_to_one_and_matches_oracle(rng):
 
 def test_predict_ablated_latent_is_ignored(rng):
     model = make_params(17, variant="PERS-pa")
-    state_a = perscell.LatentState(rand_node(rng, (1, 8)), rand_node(rng, (1, 8)), rand_node(rng, (1, 8)))
-    state_b = perscell.LatentState(rand_node(rng, (1, 8)), state_a.ps, state_a.us)
-    la = perscell.predict(model.tensors, state_a, variant="PERS-pa")
-    lb = perscell.predict(model.tensors, state_b, variant="PERS-pa")
+    ps, us = rand_node(rng, (1, 8)), rand_node(rng, (1, 8))
+    la = perscell.predict(model.tensors, rand_node(rng, (1, 8)), ps, us, variant="PERS-pa")
+    lb = perscell.predict(model.tensors, rand_node(rng, (1, 8)), ps, us, variant="PERS-pa")
     np.testing.assert_array_equal(la.data, lb.data)
 
 
-# --- full step / unroll -----------------------------------------------------
-
-
-def run_tiny(model, ids_by_row, collect_traces=True, statuses=None):
-    windows = [
-        window_of(ids, lid=f"u{i}", with_refs=True, statuses=statuses)
-        for i, ids in enumerate(ids_by_row)
-    ]
-    vocab = vocab_for([f"p{i}" for i in range(model.hyper.n_exercises)])
-    source = source_for(windows, model.hyper.d_c)
-    batch = perscell.assemble_batch(windows, vocab, model.hyper, source)
-    run = perscell.run_window(model, batch, collect_traces=collect_traces)
-    return run, batch, vocab
+# --- full unroll ------------------------------------------------------------
 
 
 def test_all_padding_rows_keep_zero_state():
     model = make_params(18)
-    # Row 1 has a single event against row 0's four: its state freezes after t=0.
+    # Row 1 has a single event against row 0's four: its trailing padding
+    # must not reach its one real state, which equals the row unrolled alone.
     run, batch, _ = run_tiny(model, [["p0", "p1", "p2", "p3"], ["p5"]])
+    solo, _, _ = run_tiny(model, [["p5"]], code_vecs=batch.code_vecs[1:, :1])
     assert batch.valid[1, 1:].sum() == 0
-    state_t0 = run.traces[0]
-    for arr in (run.final_state.pa.data, run.final_state.ps.data, run.final_state.us.data):
-        assert np.all(np.isfinite(arr))
-    np.testing.assert_array_equal(run.final_state.pa.data[1], state_t0.pa[1])
-    np.testing.assert_array_equal(run.final_state.us.data[1], state_t0.us[1])
+    for got, want in zip(run.row_states(1), solo.row_states(0)):
+        assert got.shape == (1, 8) and np.all(np.isfinite(got))
+        assert rel_err(got, want) <= 1e-12
 
 
 def test_repeat_exercise_gives_bitwise_zero_delta():
-    model = make_params(19)
+    model = make_params(19, layers=2)
     run, _, _ = run_tiny(model, [["p2", "p2", "p4", "p4", "p1"]])
-    deltas = [tr.delta_exercise[0] for tr in perscell.row_traces(run, 0)]
+    deltas = run.delta_exercise.data
     assert np.all(deltas[1] == 0.0)  # repeat of p2
     assert np.all(deltas[3] == 0.0)  # repeat of p4
     assert np.any(deltas[2] != 0.0) and np.any(deltas[4] != 0.0)
+    # Many long ragged windows in one batch, with and without dropout.
+    batch = ragged_batch(model, [30, 17, 30, 1, 25] * 8, 19, "precomputed")
+    idx = batch.exercise_idx
+    rows, steps = np.nonzero((idx[:, 1:] == idx[:, :-1]) & (batch.valid[:, 1:] > 0))
+    assert rows.size > 100
+    for dropout in (0.0, 0.5):
+        deltas = perscell.run_window(model, batch, dropout, np.random.default_rng(0)).delta_exercise.data
+        assert np.all(deltas[rows * batch.length + steps + 1] == 0.0)
 
 
-def test_three_step_unroll_matches_hand_composition(rng):
-    model = make_params(20)
-    params = model.tensors
-    hp = model.hyper
-    run, batch, _ = run_tiny(model, [["p1", "p3", "p3"]])
+@settings(max_examples=40, deadline=None)
+@given(
+    variant=st.sampled_from(perscell.VARIANTS),
+    layers=st.integers(1, 2),
+    code_source=st.sampled_from(["precomputed", "hashed"]),
+    lengths=st.lists(st.integers(1, 7), min_size=1, max_size=4),
+    seed=st.integers(0, 2**16),
+)
+def test_three_step_unroll_matches_hand_composition(variant, layers, code_source, lengths, seed):
+    # The batched unroll equals the step-by-step oracle on target logits,
+    # the states at every real step (final latents included), the loss
+    # and every parameter gradient, for ragged windows.
+    model = make_params(seed, variant=variant, layers=layers, buckets=16 if code_source == "hashed" else None)
+    assert_matches_oracle(model, ragged_batch(model, lengths, seed, code_source))
 
-    from pers import encoder
 
-    def enh_p(idx, t):
-        pos = encoder.positional_encoding(t, hp.d_pos)
-        x = np.concatenate([params["E_p"].data[idx], pos])
-        return params["W_1"].data.T @ x + params["b_1"].data
-
-    def enh_c(t):
-        x = np.concatenate(
-            [
-                batch.code_vecs[0, t],
-                params["status_table"].data[batch.status_idx[0, t]],
-                params["time_table"].data[batch.time_idx[0, t]],
-                params["memory_table"].data[batch.memory_idx[0, t]],
-            ]
-        )
-        return params["W_2"].data.T @ x + params["b_2"].data
-
-    def aff(tag, x):
-        return params[f"W_{tag}"].data.T @ x + params[f"b_{tag}"].data
-
-    pa = ps = us = np.zeros(hp.d_k)
-    prev_p = prev_c = np.zeros(hp.d_k)
-    prev_idx = None
-    for t in range(3):
-        idx = batch.exercise_idx[0, t]
-        ep = enh_p(idx, t)
-        ec = enh_c(t)
-        delta_p = ep - (enh_p(prev_idx, t) if prev_idx is not None else np.zeros(hp.d_k))
-        dp_mlp = aff("3", np.concatenate([delta_p, ep, prev_p]))
-        delta_c = ec - prev_c
-        dc_mlp = aff("4", np.concatenate([delta_c, ec, prev_c]))
-        pa = aff("6", np.concatenate([aff("5", np.concatenate([ep, ec])), pa]))
-        g_ps = np.tanh(aff("7", dp_mlp))
-        ps = aff("8", np.concatenate([ps, g_ps * dc_mlp]))
-        g_us = np.tanh(aff("9", dp_mlp))
-        us = us + params["W_10"].data.T @ (g_us * ep)
-        logits = aff("12", aff("11", np.concatenate([pa, ps, us])))
-        np.testing.assert_allclose(run.traces[t].logits[0], logits, atol=1e-9)
-        prev_p, prev_c, prev_idx = ep, ec, idx
-    np.testing.assert_allclose(run.final_state.pa.data[0], pa, atol=1e-9)
-    np.testing.assert_allclose(run.final_state.us.data[0], us, atol=1e-9)
+def test_unroll_matches_step_oracle_for_every_variant():
+    for variant in perscell.VARIANTS:
+        for layers in (1, 2):
+            for code_source in ("precomputed", "hashed"):
+                model = make_params(20, variant=variant, layers=layers, buckets=16 if code_source == "hashed" else None)
+                assert_matches_oracle(model, ragged_batch(model, [5, 2, 4, 1], 3, code_source))
 
 
 def test_all_padding_row_keeps_exact_zero_state():
@@ -327,18 +438,17 @@ def test_all_padding_row_keeps_exact_zero_state():
         valid=valid, targets=z.copy(), loss_mask=np.zeros((2, length)),
         learner_ids=["real", "ghost"], code_vecs=np.zeros((2, length, hp.d_c)),
     )
-    run = perscell.run_window(model, batch, collect_traces=True)
-    for latent in (run.final_state.pa, run.final_state.ps, run.final_state.us):
-        assert np.all(latent.data[1] == 0.0)
-    assert perscell.row_traces(run, 1) == []
+    run = perscell.run_window(model, batch)
+    assert run.logits == []  # no target steps, no logits
+    assert all(s.shape == (0, hp.d_k) for s in run.row_states(1))
+    assert all(s.shape == (4, hp.d_k) and np.all(np.isfinite(s)) for s in run.row_states(0))
 
 
 def test_gates_bounded_on_unroll():
     model = make_params(21)
     run, _, _ = run_tiny(model, [["p0", "p1", "p0", "p2"], ["p3", "p3", "p3", "p3"]])
-    for tr in run.traces:
-        assert np.all(np.abs(tr.gate_ps) < 1.0)
-        assert np.all(np.abs(tr.gate_us) < 1.0)
+    assert np.all(np.abs(run.gate_ps.data) < 1.0)
+    assert np.all(np.abs(run.gate_us.data) < 1.0)
 
 
 def test_excluded_params_by_variant():
@@ -360,10 +470,7 @@ def variant_loss_fn(model, batch):
     def fn(tensors):
         probe = model.replace_tensors(dict(tensors))
         run = perscell.run_window(probe, batch)
-        total = tk.sum_all(run.logits[0])
-        for lg in run.logits[1:]:
-            total = tk.add(total, tk.sum_all(lg))
-        return tk.add(total, tk.sum_all(tk.tanh(run.final_state.us)))
+        return tk.add(tk.sum_all(run.logits[0]), tk.sum_all(tk.tanh(run.us)))
     return fn
 
 

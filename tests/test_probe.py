@@ -50,10 +50,13 @@ def test_export_round_trip_and_determinism(tmp_path):
     probe.write_latents(p1, rows)
     probe.write_latents(p2, probe.export_latents(cp, seqs, source))
     assert p1.read_bytes() == p2.read_bytes()
-    loaded = probe.read_latents(p1)
-    assert [r.learner_id for r in loaded] == [r.learner_id for r in rows]
-    for orig, back in zip(rows, loaded):
-        np.testing.assert_allclose(back.us, orig.us, rtol=1e-8)
+    header, *lines = [line.split("\t") for line in p1.read_text().splitlines()]
+    assert header[:2] == ["learner_id", "length"] and header[-1] == "us_7"
+    assert [line[0] for line in lines] == [r.learner_id for r in rows]
+    for orig, line in zip(rows, lines):
+        assert int(line[1]) == orig.length
+        back = np.array([float(x) for x in line[2:]])
+        np.testing.assert_allclose(back, np.concatenate([orig.pa, orig.ps, orig.us]), rtol=1e-8)
 
 
 def test_export_step_latents_covers_all_events():
@@ -118,7 +121,8 @@ def test_probe_dimension_selects_right_latent():
         lid = f"u{i}"
         rows.append(probe.LatentRow(lid, 5, rng.normal(size=4), ps, us))
         labels[lid] = (processing, understanding)
-    assert probe.probe_dimension(rows, labels, "processing", min_per_class=5).accuracy == 1.0
-    assert probe.probe_dimension(rows, labels, "understanding", min_per_class=5).accuracy == 1.0
+    for dimension in ("processing", "understanding"):
+        feats, labs = probe.dimension_features(rows, labels, dimension)
+        assert probe.fit_probe(feats, labs, min_per_class=5).accuracy == 1.0
     with pytest.raises(ValueError):
-        probe.probe_dimension(rows, labels, "perception")
+        probe.dimension_features(rows, labels, "perception")

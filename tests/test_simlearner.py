@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pers import dataio, simlearner
+from pers.codefeat import write_vectors
 
 
 def catalog(size=30, seed=0):
@@ -110,19 +111,24 @@ def test_population_label_counts_within_binomial_bounds():
         assert 13 <= c <= 37, (cell, c)
 
 
+def write_population(pop, log_path, vectors_path, labels_path):
+    """The three files `pers simulate` writes."""
+    dataio.write_log(log_path, pop.interactions)
+    write_vectors(vectors_path, pop.vectors, pop.d_c)
+    simlearner.write_labels(labels_path, pop.labels)
+
+
 def test_population_same_seed_identical_files(tmp_path):
     for tag in ("a", "b"):
         pop = simlearner.simulate_population(6, simlearner.uniform_mix(), catalog(), 30, seed=9)
-        simlearner.write_population(
-            pop, tmp_path / f"{tag}.jsonl", tmp_path / f"{tag}.vec", tmp_path / f"{tag}.tsv"
-        )
+        write_population(pop, tmp_path / f"{tag}.jsonl", tmp_path / f"{tag}.vec", tmp_path / f"{tag}.tsv")
     for ext in (".jsonl", ".vec", ".tsv"):
         assert (tmp_path / f"a{ext}").read_bytes() == (tmp_path / f"b{ext}").read_bytes()
 
 
 def test_population_files_validate_against_schema(tmp_path):
     pop = simlearner.simulate_population(5, simlearner.uniform_mix(), catalog(), 20, seed=7)
-    simlearner.write_population(pop, tmp_path / "d.jsonl", tmp_path / "d.vec", tmp_path / "d.tsv")
+    write_population(pop, tmp_path / "d.jsonl", tmp_path / "d.vec", tmp_path / "d.tsv")
     interactions, issues = dataio.parse_log(tmp_path / "d.jsonl")
     assert issues == []
     assert len(interactions) == 100

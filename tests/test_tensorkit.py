@@ -55,8 +55,9 @@ def test_ops_preserve_documented_dims():
     assert tk.sub(a, a).dims == [3, 4]
     assert tk.hadamard(a, a).dims == [3, 4]
     assert tk.tanh(a).dims == [3, 4]
-    assert tk.scale_rows(a, tk.tensor(g.normal(size=3))).dims == [3, 4]
-    assert tk.add_bias(a, tk.tensor(g.normal(size=4))).dims == [3, 4]
+    assert tk.linear_scan(a, None, 3).dims == [3, 4]
+    assert tk.linear_scan(a, tk.tensor(g.normal(size=(4, 4))), 1).dims == [3, 4]
+    assert tk.affine(a, b, tk.tensor(g.normal(size=5))).dims == [3, 5]
 
 
 def test_forward_is_deterministic_bitwise():
@@ -101,10 +102,10 @@ def test_backward_zero_gradient_for_unused_parameter():
 
 def _random_five_param_graph(params):
     # Mixes every core op so the finite-difference oracle covers them all.
-    h1 = tk.tanh(tk.add_bias(tk.matmul(params["x"], params["w1"]), params["b1"]))
-    h2 = tk.hadamard(h1, tk.sigmoid(tk.matmul(params["x"], params["w2"])))
+    h1 = tk.tanh(tk.affine(params["x"], params["w1"], params["b1"]))
+    h2 = tk.hadamard(h1, tk.tanh(tk.matmul(params["x"], params["w2"])))
     h3 = tk.concat([h2, tk.sub(h1, h2)])
-    h4 = tk.scale_rows(h3, params["s"])
+    h4 = tk.affine(tk.gather_rows(h3, np.array([2, 0, 2, 1])), tk.tensor(np.eye(10)[::-1]), params["s"])
     return tk.sum_all(tk.tanh(h4))
 
 
@@ -115,7 +116,7 @@ def test_gradients_match_finite_differences():
         "w1": tk.parameter(g.uniform(-1, 1, size=(4, 5)), "w1"),
         "w2": tk.parameter(g.uniform(-1, 1, size=(4, 5)), "w2"),
         "b1": tk.parameter(g.uniform(-1, 1, size=5), "b1"),
-        "s": tk.parameter(g.uniform(-1, 1, size=3), "s"),
+        "s": tk.parameter(g.uniform(-1, 1, size=10), "s"),
     }
     for name in params:
         err = tk.finite_diff_check(_random_five_param_graph, params, name, h=1e-5)
@@ -269,9 +270,47 @@ def test_gradient_accumulates_over_shared_subexpression():
     np.testing.assert_array_equal(grads["x"], [2.0])
 
 
-def test_smul_scales_value_and_gradient():
-    x = tk.parameter(np.array([1.0, -2.0]), "x")
-    y = tk.smul(3.0, x)
-    np.testing.assert_array_equal(y.data, [3.0, -6.0])
-    grads = tk.backward(tk.sum_all(y), {"x": x})
-    np.testing.assert_array_equal(grads["x"], [3.0, 3.0])
+def _scan_graph(carry_name):
+    def fn(params):
+        carry = None if carry_name is None else params[carry_name]
+        h = tk.linear_scan(params["x"], carry, 4)
+        return tk.sum_all(tk.tanh(tk.hadamard(h, params["w"])))
+    return fn
+
+
+@pytest.mark.parametrize("carry_name", ["c", None])
+def test_linear_scan_gradients_match_finite_differences(carry_name):
+    # Three sequences of four steps; once with a carry matrix, once with
+    # the identity (carry None).
+    g = rng(9)
+    params = {
+        "x": tk.parameter(g.uniform(-1, 1, size=(12, 3)), "x"),
+        "w": tk.parameter(g.uniform(-1, 1, size=(12, 3)), "w"),
+        "c": tk.parameter(g.uniform(-0.8, 0.8, size=(3, 3)), "c"),
+    }
+    for name in params:
+        err = tk.finite_diff_check(_scan_graph(carry_name), params, name, h=1e-5)
+        assert err < 1e-6, f"{name}: {err}"
+
+
+def test_linear_scan_matches_step_loop():
+    g = rng(10)
+    x = g.normal(size=(2 * 5, 3))
+    c = g.normal(size=(3, 3))
+    out = tk.linear_scan(tk.tensor(x), tk.tensor(c), 5).data
+    ident = tk.linear_scan(tk.tensor(x), None, 5).data
+    for b in range(2):
+        h = np.zeros(3)
+        s = np.zeros(3)
+        for t in range(5):
+            h = h @ c + x[b * 5 + t]
+            s = s + x[b * 5 + t]
+            np.testing.assert_allclose(out[b * 5 + t], h, rtol=1e-13, atol=1e-13)
+            assert ident[b * 5 + t].tobytes() == s.tobytes()  # a running sum, added in order
+
+
+def test_linear_scan_rejects_partial_sequences():
+    with pytest.raises(tk.ShapeError, match="whole sequences"):
+        tk.linear_scan(tk.tensor(np.zeros((5, 2))), None, 2)
+    with pytest.raises(tk.ShapeError, match="carry"):
+        tk.linear_scan(tk.tensor(np.zeros((4, 2))), tk.tensor(np.zeros((3, 3))), 2)

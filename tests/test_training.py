@@ -83,46 +83,51 @@ def test_sample_negatives_catalog_too_small():
 # --- loss --------------------------------------------------------------------
 
 
-def fake_run(logits_arrays):
-    return perscell.WindowRun([tk.parameter(a, f"logits{i}") for i, a in enumerate(logits_arrays)], None, None)
-
-
-def fake_batch(targets, loss_mask):
-    targets = np.asarray(targets)
-    b, length = targets.shape
-    z = np.zeros((b, length), dtype=np.int64)
-    return perscell.WindowBatch(
-        exercise_idx=z, status_idx=z, time_idx=z, memory_idx=z,
-        valid=np.ones((b, length)), targets=targets,
-        loss_mask=np.asarray(loss_mask, dtype=float), learner_ids=["u"] * b,
-    )
+def loss_setup(ids_by_row, **zeroed):
+    """A tiny model run over windows whose steps all carry a target; the
+    named tensors are replaced by the given arrays."""
+    windows = [window_of(ids, lid=f"u{i}", with_refs=True) for i, ids in enumerate(ids_by_row)]
+    vocab = vocab_for([f"p{i}" for i in range(5)])
+    hp = toy_hp(5, d_k=8).with_exercises(5)
+    model = perscell.init_model_params(np.random.default_rng(3), hp)
+    tensors = dict(model.tensors)
+    tensors.update({n: tk.parameter(a, n) for n, a in zeroed.items()})
+    model = model.replace_tensors(tensors)
+    batch = perscell.assemble_batch(windows, vocab, hp, source_for(windows, hp.d_c))
+    return perscell.run_window(model, batch), batch, model
 
 
 def test_loss_perfect_logits_approaches_zero():
-    logits = np.full((1, 6), -50.0)
-    logits[0, 3] = 50.0
-    loss = training.sequence_loss(fake_run([logits]), fake_batch([[3]], [[1.0]]), 6)
+    # W_12 = 0 makes every logit row equal b_12, which puts all mass on
+    # class 3 (exercise p1), the target of every step.
+    bias = np.full(7, -50.0)
+    bias[3] = 50.0
+    run, batch, _ = loss_setup([["p0", "p1", "p1"]], W_12=np.zeros((8, 7)), b_12=bias)
+    loss = training.sequence_loss(run, batch, 7)
     assert float(loss.data) < 1e-9
 
 
 def test_loss_two_step_matches_hand_computed_cross_entropy():
-    rng = np.random.default_rng(3)
-    l0, l1 = rng.normal(size=(1, 7)), rng.normal(size=(1, 7))
-    targets = np.array([[4, 2]])
-    mask = np.array([[1.0, 1.0]])
-    loss = training.sequence_loss(fake_run([l0, l1]), fake_batch(targets, mask), 7)
+    run, batch, model = loss_setup([["p2", "p0", "p3"], ["p4", "p1"]])
+    loss = training.sequence_loss(run, batch, 7)
+    T = model.tensors
 
     def nll(row, t):
-        z = row[2:]
-        return -np.log(np.exp(row[t]) / np.exp(z).sum())
+        at = row * batch.length + t
+        latents = (tk.tensor(s.data[at : at + 1]) for s in (run.pa, run.ps, run.us))
+        z = perscell.predict(T, *latents).data[0]
+        target = batch.targets[row, t]
+        return -np.log(np.exp(z[target]) / np.exp(z[2:]).sum())
 
-    expected = (nll(l0[0], 4) + nll(l1[0], 2)) / 2.0
+    expected = (nll(0, 0) + nll(0, 1) + nll(1, 0)) / 3.0
     assert float(loss.data) == pytest.approx(expected, abs=1e-9)
 
 
 def test_loss_rejects_padding_target():
+    run, batch, _ = loss_setup([["p0", "p1"]])
+    batch.targets[0, 0] = 0
     with pytest.raises(ValueError, match="padding"):
-        training.sequence_loss(fake_run([np.zeros((1, 5))]), fake_batch([[0]], [[1.0]]), 5)
+        training.sequence_loss(run, batch, 7)
 
 
 def test_gradient_clipping_rescales_to_max_norm():
@@ -357,14 +362,14 @@ def test_loss_modes_agree_on_overfit_direction():
         cp = training.train(windows, vocab, hp, config, source)
         batch = perscell.assemble_batch(windows, vocab, cp.model.hyper, source)
         run = perscell.run_window(cp.model, batch)
-        hits = total = 0
         mask = perscell.output_class_mask(cp.model.hyper.vocab_size)
-        for t, logits in enumerate(run.logits):
-            for row in range(batch.batch):
-                if batch.loss_mask[row, t] == 0:
-                    continue
-                z = np.where(mask, logits.data[row], -np.inf)
-                hits += int(np.argmax(z) == batch.targets[row, t])
-                total += 1
+        rows, steps = batch.target_cells()
+        (logits,) = run.logits
+        assert logits.data.shape[0] == rows.size == int(batch.loss_mask.sum())
+        hits = total = 0
+        for i, (row, t) in enumerate(zip(rows, steps)):
+            z = np.where(mask, logits.data[i], -np.inf)
+            hits += int(np.argmax(z) == batch.targets[row, t])
+            total += 1
         assert total > 0
         assert hits / total >= 0.9, f"{mode}: {hits}/{total}"
