@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric divergence.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -166,34 +167,14 @@ def write_manifest(out_dir, command: str, config: dict, outputs: list[str], t0: 
 
 
 def make_hyper(config: dict, n_exercises: int) -> HyperParams:
-    return HyperParams(
-        d_p=config["d_p"],
-        d_c=config["d_c"],
-        d_k=config["d_k"],
-        d_pos=config["d_pos"] or None,
-        d_ct=config["d_ct"],
-        d_cm=config["d_cm"],
-        d_cs=config["d_cs"],
-        max_len=config["max_len"],
-        n_exercises=n_exercises,
-    )
+    widths = {key: config[key] for key in ("d_p", "d_c", "d_k", "d_ct", "d_cm", "d_cs", "max_len")}
+    return HyperParams(d_pos=config["d_pos"] or None, n_exercises=n_exercises, **widths)
 
 
 def make_train_config(config: dict) -> TrainConfig:
+    """Every TrainConfig field is the config key of the same name."""
     try:
-        return TrainConfig(
-            lr=config["lr"],
-            layers=config["layers"],
-            dropout=config["dropout"],
-            batch_size=config["batch_size"],
-            eval_batch_size=config["eval_batch_size"],
-            epochs=config["epochs"],
-            seed=config["seed"],
-            loss_mode=config["loss_mode"],
-            negatives_per_positive=config["negatives_per_positive"],
-            variant=config["variant"],
-            grad_clip=config["grad_clip"],
-        )
+        return TrainConfig(**{f.name: config[f.name] for f in dataclasses.fields(TrainConfig)})
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

@@ -3,17 +3,21 @@
 The reference pipeline consumes frozen pretrained code vectors; at desk
 scale we substitute two sources behind one interface: a precomputed
 vector table keyed by code_vec_ref, and a trainable hashed token bag for
-raw code text. Token hashing is pinned to 64-bit FNV-1a so stored tables
-stay portable.
+raw code text. Both describe an event's code as a weighted bag of rows
+of one table (`weights`), and `table_for` returns that table, so the
+model has a single code path. Token hashing is pinned to 64-bit FNV-1a
+so stored tables stay portable.
 """
 
 from __future__ import annotations
 
+import functools
 import re
-from dataclasses import dataclass
+from collections import Counter
 
 import numpy as np
 
+from . import tensorkit as tk
 from .dataio import Interaction
 
 VECTORS_MAGIC = "PERSVEC1"
@@ -21,6 +25,8 @@ VECTORS_MAGIC = "PERSVEC1"
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _TOKEN_RE = re.compile(r"[0-9a-z]+")
+
+Bag = tuple[tuple[int, ...], tuple[float, ...]]  # (table rows, their weights)
 
 
 class CodeFeatureError(ValueError):
@@ -35,41 +41,51 @@ def fnv1a64(data: bytes) -> int:
     return h
 
 
+@functools.lru_cache(maxsize=1 << 16)  # code reuses a small token vocabulary
+def _token_hash(token: str) -> int:
+    return fnv1a64(token.encode("utf-8"))
+
+
 def tokenize(code: str) -> list[str]:
     """Lowercased alphanumeric runs; everything else separates tokens."""
     return _TOKEN_RE.findall(code.lower())
 
 
-@dataclass(frozen=True)
 class PrecomputedSource:
-    """Frozen ref -> vector table (no gradient flows into these)."""
+    """Frozen pretrained vectors: row `rows[ref]` of `matrix` (R, dim) is
+    the vector of ref. No gradient flows into them."""
 
-    table: dict[str, np.ndarray]
-    dim: int
+    def __init__(self, table: dict[str, np.ndarray], dim: int):
+        self.dim = dim
+        self.rows = {ref: i for i, ref in enumerate(table)}
+        self.matrix = np.array(list(table.values()), dtype=np.float64).reshape(len(table), dim)
+        self.matrix.flags.writeable = False
 
-    kind = "precomputed"
-
-    def vector(self, interaction: Interaction) -> np.ndarray:
+    def weights(self, interaction: Interaction) -> Bag:
         ref = interaction.code_vec_ref
         if ref is None:
             raise CodeFeatureError(
                 f"interaction of {interaction.learner_id} at t={interaction.timestamp} has no code_vec_ref"
             )
-        vec = self.table.get(ref)
-        if vec is None:
+        row = self.rows.get(ref)
+        if row is None:
             raise CodeFeatureError(f"code_vec_ref '{ref}' not in vector table")
-        return vec
+        return (row,), (1.0,)
+
+    def table_for(self, tensors: dict[str, tk.Tensor]) -> tk.Tensor:
+        if "code_table" in tensors:
+            raise CodeFeatureError("the checkpoint was trained on hashed code tokens; use code_source=hashed")
+        return tk.tensor(self.matrix)
 
 
 class HashedTokenSource:
     """Mean of hash-bucket embeddings over the code's tokens.
 
-    The bucket table is a trainable parameter; `weights` returns the
-    per-bucket convex weights so the model can route gradients through a
-    plain matmul. An empty token list yields the zero vector.
+    The bucket table is the model's trainable `code_table`; `weights`
+    returns the distinct buckets of the code's tokens with each one's
+    share of the tokens. An empty token list is an empty bag, the zero
+    vector.
     """
-
-    kind = "hashed_tokens"
 
     def __init__(self, buckets: int, dim: int):
         if buckets < 1:
@@ -77,21 +93,23 @@ class HashedTokenSource:
         self.buckets = buckets
         self.dim = dim
 
-    def bucket(self, token: str) -> int:
-        return fnv1a64(token.encode("utf-8")) % self.buckets
-
-    def weights(self, interaction: Interaction) -> np.ndarray:
+    def weights(self, interaction: Interaction) -> Bag:
         if interaction.code is None:
             raise CodeFeatureError(
                 f"interaction of {interaction.learner_id} at t={interaction.timestamp} has no code text"
             )
-        w = np.zeros(self.buckets)
         tokens = tokenize(interaction.code)
-        if not tokens:
-            return w
-        for tok in tokens:
-            w[self.bucket(tok)] += 1.0
-        return w / len(tokens)
+        counts = Counter(_token_hash(tok) % self.buckets for tok in tokens)
+        return tuple(counts), tuple(c / len(tokens) for c in counts.values())
+
+    def table_for(self, tensors: dict[str, tk.Tensor]) -> tk.Tensor:
+        table = tensors.get("code_table")
+        if table is None:
+            raise CodeFeatureError("the checkpoint was trained on precomputed vectors; use code_source=precomputed")
+        if table.data.shape != (self.buckets, self.dim):
+            rows, dim = table.data.shape
+            raise CodeFeatureError(f"checkpoint has {rows} hash buckets x {dim}, source {self.buckets} x {self.dim}")
+        return table
 
 
 def write_vectors(path, table: dict[str, np.ndarray], dim: int) -> None:

@@ -166,8 +166,8 @@ def enhance_code(
 ) -> tk.Tensor:
     """Code embedding enriched with status / time / memory lookups.
 
-    code_vec is a (B, d_c) node: a constant for precomputed vectors, a
-    matmul against the bucket table for hashed tokens, or zeros for the
+    code_vec is a (B, d_c) node: each row's weighted bag of code-table
+    rows (frozen vectors or trainable hash buckets), or zeros for the
     code-ablated variants.
     """
     es = tk.gather_rows(params["status_table"], np.asarray(status_idx))

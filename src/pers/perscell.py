@@ -19,7 +19,8 @@ zeros in the prediction concat.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from itertools import chain
 
 import numpy as np
 
@@ -28,6 +29,7 @@ from .codefeat import HashedTokenSource, PrecomputedSource
 from .dataio import MaskedWindow, Vocabulary
 from .encoder import (
     HyperParams,
+    _uniform,
     apply_mlp,
     enhance_code,
     enhance_exercise,
@@ -79,11 +81,6 @@ class ModelParams:
 
     def replace_tensors(self, tensors: dict[str, tk.Tensor]) -> "ModelParams":
         return ModelParams(self.hyper, self.variant, self.layers, self.code_buckets, tensors)
-
-
-def _uniform(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
-    bound = 1.0 / np.sqrt(fan_in)
-    return rng.uniform(-bound, bound, size=shape)
 
 
 def init_cell_params(rng: np.random.Generator, hp: HyperParams, layers: int = 1) -> dict[str, np.ndarray]:
@@ -139,28 +136,24 @@ def _affine(params: dict[str, tk.Tensor], tag: str, x: tk.Tensor) -> tk.Tensor:
     return tk.affine(x, params[f"W_{tag}"], params[f"b_{tag}"])
 
 
-def diff_exercise(
+def difference(
     params: dict[str, tk.Tensor],
+    tag: str,
     enh_t: tk.Tensor,
     enh_prev: tk.Tensor,
     delta: tk.Tensor | None = None,
 ) -> tuple[tk.Tensor, tk.Tensor]:
-    """Exercise difference embedding and its MLP fusion.
+    """Difference embedding and its MLP fusion W_tag [delta; enh_t; enh_prev]
+    + b_tag: tag "3" for exercises, "4" for code.
 
     `delta` defaults to enh_t - enh_prev; the unroll passes a
-    position-cancelled difference instead so that a repeated exercise
-    yields an exactly zero delta regardless of its window position.
+    position-cancelled exercise difference instead so that a repeated
+    exercise yields an exactly zero delta regardless of its window
+    position.
     """
     if delta is None:
         delta = tk.sub(enh_t, enh_prev)
-    return delta, _affine(params, "3", tk.concat([delta, enh_t, enh_prev]))
-
-
-def diff_code(
-    params: dict[str, tk.Tensor], enh_t: tk.Tensor, enh_prev: tk.Tensor
-) -> tuple[tk.Tensor, tk.Tensor]:
-    delta = tk.sub(enh_t, enh_prev)
-    return delta, _affine(params, "4", tk.concat([delta, enh_t, enh_prev]))
+    return delta, _affine(params, tag, tk.concat([delta, enh_t, enh_prev]))
 
 
 def output_class_mask(vocab_size: int) -> np.ndarray:
@@ -197,8 +190,10 @@ class WindowBatch:
 
     exercise_idx uses 0 for padding steps; valid marks real events;
     targets holds the next exercise index where loss_mask is 1 and 0
-    elsewhere. Exactly one of code_vecs / code_weights is set unless the
-    variant ignores code entirely.
+    elsewhere. Each step's code is a weighted bag of rows of
+    code_source's table: code_ids and code_weights hold the bags padded
+    to the largest, K, with weight 0 in unused slots. The three are None
+    when the variant ignores code entirely.
     """
 
     exercise_idx: np.ndarray  # (B, L) int
@@ -209,8 +204,9 @@ class WindowBatch:
     targets: np.ndarray  # (B, L) int
     loss_mask: np.ndarray  # (B, L) float 0/1
     learner_ids: list[str]
-    code_vecs: np.ndarray | None = None  # (B, L, d_c)
-    code_weights: np.ndarray | None = None  # (B, L, H)
+    code_ids: np.ndarray | None = None  # (B, L, K) int rows of the code table
+    code_weights: np.ndarray | None = None  # (B, L, K) float
+    code_source: PrecomputedSource | HashedTokenSource | None = None
 
     @property
     def batch(self) -> int:
@@ -228,18 +224,8 @@ class WindowBatch:
 
     def take(self, rows: np.ndarray) -> "WindowBatch":
         """Row-sliced view for mini-batching an assembled dataset."""
-        return WindowBatch(
-            exercise_idx=self.exercise_idx[rows],
-            status_idx=self.status_idx[rows],
-            time_idx=self.time_idx[rows],
-            memory_idx=self.memory_idx[rows],
-            valid=self.valid[rows],
-            targets=self.targets[rows],
-            loss_mask=self.loss_mask[rows],
-            learner_ids=[self.learner_ids[r] for r in rows],
-            code_vecs=None if self.code_vecs is None else self.code_vecs[rows],
-            code_weights=None if self.code_weights is None else self.code_weights[rows],
-        )
+        arrays = {name: a[rows] for name, a in vars(self).items() if isinstance(a, np.ndarray)}
+        return replace(self, learner_ids=[self.learner_ids[r] for r in rows], **arrays)
 
 
 @dataclass
@@ -271,41 +257,25 @@ def assemble_batch(
     vocab: Vocabulary,
     hp: HyperParams,
     code_source: PrecomputedSource | HashedTokenSource | None = None,
-    length: int | None = None,
 ) -> WindowBatch:
-    """Pack masked windows into dense arrays, padded to a common length.
+    """Pack masked windows into dense arrays, padded to the longest.
 
-    code_source resolves each event's code features; None skips them,
-    which is only legal for the code-ablated variants.
+    code_source resolves each event's code bag; None skips them, which is
+    only legal for the code-ablated variants.
     """
     if not windows:
         raise ValueError("assemble_batch: no windows")
+    if code_source is not None and code_source.dim != hp.d_c:
+        raise ValueError(f"code source width {code_source.dim} != d_c {hp.d_c}")
     b = len(windows)
-    if length is None:
-        length = max(len(mw.window) for mw in windows)
-    exercise_idx = np.zeros((b, length), dtype=np.int64)
-    status_idx = np.zeros((b, length), dtype=np.int64)
-    time_idx = np.zeros((b, length), dtype=np.int64)
-    mem_idx = np.zeros((b, length), dtype=np.int64)
-    valid = np.zeros((b, length))
-    targets = np.zeros((b, length), dtype=np.int64)
-    loss_mask = np.zeros((b, length))
-    code_vecs = None
-    code_weights = None
-    if isinstance(code_source, PrecomputedSource):
-        if code_source.dim != hp.d_c:
-            raise ValueError(f"vector table width {code_source.dim} != d_c {hp.d_c}")
-        code_vecs = np.zeros((b, length, hp.d_c))
-    elif isinstance(code_source, HashedTokenSource):
-        if code_source.dim != hp.d_c:
-            raise ValueError(f"hashed table width {code_source.dim} != d_c {hp.d_c}")
-        code_weights = np.zeros((b, length, code_source.buckets))
+    length = max(len(mw.window) for mw in windows)
+    exercise_idx, status_idx, time_idx, mem_idx, targets = (np.zeros((b, length), dtype=np.int64) for _ in range(5))
+    valid, loss_mask = np.zeros((b, length)), np.zeros((b, length))
 
     learner_ids = []
+    bags = []  # one per valid cell, in row-major order
     for row, mw in enumerate(windows):
         events = mw.window.events
-        if len(events) > length:
-            raise ValueError(f"window of length {len(events)} exceeds batch length {length}")
         learner_ids.append(mw.window.learner_id)
         for t, ev in enumerate(events):
             exercise_idx[row, t] = vocab.encode(ev.exercise_id)
@@ -313,40 +283,46 @@ def assemble_batch(
             time_idx[row, t] = time_bucket(ev.exec_time_ms)
             mem_idx[row, t] = memory_bucket(ev.exec_memory_kb)
             valid[row, t] = 1.0
-            if code_vecs is not None:
-                code_vecs[row, t] = code_source.vector(ev)
-            elif code_weights is not None:
-                code_weights[row, t] = code_source.weights(ev)
+            if code_source is not None:
+                bags.append(code_source.weights(ev))
         for t in mw.target_steps:
             if t + 1 >= len(events):
                 raise ValueError("target step has no following event")
             targets[row, t] = vocab.encode(events[t + 1].exercise_id)
             loss_mask[row, t] = 1.0
+    code_ids = code_weights = None
+    if code_source is not None:
+        code_ids, code_weights = _pack_bags(bags, valid)
     return WindowBatch(
-        exercise_idx=exercise_idx,
-        status_idx=status_idx,
-        time_idx=time_idx,
-        memory_idx=mem_idx,
-        valid=valid,
-        targets=targets,
-        loss_mask=loss_mask,
-        learner_ids=learner_ids,
-        code_vecs=code_vecs,
-        code_weights=code_weights,
+        exercise_idx, status_idx, time_idx, mem_idx, valid, targets, loss_mask, learner_ids,
+        code_ids, code_weights, code_source,
     )
 
 
+def _pack_bags(bags: list, valid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Scatter the (ids, weights) bags of the valid cells, in row-major
+    order, into (B, L, K) arrays in one pass; K is the largest bag."""
+    sizes = np.fromiter((len(ids) for ids, _ in bags), dtype=np.int64, count=len(bags))
+    k = int(sizes.max(initial=0))
+    code_ids = np.zeros(valid.shape + (k,), dtype=np.int64)
+    code_weights = np.zeros(valid.shape + (k,))
+    rows, steps = np.nonzero(valid)
+    cell = np.repeat(np.arange(len(bags)), sizes)
+    slot = np.arange(cell.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    at = (rows[cell], steps[cell], slot)
+    code_ids[at] = np.fromiter(chain.from_iterable(ids for ids, _ in bags), dtype=np.int64, count=cell.size)
+    code_weights[at] = np.fromiter(chain.from_iterable(w for _, w in bags), dtype=np.float64, count=cell.size)
+    return code_ids, code_weights
+
+
 def _code_inputs(params: ModelParams, batch: WindowBatch) -> tk.Tensor:
-    """The initial code embedding of every step, (B*L, d_c)."""
+    """The initial code embedding of every step, (B*L, d_c): each bag's
+    weighted sum of its source's table rows."""
+    if batch.code_source is None:
+        raise ValueError("windows carry no code features but the variant needs them")
     n = batch.batch * batch.length
-    if batch.code_weights is not None:
-        # A reshape of the assembled array, not a copy: the hashed weights
-        # are the largest array of a batch.
-        weights = tk.tensor(batch.code_weights.reshape(n, -1))
-        return tk.matmul(weights, params.tensors["code_table"])
-    if batch.code_vecs is not None:
-        return tk.tensor(batch.code_vecs.reshape(n, -1))
-    raise ValueError("windows carry no code features but the variant needs them")
+    table = batch.code_source.table_for(params.tensors)
+    return tk.gather_rows(table, batch.code_ids.reshape(n, -1), batch.code_weights.reshape(n, -1))
 
 
 def run_window(
@@ -406,8 +382,8 @@ def run_window(
     delta_p = tk.sub(enh_p, tk.hadamard(prev_at_t, not_first))
     enh_p_prev = tk.hadamard(tk.gather_rows(enh_p, prev_row), not_first)
     enh_c_prev = tk.hadamard(tk.gather_rows(enh_c, prev_row), not_first)
-    delta_p, delta_p_mlp = diff_exercise(tensors, enh_p, enh_p_prev, delta_p)
-    _, delta_c_mlp = diff_code(tensors, enh_c, enh_c_prev)
+    delta_p, delta_p_mlp = difference(tensors, "3", enh_p, enh_p_prev, delta_p)
+    _, delta_c_mlp = difference(tensors, "4", enh_c, enh_c_prev)
 
     # W_6 and W_8 split into their input and carry row blocks.
     top, bottom = np.arange(d), np.arange(d, 2 * d)

@@ -234,27 +234,45 @@ def concat(parts: Iterable[Tensor]) -> Tensor:
     return Tensor(np.concatenate([p.data for p in parts], axis=axis), parts, vjp)
 
 
-def gather_rows(table: Tensor, indices: np.ndarray) -> Tensor:
-    """Select rows of a (V,d) table: result[i] = table[indices[i]].
+def gather_rows(table: Tensor, indices: np.ndarray, weights: np.ndarray | None = None) -> Tensor:
+    """Select rows of a (V,d) table, or sum weighted bags of them.
 
-    `indices` is a constant int array, not a graph node; the gradient
-    scatter-adds back into the table rows.
+    With (n,) indices, result[i] = table[indices[i]]. With (n,K) indices
+    and (n,K) weights, result[i] = sum_k weights[i,k] * table[indices[i,k]];
+    a slot of weight 0 adds nothing, so bags of different sizes pad to K.
+    Indices and weights are constant arrays, not graph nodes; the
+    gradient scatter-adds back into the table rows.
     """
     _require(table.data.ndim == 2, "gather_rows", "table must be rank 2", table)
     idx = np.asarray(indices)
-    if idx.ndim != 1 or not np.issubdtype(idx.dtype, np.integer):
-        raise ShapeError("gather_rows: indices must be a 1-D integer array")
+    if not np.issubdtype(idx.dtype, np.integer) or idx.ndim != (1 if weights is None else 2):
+        want = "1-D" if weights is None else "(n,K)"
+        raise ShapeError(f"gather_rows: indices must be a {want} integer array")
+    if weights is not None and np.shape(weights) != idx.shape:
+        raise ShapeError(f"gather_rows: weights {list(np.shape(weights))} do not match indices {list(idx.shape)}")
     if idx.size and (idx.min() < 0 or idx.max() >= table.data.shape[0]):
         raise ShapeError(
             f"gather_rows({_label(table)}): index out of range 0..{table.data.shape[0] - 1}"
         )
+    if weights is None:
+        out = table.data[idx]
+    else:
+        w = np.asarray(weights, dtype=np.float64)
+        n, k = idx.shape
+        # Slot 0 starts the sum, so a one-row bag of weight 1 is that row bitwise.
+        out = table.data[idx[:, 0]] * w[:, :1] if k else np.zeros((n, table.data.shape[1]))
+        for j in range(1, k):
+            out += table.data[idx[:, j]] * w[:, j, None]
 
     def vjp(g: np.ndarray) -> tuple[np.ndarray, ...]:
         acc = np.zeros_like(table.data)
-        np.add.at(acc, idx, g)
+        if weights is None:
+            np.add.at(acc, idx, g)
+        else:
+            np.add.at(acc, idx.reshape(-1), (g[:, None, :] * w[:, :, None]).reshape(-1, g.shape[1]))
         return (acc,)
 
-    return Tensor(table.data[idx], (table,), vjp)
+    return Tensor(out, (table,), vjp)
 
 
 def sum_all(a: Tensor) -> Tensor:
@@ -266,33 +284,22 @@ def sum_all(a: Tensor) -> Tensor:
     return Tensor(np.asarray(a.data.sum()), (a,), vjp)
 
 
-def cross_entropy(
-    logits: Tensor,
-    targets: np.ndarray,
-    step_mask: np.ndarray,
-    class_mask: np.ndarray,
-) -> Tensor:
-    """Mean negative log softmax probability of each target class.
+def cross_entropy(logits: Tensor, targets: np.ndarray, class_mask: np.ndarray) -> Tensor:
+    """Mean negative log softmax probability of each row's target class.
 
-    logits: (B,M). targets: (B,) ints. step_mask: (B,) 0/1 floats picking
-    the rows that contribute; masked-out rows get zero gradient. Classes
-    where class_mask is False are excluded from the softmax entirely (they
-    get probability 0 and no gradient), which realises the padding/unknown
+    logits: (B,M) with B >= 1. targets: (B,) ints. Classes where
+    class_mask is False are excluded from the softmax entirely (they get
+    probability 0 and no gradient), which realises the padding/unknown
     mask without -inf arithmetic.
     """
-    _require(logits.data.ndim == 2, "cross_entropy", "logits must be (B,M)", logits)
+    _require(logits.data.ndim == 2 and len(logits.data), "cross_entropy", "logits must be (B,M), B >= 1", logits)
     b, m = logits.data.shape
     targets = np.asarray(targets)
-    step_mask = np.asarray(step_mask, dtype=np.float64)
     class_mask = np.asarray(class_mask, dtype=bool)
-    if targets.shape != (b,) or step_mask.shape != (b,) or class_mask.shape != (m,):
-        raise ShapeError("cross_entropy: targets/step_mask/class_mask shapes do not line up")
-    active = step_mask > 0.0
-    if np.any(~class_mask[targets[active]]):
+    if targets.shape != (b,) or class_mask.shape != (m,):
+        raise ShapeError("cross_entropy: targets/class_mask shapes do not line up")
+    if np.any(~class_mask[targets]):
         raise ValueError("cross_entropy: a masked-out class appears as a target")
-    count = float(active.sum())
-    if count == 0.0:
-        return Tensor(np.asarray(0.0), (logits,), lambda g: (np.zeros_like(logits.data),))
 
     # One (B,M) buffer, updated in place: for the targets of a whole batch
     # a fresh temporary of this size costs more than the arithmetic on it.
@@ -302,56 +309,46 @@ def cross_entropy(
     denom = expz.sum(axis=1, keepdims=True)
     log_denom = np.log(denom) + zmax
     nll = log_denom[:, 0] - logits.data[np.arange(b), targets]
-    value = float((nll * step_mask).sum() / count)
+    value = float(nll.sum() / b)
 
     probs = np.divide(expz, denom, out=expz)  # rows over allowed classes only
 
     def vjp(g: np.ndarray) -> tuple[np.ndarray, ...]:
-        w = float(g) * step_mask / count
-        grad = probs * w[:, None]
+        w = float(g) / b
+        grad = probs * w
         grad[np.arange(b), targets] -= w
         return (grad,)
 
     return Tensor(np.asarray(value), (logits,), vjp)
 
 
-def bce_with_negatives(
-    logits: Tensor,
-    targets: np.ndarray,
-    negatives: np.ndarray,
-    step_mask: np.ndarray,
-) -> Tensor:
+def bce_with_negatives(logits: Tensor, targets: np.ndarray, negatives: np.ndarray) -> Tensor:
     """Sampled binary objective: -log sig(z_target) - sum log(1 - sig(z_neg)).
 
     negatives: (B,k) ints, assumed distinct from the target per row. The
-    per-row losses are averaged over rows where step_mask is nonzero.
+    per-row losses are averaged over the B >= 1 rows.
     """
-    _require(logits.data.ndim == 2, "bce_with_negatives", "logits must be (B,M)", logits)
+    _require(logits.data.ndim == 2 and len(logits.data), "bce_with_negatives", "logits must be (B,M), B >= 1", logits)
     b, _ = logits.data.shape
     targets = np.asarray(targets)
     negatives = np.asarray(negatives)
-    step_mask = np.asarray(step_mask, dtype=np.float64)
     if targets.shape != (b,) or negatives.ndim != 2 or negatives.shape[0] != b:
         raise ShapeError("bce_with_negatives: targets/negatives shapes do not line up")
-    active = step_mask > 0.0
-    count = float(active.sum())
-    if count == 0.0:
-        return Tensor(np.asarray(0.0), (logits,), lambda g: (np.zeros_like(logits.data),))
 
     rows = np.arange(b)
     z_t = logits.data[rows, targets]
     z_n = logits.data[rows[:, None], negatives]
     # softplus(-z_t) + sum softplus(z_n), numerically stable
     per_row = np.logaddexp(0.0, -z_t) + np.logaddexp(0.0, z_n).sum(axis=1)
-    value = float((per_row * step_mask).sum() / count)
+    value = float(per_row.sum() / b)
 
     def vjp(g: np.ndarray) -> tuple[np.ndarray, ...]:
-        w = float(g) * step_mask / count
+        w = float(g) / b
         grad = np.zeros_like(logits.data)
         sig_t = 1.0 / (1.0 + np.exp(-z_t))
         np.add.at(grad, (rows, targets), (sig_t - 1.0) * w)
         sig_n = 1.0 / (1.0 + np.exp(-z_n))
-        np.add.at(grad, (rows[:, None], negatives), sig_n * w[:, None])
+        np.add.at(grad, (rows[:, None], negatives), sig_n * w)
         return (grad,)
 
     return Tensor(np.asarray(value), (logits,), vjp)
@@ -381,14 +378,20 @@ def backward(root: Tensor, params: Mapping[str, Tensor]) -> dict[str, np.ndarray
     """Gradients of a scalar root w.r.t. every named parameter.
 
     Parameters that the root does not depend on get zero gradients of the
-    right shape, so optimizers can treat the result as total.
+    right shape, so optimizers can treat the result as total. Ops that no
+    parameter feeds (a gather from a constant table, say) are skipped.
     """
     if root.data.shape not in ((), (1,)):
         raise NonScalarRootError(f"backward root must be scalar, got dims {root.dims}")
+    order = _topo_order(root)
+    live = {id(p) for p in params.values()}
+    for node in order:
+        if any(id(p) in live for p in node.parents):
+            live.add(id(node))
     grads: dict[int, np.ndarray] = {id(root): np.ones_like(root.data)}
-    for node in reversed(_topo_order(root)):
-        if node.vjp is None:
-            continue  # leaves keep their accumulated gradient for the return
+    for node in reversed(order):
+        if node.vjp is None or id(node) not in live:
+            continue  # leaves keep their accumulated gradient; dead ops need none
         g = grads.pop(id(node), None)
         if g is None:
             continue

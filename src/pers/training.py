@@ -101,10 +101,9 @@ def sequence_loss(
     if np.any(targets < 2):
         raise ValueError("loss target is a padding/unknown index")
     (logits,) = run.logits
-    every = np.ones(rows.size)
     if mode == "full_softmax":
-        return tk.cross_entropy(logits, targets, every, output_class_mask(vocab_size))
-    return tk.bce_with_negatives(logits, targets, negatives[rows, steps], every)
+        return tk.cross_entropy(logits, targets, output_class_mask(vocab_size))
+    return tk.bce_with_negatives(logits, targets, negatives[rows, steps])
 
 
 def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> dict[str, np.ndarray]:
@@ -287,11 +286,18 @@ def load_checkpoint(path) -> Checkpoint:
             header = json.loads(blob.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise CheckpointError(f"unreadable header: {exc}") from exc
+        if not isinstance(header, dict):
+            raise CheckpointError("header is not a JSON object")
         if header.get("format_version") != FORMAT_VERSION:
             raise CheckpointError(f"unsupported format version {header.get('format_version')}")
+        _check_header(header)
         payload = fh.read()
 
-    hyper = HyperParams(**header["hyper"])
+    try:
+        hyper = HyperParams(**header["hyper"])
+        config = TrainConfig(**header["config"])
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"stored settings are invalid: {exc}") from exc
     arrays: dict[str, np.ndarray] = {}
     for entry in header["manifest"]:
         dims = tuple(entry["dims"])
@@ -319,22 +325,37 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointError("vocabulary size does not match the stored hyperparams")
     model = ModelParams(hyper, header["variant"], header["layers"], header["code_buckets"], tensors)
     _check_tensor_shapes(model, best_tensors, adam)
-    config = TrainConfig(**header["config"])
     if header.get("best_is_final", True):
         best = tensors if header.get("best_epoch", -1) >= 0 else None
     else:
         best = best_tensors
     return Checkpoint(
-        model=model,
-        adam=adam,
-        config=config,
-        vocab=Vocabulary(header["vocab"]),
-        seed=header["seed"],
-        epochs_done=header["epochs_done"],
-        loss_log=list(header["loss_log"]),
-        best_epoch=header.get("best_epoch", -1),
-        best_tensors=best,
+        model, adam, config, Vocabulary(header["vocab"]), header["seed"], header["epochs_done"],
+        list(header["loss_log"]), header.get("best_epoch", -1), best,
     )
+
+
+# JSON types of the header fields; best_epoch and best_is_final may be absent.
+_HEADER_TYPES = {
+    "hyper": (dict,), "variant": (str,), "layers": (int,), "code_buckets": (int, type(None)),
+    "config": (dict,), "vocab": (list,), "adam_t": (int,), "seed": (int,), "epochs_done": (int,),
+    "loss_log": (list,), "manifest": (list,), "best_epoch": (int,), "best_is_final": (bool,),
+}
+
+
+def _check_header(header: dict) -> None:
+    for name, kinds in _HEADER_TYPES.items():
+        if name not in header and name not in ("best_epoch", "best_is_final"):
+            raise CheckpointError(f"header lacks field '{name}'")
+        if name in header and type(header[name]) not in kinds:
+            want = " or ".join(k.__name__ for k in kinds)
+            raise CheckpointError(f"header field '{name}' is a {type(header[name]).__name__}, not {want}")
+    for i, entry in enumerate(header["manifest"]):
+        if not (
+            type(entry) is dict and type(entry.get("name")) is str and type(entry.get("offset")) is int
+            and type(entry.get("dims")) is list and all(type(d) is int for d in entry["dims"])
+        ):
+            raise CheckpointError(f"manifest entry {i} is not a name, integer dims and an integer offset")
 
 
 def _check_tensor_shapes(model: ModelParams, best: dict[str, tk.Tensor], adam: tk.AdamState) -> None:

@@ -272,3 +272,73 @@ def test_eval_checkpoint_header_length_past_end_exits_2(tmp_path, capsys):
     capsys.readouterr()
     assert run(eval_argv) == 2
     assert_one_line_error(capsys, "header length")
+
+
+def rewrite_header(model, edit):
+    """Apply edit to a checkpoint's JSON header in place."""
+    data = open(model, "rb").read()
+    magic = len(training.CHECKPOINT_MAGIC)
+    n = int.from_bytes(data[magic : magic + 8], "little")
+    header = json.loads(data[magic + 8 : magic + 8 + n])
+    edit(header)
+    blob = json.dumps(header).encode("utf-8")
+    with open(model, "wb") as fh:
+        fh.write(data[:magic] + len(blob).to_bytes(8, "little") + blob + data[magic + 8 + n :])
+
+
+@pytest.mark.parametrize(
+    "edit, fragment",
+    [
+        (lambda h: h.pop("hyper"), "header lacks field 'hyper'"),
+        (lambda h: h.pop("vocab"), "header lacks field 'vocab'"),
+        (lambda h: h.update(config="lr=0.01"), "header field 'config' is a str, not dict"),
+    ],
+    ids=["missing-hyper", "missing-vocab", "string-config"],
+)
+def test_eval_checkpoint_bad_header_field_exits_2(tmp_path, capsys, edit, fragment):
+    model, eval_argv = trained_checkpoint(tmp_path)
+    rewrite_header(model, edit)
+    capsys.readouterr()
+    assert run(eval_argv) == 2
+    assert_one_line_error(capsys, fragment)
+
+
+def with_code_text(path):
+    """Give every record of a log some code text, for the hashed source."""
+    records = [json.loads(line) for line in open(path)]
+    with open(path, "w") as fh:
+        for i, rec in enumerate(records):
+            rec["code"] = f"for i in range({i % 7}): total += x{i % 5}"
+            fh.write(json.dumps(rec) + "\n")
+
+
+def hashed_checkpoint(tmp_path):
+    config_path, cfg, paths = simulate(tmp_path)
+    with_code_text(paths["data"])
+    argv = ["train", "--config", config_path, "--data", paths["data"]]
+    assert run(argv + ["--code-source", "hashed", "--hash-buckets", "32"]) == 0
+    model = os.path.join(cfg["out_dir"], "model.pers")
+    return ["eval", "--config", config_path, "--data", paths["data"], "--checkpoint", model], paths
+
+
+def test_eval_hashed_source_on_vectors_checkpoint_exits_2(tmp_path, capsys):
+    model, eval_argv = trained_checkpoint(tmp_path)
+    with_code_text(eval_argv[eval_argv.index("--data") + 1])
+    capsys.readouterr()
+    assert run(eval_argv + ["--code-source", "hashed"]) == 2
+    assert_one_line_error(capsys, "trained on precomputed vectors")
+
+
+def test_eval_vectors_on_hashed_checkpoint_exits_2(tmp_path, capsys):
+    eval_argv, paths = hashed_checkpoint(tmp_path)
+    assert run(eval_argv + ["--code-source", "hashed", "--hash-buckets", "32"]) == 0
+    capsys.readouterr()
+    assert run(eval_argv + ["--vectors", paths["vectors"]]) == 2
+    assert_one_line_error(capsys, "trained on hashed code tokens")
+
+
+def test_eval_other_bucket_count_than_training_exits_2(tmp_path, capsys):
+    eval_argv, _ = hashed_checkpoint(tmp_path)
+    capsys.readouterr()
+    assert run(eval_argv + ["--code-source", "hashed", "--hash-buckets", "16"]) == 2
+    assert_one_line_error(capsys, "checkpoint has 32 hash buckets x 8, source 16 x 8")

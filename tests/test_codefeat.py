@@ -2,8 +2,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from pers import codefeat
+from pers import codefeat, tensorkit as tk
 from pers.dataio import Interaction
 
 
@@ -23,25 +24,49 @@ def test_tokenize_lowercases_and_splits():
     assert codefeat.tokenize("!!!") == []
 
 
+def dense(bag, buckets):
+    """The bag as the dense per-bucket histogram the hashed source once
+    built: each token adds 1 to its bucket, then the row is divided by the
+    token count. The oracle for the bag path."""
+    w = np.zeros(buckets)
+    for i, share in zip(*bag):
+        w[i] += share
+    return w
+
+
+def dense_oracle(code, buckets):
+    w = np.zeros(buckets)
+    tokens = codefeat.tokenize(code)
+    for tok in tokens:
+        w[codefeat.fnv1a64(tok.encode("utf-8")) % buckets] += 1.0
+    return w / len(tokens) if tokens else w
+
+
 def test_precomputed_lookup_is_bit_exact():
     vec = np.array([0.5, -1.25, 3.0])
-    src = codefeat.PrecomputedSource({"v17": vec}, 3)
-    out = src.vector(interaction(ref="v17"))
-    assert out.tobytes() == vec.tobytes()
+    src = codefeat.PrecomputedSource({"v0": np.zeros(3), "v17": vec}, 3)
+    rows, weights = src.weights(interaction(ref="v17"))
+    assert rows == (1,) and weights == (1.0,)
+    table = src.table_for({})
+    assert table.data[1].tobytes() == vec.tobytes()
+    out = tk.gather_rows(table, np.array([rows]), np.array([weights]))
+    assert out.data[0].tobytes() == vec.tobytes()
 
 
 def test_precomputed_missing_ref():
     src = codefeat.PrecomputedSource({}, 3)
     with pytest.raises(codefeat.CodeFeatureError, match="v9"):
-        src.vector(interaction(ref="v9"))
+        src.weights(interaction(ref="v9"))
     with pytest.raises(codefeat.CodeFeatureError):
-        src.vector(interaction())
+        src.weights(interaction())
 
 
 def test_hashed_empty_code_gives_zero_vector():
     src = codefeat.HashedTokenSource(buckets=8, dim=4)
-    w = src.weights(interaction(code="  !! "))
-    assert np.all(w == 0.0) and w.shape == (8,)
+    assert src.weights(interaction(code="  !! ")) == ((), ())
+    table = tk.tensor(np.ones((8, 4)))
+    out = tk.gather_rows(table, np.zeros((1, 0), dtype=np.int64), np.zeros((1, 0)))
+    assert out.data.shape == (1, 4) and np.all(out.data == 0.0)
 
 
 def test_hashed_mean_matches_hand_evaluation():
@@ -52,9 +77,10 @@ def test_hashed_mean_matches_hand_evaluation():
     h_a = codefeat.fnv1a64(b"a") % 16
     h_b = codefeat.fnv1a64(b"b") % 16
     expected = (2.0 * table[h_a] + table[h_b]) / 3.0
-    w = src.weights(interaction(code="a a b"))
-    assert w[h_a] == pytest.approx(2.0 / 3.0) and w[h_b] == pytest.approx(1.0 / 3.0)
-    np.testing.assert_allclose(w @ table, expected, atol=1e-15)
+    rows, weights = src.weights(interaction(code="a a b"))
+    assert dict(zip(rows, weights)) == {h_a: pytest.approx(2.0 / 3.0), h_b: pytest.approx(1.0 / 3.0)}
+    out = tk.gather_rows(tk.tensor(table), np.array([rows]), np.array([weights]))
+    np.testing.assert_allclose(out.data[0], expected, atol=1e-15)
 
 
 def test_hashed_missing_code_text():
@@ -67,7 +93,7 @@ def test_same_code_same_vector():
     src = codefeat.HashedTokenSource(buckets=32, dim=5)
     a = src.weights(interaction(code="for i in range(9)"))
     b = src.weights(interaction(code="for i in range(9)"))
-    assert a.tobytes() == b.tobytes()
+    assert a == b
 
 
 def test_hashed_output_norm_bounded_by_max_bucket_norm():
@@ -78,9 +104,39 @@ def test_hashed_output_norm_bounded_by_max_bucket_norm():
     table = rng.normal(size=(8, 4))
     max_norm = np.linalg.norm(table, axis=1).max()
     for code in ("a b c d", "x", "loop while loop", "alpha beta gamma delta epsilon"):
-        w = src.weights(interaction(code=code))
-        assert np.all(w >= 0.0) and w.sum() == pytest.approx(1.0, abs=1e-15)
-        assert np.linalg.norm(w @ table) <= max_norm + 1e-12
+        rows, weights = src.weights(interaction(code=code))
+        assert len(set(rows)) == len(rows) and all(w > 0.0 for w in weights)
+        assert sum(weights) == pytest.approx(1.0, abs=1e-15)
+        out = tk.gather_rows(tk.tensor(table), np.array([rows]), np.array([weights]))
+        assert np.linalg.norm(out.data[0]) <= max_norm + 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    code=st.text(alphabet="abcxyz019 _(){};=+\nAB", max_size=80),
+    buckets=st.sampled_from([1, 2, 7, 64, 2048]),
+    seed=st.integers(0, 2**16),
+)
+def test_bag_matches_dense_histogram_times_table(code, buckets, seed):
+    src = codefeat.HashedTokenSource(buckets=buckets, dim=5)
+    bag = src.weights(interaction(code=code))
+    oracle = dense_oracle(code, buckets)
+    np.testing.assert_array_equal(dense(bag, buckets), oracle)
+    assert sum(bag[1]) == pytest.approx(1.0 if codefeat.tokenize(code) else 0.0, abs=1e-12)
+    table = np.random.default_rng(seed).normal(size=(buckets, 5))
+    ids = np.array(bag[0], dtype=np.int64).reshape(1, -1)
+    got = tk.gather_rows(tk.tensor(table), ids, np.array(bag[1]).reshape(1, -1)).data[0]
+    want = oracle @ table
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+
+def test_token_hash_is_memoised():
+    codefeat._token_hash.cache_clear()
+    src = codefeat.HashedTokenSource(buckets=64, dim=2)
+    for _ in range(3):
+        src.weights(interaction(code="x = x + y; x = y"))
+    info = codefeat._token_hash.cache_info()
+    assert info.misses == 2 and info.hits == 3 * 5 - 2 and info.maxsize is not None
 
 
 def test_vectors_file_round_trip(tmp_path):
@@ -91,7 +147,7 @@ def test_vectors_file_round_trip(tmp_path):
     src = codefeat.read_vectors(path)
     assert src.dim == 6
     for ref, vec in table.items():
-        assert src.table[ref].tobytes() == vec.tobytes()
+        assert src.matrix[src.rows[ref]].tobytes() == vec.tobytes()
 
 
 def test_vectors_file_bad_header(tmp_path):

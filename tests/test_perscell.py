@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import source_for, vocab_for, window_of
 from pers import encoder, perscell, tensorkit as tk, training
-from pers.codefeat import HashedTokenSource
+from pers.codefeat import HashedTokenSource, PrecomputedSource
 from pers.dataio import Interaction, LearnerSequence, MaskedWindow
 from pers.encoder import HyperParams
 
@@ -35,7 +35,7 @@ def rand_node(rng, shape):
 def test_diff_exercise_identical_embeddings_zero_delta(rng):
     params = make_params().tensors
     e = rand_node(rng, (2, 8))
-    delta, _ = perscell.diff_exercise(params, e, e)
+    delta, _ = perscell.difference(params, "3", e, e)
     assert np.all(delta.data == 0.0)
 
 
@@ -46,7 +46,7 @@ def test_diff_exercise_delta_slot_selector(rng):
     params["W_3"] = tk.parameter(w, "W_3")
     params["b_3"] = tk.parameter(np.zeros(8), "b_3")
     e = rand_node(rng, (3, 8))
-    _, fused = perscell.diff_exercise(params, e, e)
+    _, fused = perscell.difference(params, "3", e, e)
     assert np.all(fused.data == 0.0)
 
 
@@ -54,7 +54,7 @@ def test_diff_exercise_matches_concat_matvec_oracle(rng):
     model = make_params(1)
     params = model.tensors
     a, b = rng.normal(size=(2, 8)), rng.normal(size=(2, 8))
-    delta, fused = perscell.diff_exercise(params, tk.tensor(a), tk.tensor(b))
+    delta, fused = perscell.difference(params, "3", tk.tensor(a), tk.tensor(b))
     for row in range(2):
         x = np.concatenate([a[row] - b[row], a[row], b[row]])
         expected = params["W_3"].data.T @ x + params["b_3"].data
@@ -66,21 +66,21 @@ def test_diff_code_zero_previous_passes_current_through(rng):
     params = make_params(2).tensors
     e = rand_node(rng, (2, 8))
     zeros = tk.tensor(np.zeros((2, 8)))
-    delta, _ = perscell.diff_code(params, e, zeros)
+    delta, _ = perscell.difference(params, "4", e, zeros)
     np.testing.assert_array_equal(delta.data, e.data)
 
 
 def test_diff_code_identical_resubmission_zero(rng):
     params = make_params(3).tensors
     e = rand_node(rng, (2, 8))
-    delta, _ = perscell.diff_code(params, e, e)
+    delta, _ = perscell.difference(params, "4", e, e)
     assert np.all(delta.data == 0.0)
 
 
 def test_diff_code_matches_oracle(rng):
     params = make_params(4).tensors
     a, b = rng.normal(size=(2, 8)), rng.normal(size=(2, 8))
-    _, fused = perscell.diff_code(params, tk.tensor(a), tk.tensor(b))
+    _, fused = perscell.difference(params, "4", tk.tensor(a), tk.tensor(b))
     for row in range(2):
         x = np.concatenate([a[row] - b[row], a[row], b[row]])
         np.testing.assert_allclose(fused.data[row], params["W_4"].data.T @ x + params["b_4"].data, atol=1e-12)
@@ -89,16 +89,16 @@ def test_diff_code_matches_oracle(rng):
 # --- shared unroll helpers and the step-by-step oracle -----------------------
 
 
-def run_tiny(model, ids_by_row, statuses=None, code_vecs=None):
+def run_tiny(model, ids_by_row, statuses=None, code_seed=0):
+    """Unroll windows u0, u1, ... over the given ids; the events' code
+    vectors are drawn from code_seed."""
     windows = [
         window_of(ids, lid=f"u{i}", with_refs=True, statuses=statuses)
         for i, ids in enumerate(ids_by_row)
     ]
     vocab = vocab_for([f"p{i}" for i in range(model.hyper.n_exercises)])
-    source = source_for(windows, model.hyper.d_c)
+    source = source_for(windows, model.hyper.d_c, seed=code_seed)
     batch = perscell.assemble_batch(windows, vocab, model.hyper, source)
-    if code_vecs is not None:
-        batch.code_vecs = code_vecs
     run = perscell.run_window(model, batch)
     return run, batch, vocab
 
@@ -142,10 +142,11 @@ def step_oracle(model, batch):
             if not perscell.uses_code(variant):
                 ec = encoder.apply_mlp(T, "2", tk.tensor(np.zeros((1, hp.d_c + hp.d_cs + hp.d_ct + hp.d_cm))), layers)
             else:
-                if batch.code_weights is not None:
-                    code = tk.matmul(tk.tensor(batch.code_weights[row, t : t + 1]), T["code_table"])
-                else:
-                    code = tk.tensor(batch.code_vecs[row, t : t + 1])
+                # The bag as a dense row over the whole table, times the table.
+                table = batch.code_source.table_for(T)
+                bag = np.zeros((1, table.data.shape[0]))
+                np.add.at(bag[0], batch.code_ids[row, t], batch.code_weights[row, t])
+                code = tk.matmul(tk.tensor(bag), table)
                 ec = encoder.enhance_code(
                     T, hp, code, batch.status_idx[row, t : t + 1], batch.time_idx[row, t : t + 1],
                     batch.memory_idx[row, t : t + 1], layers,
@@ -173,7 +174,7 @@ def step_oracle(model, batch):
     class_mask = perscell.output_class_mask(hp.vocab_size)
     loss = tk.Tensor(np.asarray(0.0))
     for lg, (r, t) in zip(ordered, cells):
-        loss = tk.add(loss, tk.cross_entropy(lg, batch.targets[r, t : t + 1], np.ones(1), class_mask))
+        loss = tk.add(loss, tk.cross_entropy(lg, batch.targets[r, t : t + 1], class_mask))
     return states, ordered, tk.hadamard(loss, tk.Tensor(np.asarray(1.0 / max(len(ordered), 1))))
 
 
@@ -264,13 +265,13 @@ def test_update_pa_two_stage_oracle():
     assert_matches_oracle(model, batch)
 
 
-def test_update_ps_zero_gate_annihilates_code(rng):
+def test_update_ps_zero_gate_annihilates_code():
     # W_7 = b_7 = 0 closes the PS gate: the code branch contributes nothing,
     # so PS is the same bitwise under any code vectors.
     model = with_tensors(make_params(8), W_7=np.zeros((8, 8)), b_7=np.zeros(8))
     ids = [["p0", "p2", "p2", "p5"], ["p1", "p3", "p4", "p4"]]
-    run1, batch, _ = run_tiny(model, ids)
-    run2, _, _ = run_tiny(model, ids, code_vecs=rng.normal(size=batch.code_vecs.shape))
+    run1, _, _ = run_tiny(model, ids)
+    run2, _, _ = run_tiny(model, ids, code_seed=1)
     assert np.all(run1.gate_ps.data == 0.0)
     assert run1.ps.data.tobytes() == run2.ps.data.tobytes()
     assert not np.array_equal(run1.pa.data, run2.pa.data)  # the code inputs did change
@@ -377,8 +378,9 @@ def test_all_padding_rows_keep_zero_state():
     model = make_params(18)
     # Row 1 has a single event against row 0's four: its trailing padding
     # must not reach its one real state, which equals the row unrolled alone.
-    run, batch, _ = run_tiny(model, [["p0", "p1", "p2", "p3"], ["p5"]])
-    solo, _, _ = run_tiny(model, [["p5"]], code_vecs=batch.code_vecs[1:, :1])
+    run, batch, vocab = run_tiny(model, [["p0", "p1", "p2", "p3"], ["p5"]])
+    alone = [window_of(["p5"], lid="u1", with_refs=True)]
+    solo = perscell.run_window(model, perscell.assemble_batch(alone, vocab, model.hyper, batch.code_source))
     assert batch.valid[1, 1:].sum() == 0
     for got, want in zip(run.row_states(1), solo.row_states(0)):
         assert got.shape == (1, 8) and np.all(np.isfinite(got))
@@ -436,7 +438,8 @@ def test_all_padding_row_keeps_exact_zero_state():
     batch = perscell.WindowBatch(
         exercise_idx=z.copy(), status_idx=z.copy(), time_idx=z.copy(), memory_idx=z.copy(),
         valid=valid, targets=z.copy(), loss_mask=np.zeros((2, length)),
-        learner_ids=["real", "ghost"], code_vecs=np.zeros((2, length, hp.d_c)),
+        learner_ids=["real", "ghost"], code_ids=np.zeros((2, length, 1), dtype=np.int64),
+        code_weights=valid[:, :, None].copy(), code_source=PrecomputedSource({"v": np.zeros(hp.d_c)}, hp.d_c),
     )
     run = perscell.run_window(model, batch)
     assert run.logits == []  # no target steps, no logits

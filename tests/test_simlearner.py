@@ -136,7 +136,7 @@ def test_population_files_validate_against_schema(tmp_path):
 
     source = read_vectors(tmp_path / "d.vec")
     for it in interactions:
-        assert it.code_vec_ref in source.table
+        assert it.code_vec_ref in source.rows
     labels = simlearner.read_labels(tmp_path / "d.tsv")
     assert set(labels) == {it.learner_id for it in interactions}
 

@@ -148,43 +148,88 @@ def test_gather_rows_and_scatter_gradient():
     np.testing.assert_array_equal(grads["E"], [[0, 0, 0], [2, 2, 2], [0, 0, 0], [1, 1, 1]])
 
 
+def test_backward_skips_ops_no_parameter_feeds():
+    w = tk.parameter(np.ones((2, 2)), "w")
+    const = tk.tensor(np.ones((2, 2)))
+
+    def never(g):
+        raise AssertionError("vjp of an op on constants only was called")
+
+    frozen = tk.Tensor(const.data * 2.0, (const,), never)
+    grads = tk.backward(tk.sum_all(tk.hadamard(w, frozen)), {"w": w})
+    np.testing.assert_array_equal(grads["w"], np.full((2, 2), 2.0))
+
+
 def test_gather_rows_index_out_of_range():
     table = tk.parameter(np.zeros((4, 3)), "E")
     with pytest.raises(tk.ShapeError, match="out of range"):
         tk.gather_rows(table, np.array([4]))
 
 
+def test_gather_rows_bags_match_loop_oracle_and_finite_differences():
+    # Ids repeat within a bag (row 0) and across bags (rows 0, 1, 3); the
+    # zero-weight slots are padding; row 2 is an empty bag.
+    table = tk.parameter(rng(9).normal(size=(5, 3)), "E")
+    ids = np.array([[1, 1, 4], [1, 0, 0], [3, 3, 0], [4, 2, 0]])
+    weights = np.array([[0.25, 0.5, 0.25], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.5, 0.5, 0.0]])
+    out = tk.gather_rows(table, ids, weights)
+    want = np.array([sum(w * table.data[i] for i, w in zip(r, ws)) for r, ws in zip(ids, weights)])
+    np.testing.assert_allclose(out.data, want, rtol=0, atol=1e-15)
+    assert np.all(out.data[2] == 0.0)
+    assert out.data[1].tobytes() == table.data[1].tobytes()
+    grads = tk.backward(tk.sum_all(out), {"E": table})
+    np.testing.assert_allclose(grads["E"][:, 0], [0.0, 1.75, 0.5, 0.0, 0.75], atol=1e-15)
+    probe = rng(10).normal(size=(4, 3))
+    fn = lambda p: tk.sum_all(tk.hadamard(tk.tanh(tk.gather_rows(p["E"], ids, weights)), tk.tensor(probe)))
+    assert tk.finite_diff_check(fn, {"E": table}, "E") < 1e-8
+    # A batch whose every bag is empty has K = 0 and yields zeros.
+    empty = tk.gather_rows(table, np.zeros((2, 0), dtype=np.int64), np.zeros((2, 0)))
+    assert empty.data.shape == (2, 3) and np.all(empty.data == 0.0)
+
+
+def test_gather_rows_bag_shape_errors():
+    table = tk.parameter(np.zeros((4, 3)), "E")
+    with pytest.raises(tk.ShapeError, match="weights"):
+        tk.gather_rows(table, np.zeros((2, 3), dtype=np.int64), np.zeros((2, 2)))
+    with pytest.raises(tk.ShapeError, match=r"\(n,K\)"):
+        tk.gather_rows(table, np.zeros(3, dtype=np.int64), np.zeros(3))
+    with pytest.raises(tk.ShapeError, match="1-D"):
+        tk.gather_rows(table, np.zeros((2, 3), dtype=np.int64))
+    with pytest.raises(tk.ShapeError, match="integer"):
+        tk.gather_rows(table, np.zeros((2, 3)), np.zeros((2, 3)))
+    with pytest.raises(tk.ShapeError, match="out of range"):
+        tk.gather_rows(table, np.array([[0, 4]]), np.ones((1, 2)))
+
+
 def test_cross_entropy_uniform_logits_is_log_k():
     # 5 allowed classes with equal logits: loss = ln 5 per the softmax definition.
     logits = tk.tensor(np.zeros((2, 7)))
     mask = np.array([False, False, True, True, True, True, True])
-    loss = tk.cross_entropy(logits, np.array([2, 4]), np.ones(2), mask)
+    loss = tk.cross_entropy(logits, np.array([2, 4]), mask)
     assert loss.data == pytest.approx(np.log(5.0), abs=1e-12)
 
 
 def test_cross_entropy_matches_naive_oracle():
     g = rng(7)
-    logits_data = g.normal(size=(6, 9))
-    targets = g.integers(2, 9, size=6)
-    step_mask = np.array([1, 1, 0, 1, 0, 1], dtype=float)
+    keep = np.array([0, 1, 3, 5])  # of six drawn rows, the ones with a target
+    logits_data = g.normal(size=(6, 9))[keep]
+    targets = g.integers(2, 9, size=6)[keep]
     class_mask = np.ones(9, dtype=bool)
     class_mask[:2] = False
 
     logits = tk.parameter(logits_data, "logits")
-    loss = tk.cross_entropy(logits, targets, step_mask, class_mask)
+    loss = tk.cross_entropy(logits, targets, class_mask)
 
     # Definitional oracle: explicit softmax over allowed classes.
     total = 0.0
-    for i in range(6):
-        if step_mask[i] == 0:
-            continue
+    for i in range(keep.size):
         z = logits_data[i, class_mask]
         p = np.exp(logits_data[i, targets[i]]) / np.exp(z).sum()
         total += -np.log(p)
-    assert float(loss.data) == pytest.approx(total / step_mask.sum(), abs=1e-12)
+    assert float(loss.data) == pytest.approx(total / keep.size, abs=1e-12)
 
     err = tk.finite_diff_check(
-        lambda p: tk.cross_entropy(p["logits"], targets, step_mask, class_mask),
+        lambda p: tk.cross_entropy(p["logits"], targets, class_mask),
         {"logits": logits},
         "logits",
     )
@@ -195,31 +240,30 @@ def test_cross_entropy_rejects_masked_target():
     logits = tk.tensor(np.zeros((1, 4)))
     mask = np.array([False, False, True, True])
     with pytest.raises(ValueError):
-        tk.cross_entropy(logits, np.array([0]), np.ones(1), mask)
+        tk.cross_entropy(logits, np.array([0]), mask)
+    with pytest.raises(tk.ShapeError, match="B >= 1"):
+        tk.cross_entropy(tk.tensor(np.zeros((0, 4))), np.zeros(0, dtype=np.int64), mask)
 
 
 def test_bce_with_negatives_matches_naive_oracle():
     g = rng(8)
-    logits_data = g.normal(size=(4, 10))
-    targets = np.array([2, 3, 4, 5])
-    negatives = np.array([[6, 7], [8, 9], [2, 3], [6, 9]])
-    step_mask = np.array([1, 1, 1, 0], dtype=float)
+    logits_data = g.normal(size=(4, 10))[:3]  # of four drawn rows, the three with a target
+    targets = np.array([2, 3, 4])
+    negatives = np.array([[6, 7], [8, 9], [2, 3]])
 
     sig = lambda x: 1.0 / (1.0 + np.exp(-x))
     total = 0.0
-    for i in range(4):
-        if step_mask[i] == 0:
-            continue
+    for i in range(3):
         row = -np.log(sig(logits_data[i, targets[i]]))
         for j in negatives[i]:
             row += -np.log(1.0 - sig(logits_data[i, j]))
         total += row
     logits = tk.parameter(logits_data, "logits")
-    loss = tk.bce_with_negatives(logits, targets, negatives, step_mask)
+    loss = tk.bce_with_negatives(logits, targets, negatives)
     assert float(loss.data) == pytest.approx(total / 3.0, abs=1e-9)
 
     err = tk.finite_diff_check(
-        lambda p: tk.bce_with_negatives(p["logits"], targets, negatives, step_mask),
+        lambda p: tk.bce_with_negatives(p["logits"], targets, negatives),
         {"logits": logits},
         "logits",
     )
