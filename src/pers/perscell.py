@@ -10,7 +10,8 @@ every gate, difference and embedding reads only the inputs. `run_window`
 therefore computes those over all B*L steps of a batch at once and
 leaves three linear scans as the only sequential work. Padding is
 trailing, so it never reaches a real step's state; logits are computed
-only at the steps that have a target.
+only at the steps that have a target, and under sampled training only
+at the columns the loss reads.
 
 Ablation variants share this single code path and only flip inputs:
 position or code inputs collapse to zeros, or one latent is replaced by
@@ -170,8 +171,10 @@ def predict(
     us: tk.Tensor,
     variant: str = "PERS",
     layers: int = 1,
+    columns: np.ndarray | None = None,
 ) -> tk.Tensor:
-    """Project (R, d_k) latent rows to next-exercise logits (R, M).
+    """Project (R, d_k) latent rows to next-exercise logits (R, M), or,
+    given (R, C) exercise indices, to the logits of those columns only.
 
     The variant's ablated latent enters the concat as zeros; downstream
     consumers mask classes 0 and 1 before softmax or ranking.
@@ -181,6 +184,8 @@ def predict(
     if dropped is not None:
         slots[dropped] = tk.tensor(np.zeros_like(slots[dropped].data))
     pre = apply_mlp(params, "11", tk.concat([slots["pa"], slots["ps"], slots["us"]]), layers)
+    if columns is not None:
+        return tk.affine_columns(pre, params["W_12"], params["b_12"], columns)
     return _affine(params, "12", pre)
 
 
@@ -234,7 +239,7 @@ class WindowRun:
     step t of window b; rows at padding steps are computed but mean
     nothing, and no real step reads them."""
 
-    logits: list[tk.Tensor]  # [(N_targets, M)] in target_cells order; [] without targets
+    logits: list[tk.Tensor]  # [(N_targets, M) or (N_targets, C)] in target_cells order; [] without targets
     pa: tk.Tensor  # (B*L, d_k) state after each step
     ps: tk.Tensor
     us: tk.Tensor
@@ -330,6 +335,7 @@ def run_window(
     batch: WindowBatch,
     dropout: float = 0.0,
     rng: np.random.Generator | None = None,
+    columns: np.ndarray | None = None,
 ) -> WindowRun:
     """Unroll the cell over a window batch in one pass over all steps.
 
@@ -337,6 +343,10 @@ def run_window(
     once per batch; the same exercise-side mask covers the current
     embedding and the position-matched previous one, so the
     intra-exercise zero-delta property survives dropout.
+
+    columns, (N_targets, C) exercise indices in target_cells order,
+    restricts each target's logits to those C columns; without it every
+    target gets its full row of M.
     """
     hp = params.hyper
     tensors = params.tensors
@@ -404,5 +414,5 @@ def run_window(
     if rows.size:
         at = rows * length + target_steps
         latents = (tk.gather_rows(s, at) for s in (pa, ps, us))
-        logits.append(predict(tensors, *latents, params.variant, layers))
+        logits.append(predict(tensors, *latents, params.variant, layers, columns))
     return WindowRun(logits, pa, ps, us, delta_p, gate_ps, gate_us, batch.valid)

@@ -25,6 +25,7 @@ __all__ = [
     "add",
     "sub",
     "affine",
+    "affine_columns",
     "hadamard",
     "tanh",
     "linear_scan",
@@ -146,6 +147,39 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
     def vjp(g: np.ndarray) -> tuple[np.ndarray, ...]:
         return g @ w.data.T, x.data.T @ g, g.sum(axis=0)
+
+    return Tensor(out, (x, w, b), vjp)
+
+
+def affine_columns(x: Tensor, w: Tensor, b: Tensor, cols: np.ndarray) -> Tensor:
+    """Chosen columns of x @ w + b: out[i, j] = x[i] . w[:, cols[i, j]] +
+    b[cols[i, j]], for (m,k) x, (k,n) w, (n,) b and (m,C) integer cols.
+
+    Only the m*C requested entries are computed; the vjp scatter-adds
+    into the chosen columns of w and b, so no (m, n) array is built.
+    A column may repeat within a row and across rows.
+    """
+    _require(x.data.ndim == 2 and w.data.ndim == 2 and b.data.ndim == 1, "affine_columns", "need (m,k), (k,n), (n,)", x, w, b)
+    chained = x.data.shape[1] == w.data.shape[0] and w.data.shape[1] == b.data.shape[0]
+    _require(chained, "affine_columns", f"dims do not chain: {x.dims} @ {w.dims} + {b.dims}", x, w, b)
+    cols = np.asarray(cols)
+    m, k = x.data.shape
+    n = w.data.shape[1]
+    if not np.issubdtype(cols.dtype, np.integer) or cols.ndim != 2 or cols.shape[0] != m:
+        raise ShapeError(f"affine_columns: cols must be an ({m},C) integer array")
+    if cols.size and (cols.min() < 0 or cols.max() >= n):
+        raise ShapeError(f"affine_columns({_label(w)}): column out of range 0..{n - 1}")
+    w_cols = w.data.T[cols]  # (m, C, k): each row's chosen columns of w
+    out = np.einsum("mk,mck->mc", x.data, w_cols)
+    out += b.data[cols]
+
+    def vjp(g: np.ndarray) -> tuple[np.ndarray, ...]:
+        g_x = np.einsum("mc,mck->mk", g, w_cols)
+        # Row c*k + i of the flat scatter target is w[i, c].
+        flat = (cols[:, :, None] * k + np.arange(k)).reshape(-1)
+        g_w = np.bincount(flat, (g[:, :, None] * x.data[:, None, :]).reshape(-1), n * k).reshape(n, k).T
+        g_b = np.bincount(cols.reshape(-1), g.reshape(-1), n)
+        return g_x, g_w, g_b
 
     return Tensor(out, (x, w, b), vjp)
 
@@ -322,33 +356,27 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, class_mask: np.ndarray) -
     return Tensor(np.asarray(value), (logits,), vjp)
 
 
-def bce_with_negatives(logits: Tensor, targets: np.ndarray, negatives: np.ndarray) -> Tensor:
-    """Sampled binary objective: -log sig(z_target) - sum log(1 - sig(z_neg)).
-
-    negatives: (B,k) ints, assumed distinct from the target per row. The
-    per-row losses are averaged over the B >= 1 rows.
+def bce_with_negatives(logits: Tensor) -> Tensor:
+    """Sampled binary objective over (B, 1+k) logits whose column 0 is each
+    row's target and columns 1..k its negatives: the mean over the B >= 1
+    rows of -log sig(z_target) - sum log(1 - sig(z_neg)).
     """
-    _require(logits.data.ndim == 2 and len(logits.data), "bce_with_negatives", "logits must be (B,M), B >= 1", logits)
-    b, _ = logits.data.shape
-    targets = np.asarray(targets)
-    negatives = np.asarray(negatives)
-    if targets.shape != (b,) or negatives.ndim != 2 or negatives.shape[0] != b:
-        raise ShapeError("bce_with_negatives: targets/negatives shapes do not line up")
-
-    rows = np.arange(b)
-    z_t = logits.data[rows, targets]
-    z_n = logits.data[rows[:, None], negatives]
+    _require(
+        logits.data.ndim == 2 and len(logits.data) and logits.data.shape[1] >= 1,
+        "bce_with_negatives", "logits must be (B,1+k), B >= 1", logits,
+    )
+    b = logits.data.shape[0]
+    z_t = logits.data[:, 0]
+    z_n = logits.data[:, 1:]
     # softplus(-z_t) + sum softplus(z_n), numerically stable
     per_row = np.logaddexp(0.0, -z_t) + np.logaddexp(0.0, z_n).sum(axis=1)
     value = float(per_row.sum() / b)
 
     def vjp(g: np.ndarray) -> tuple[np.ndarray, ...]:
         w = float(g) / b
-        grad = np.zeros_like(logits.data)
-        sig_t = 1.0 / (1.0 + np.exp(-z_t))
-        np.add.at(grad, (rows, targets), (sig_t - 1.0) * w)
-        sig_n = 1.0 / (1.0 + np.exp(-z_n))
-        np.add.at(grad, (rows[:, None], negatives), sig_n * w)
+        grad = 1.0 / (1.0 + np.exp(-logits.data))
+        grad[:, 0] -= 1.0
+        grad *= w
         return (grad,)
 
     return Tensor(np.asarray(value), (logits,), vjp)

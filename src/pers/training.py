@@ -9,6 +9,7 @@ replays the identical randomness an uninterrupted run would have used.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, field
 
@@ -65,22 +66,36 @@ def _rng(seed: int, purpose: int, *extra: int) -> np.random.Generator:
     return np.random.default_rng([seed, purpose, *extra])
 
 
-def sample_negatives(target: int, vocab_size: int, k: int, rng: np.random.Generator) -> np.ndarray:
-    """k distinct real-exercise indices (>= 2), never the target."""
-    n_real = vocab_size - 2
-    if n_real < k + 1:
-        raise ValueError(f"catalog too small: {n_real} real exercises for k={k}")
-    pool = np.arange(2, vocab_size)
-    pool = pool[pool != target]
-    return rng.choice(pool, size=k, replace=False)
-
-
 def _batch_negatives(batch: WindowBatch, vocab_size: int, k: int, rng: np.random.Generator) -> np.ndarray:
+    """(B, L, k) negatives, set at the loss_mask cells: for each target, k
+    distinct real-exercise indices (>= 2) other than the target, drawn
+    uniformly without replacement.
+
+    Floyd's algorithm over every target at once: the pool is the n_real - 1
+    real exercises that are not the target, numbered 0..n-1; draw j picks
+    uniformly from 0..j and, if that number is taken, takes j itself.
+    """
+    n = vocab_size - 3  # the pool: real exercises without the target
+    if n < k:
+        raise ValueError(f"catalog too small: {vocab_size - 2} real exercises for k={k}")
     negs = np.zeros((batch.batch, batch.length, k), dtype=np.int64)
     rows, steps = np.nonzero(batch.loss_mask > 0.0)
-    for r, t in zip(rows, steps):
-        negs[r, t] = sample_negatives(int(batch.targets[r, t]), vocab_size, k, rng)
+    picked = np.empty((rows.size, k), dtype=np.int64)
+    for i, j in enumerate(range(n - k, n)):
+        draw = rng.integers(0, j + 1, size=rows.size)
+        taken = (picked[:, :i] == draw[:, None]).any(axis=1)
+        picked[:, i] = np.where(taken, j, draw)
+    picked += 2
+    picked += picked >= batch.targets[rows, steps][:, None]  # step over the target
+    negs[rows, steps] = picked
     return negs
+
+
+def sampled_columns(batch: WindowBatch, negatives: np.ndarray) -> np.ndarray:
+    """(N_targets, 1+k) logit columns in target_cells order: each
+    target's own exercise, then its negatives."""
+    rows, steps = batch.target_cells()
+    return np.concatenate([batch.targets[rows, steps][:, None], negatives[rows, steps]], axis=1)
 
 
 def sequence_loss(
@@ -92,7 +107,8 @@ def sequence_loss(
 ) -> tk.Tensor:
     """Scalar mean loss over every masked step of a window batch.
 
-    negatives is (B, L, k), read at the masked cells (sampled_bce only).
+    Under sampled_bce, negatives is (B, L, k) and the run must have been
+    scored at `sampled_columns(batch, negatives)`.
     """
     rows, steps = batch.target_cells()
     if rows.size == 0:
@@ -103,7 +119,9 @@ def sequence_loss(
     (logits,) = run.logits
     if mode == "full_softmax":
         return tk.cross_entropy(logits, targets, output_class_mask(vocab_size))
-    return tk.bce_with_negatives(logits, targets, negatives[rows, steps])
+    if logits.data.shape != (rows.size, 1 + negatives.shape[2]):
+        raise ValueError("sampled_bce needs a run scored at the target and negative columns only")
+    return tk.bce_with_negatives(logits)
 
 
 def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> dict[str, np.ndarray]:
@@ -184,11 +202,13 @@ def train(
             batch = dataset.take(rows)
             if not (batch.loss_mask > 0).any():
                 continue
-            batch_rng = _rng(config.seed, 2, epoch, bi)
-            run = run_window(model, batch, dropout=config.dropout, rng=batch_rng)
-            negatives = None
+            negatives = columns = None
             if config.loss_mode == "sampled_bce":
-                negatives = _batch_negatives(batch, hp.vocab_size, config.negatives_per_positive, batch_rng)
+                negatives = _batch_negatives(
+                    batch, hp.vocab_size, config.negatives_per_positive, _rng(config.seed, 4, epoch, bi)
+                )
+                columns = sampled_columns(batch, negatives)
+            run = run_window(model, batch, config.dropout, _rng(config.seed, 2, epoch, bi), columns)
             loss = sequence_loss(run, batch, hp.vocab_size, config.loss_mode, negatives)
             value = float(loss.data)
             if not np.isfinite(value):
@@ -216,7 +236,8 @@ def train(
 #
 # magic "PERS1\n", then a little-endian uint64 byte length, then that many
 # bytes of UTF-8 JSON (hyperparams, config, vocabulary, tensor manifest),
-# then the raw little-endian float64 tensor payloads in manifest order.
+# then the raw little-endian float64 tensor payloads in manifest order. The
+# manifest's extents must tile the payload exactly.
 
 
 def save_checkpoint(path, cp: Checkpoint) -> None:
@@ -298,14 +319,13 @@ def load_checkpoint(path) -> Checkpoint:
         config = TrainConfig(**header["config"])
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"stored settings are invalid: {exc}") from exc
+    manifest = header["manifest"]
+    _check_extents(manifest, len(payload))
     arrays: dict[str, np.ndarray] = {}
-    for entry in header["manifest"]:
+    for entry in manifest:
         dims = tuple(entry["dims"])
-        size = 8 * int(np.prod(dims)) if dims else 8
         start = entry["offset"]
-        chunk = payload[start : start + size]
-        if len(chunk) != size:
-            raise CheckpointError(f"truncated payload for tensor '{entry['name']}'")
+        chunk = payload[start : start + 8 * math.prod(dims)]
         arrays[entry["name"]] = np.frombuffer(chunk, dtype="<f8").reshape(dims).copy()
 
     tensors = {}
@@ -356,6 +376,33 @@ def _check_header(header: dict) -> None:
             and type(entry.get("dims")) is list and all(type(d) is int for d in entry["dims"])
         ):
             raise CheckpointError(f"manifest entry {i} is not a name, integer dims and an integer offset")
+
+
+def _check_extents(manifest: list[dict], payload_size: int) -> None:
+    """The manifest's byte extents must tile the payload exactly: no
+    negative offset or dimension, no name twice, no two extents sharing a
+    byte, no byte that no extent covers."""
+    names = set()
+    extents = []
+    for entry in manifest:
+        name = entry["name"]
+        if name in names:
+            raise CheckpointError(f"manifest names tensor '{name}' twice")
+        names.add(name)
+        if entry["offset"] < 0 or any(d < 0 for d in entry["dims"]):
+            raise CheckpointError(f"manifest entry '{name}' has a negative offset or dimension")
+        extents.append((entry["offset"], 8 * math.prod(entry["dims"]), name))
+    end, last = 0, None
+    for start, size, name in sorted(extents):
+        if start < end:
+            raise CheckpointError(f"manifest extents of '{last}' and '{name}' overlap")
+        if start > end:
+            raise CheckpointError(f"payload bytes {end}..{start - 1} belong to no manifest entry")
+        end, last = start + size, name
+    if end > payload_size:
+        raise CheckpointError(f"truncated payload: tensor '{last}' ends at byte {end} of {payload_size}")
+    if end < payload_size:
+        raise CheckpointError(f"{payload_size - end} trailing payload bytes belong to no manifest entry")
 
 
 def _check_tensor_shapes(model: ModelParams, best: dict[str, tk.Tensor], adam: tk.AdamState) -> None:

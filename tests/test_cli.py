@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pers import cli, tensorkit as tk, training
 
@@ -225,6 +228,36 @@ def test_ablate_command_emits_all_variants(tmp_path):
     assert [l.split("\t")[0] for l in lines[1:]] == list(cli.perscell.VARIANTS)
 
 
+def test_sampled_bce_train_eval_is_deterministic_and_resumable(tmp_path):
+    config_path, _, paths = simulate(tmp_path)
+    common = [
+        "--config", config_path, "--data", paths["data"], "--vectors", paths["vectors"],
+        "--loss-mode", "sampled_bce", "--dropout", "0.2",
+    ]
+    blobs = []
+    for tag in ("r1", "r2"):
+        assert run(["train", *common, "--out-dir", str(tmp_path / tag)]) == 0
+        blobs.append((tmp_path / tag / "model.pers").read_bytes())
+    assert blobs[0] == blobs[1]
+    model = str(tmp_path / "r1" / "model.pers")
+    assert training.load_checkpoint(model).config.loss_mode == "sampled_bce"
+    assert run(["eval", *common, "--checkpoint", model, "--out-dir", str(tmp_path / "ev")]) == 0
+    report = json.loads((tmp_path / "ev" / "report.json").read_text())
+    assert 0.0 <= report["rows"][0]["hr"] <= 1.0
+
+    # One epoch through the CLI, resumed for the second, gives the
+    # two-epoch checkpoint byte for byte.
+    assert run(["train", *common, "--out-dir", str(tmp_path / "half"), "--epochs", "1"]) == 0
+    config = cli.resolve_config(cli.build_parser().parse_args(["train", *common]))
+    _, _, vocab, train_w, _ = cli.load_dataset(config)
+    resumed = training.train(
+        train_w, vocab, cli.make_hyper(config, vocab.n_exercises), cli.make_train_config(config),
+        cli.load_code_source(config), resume=training.load_checkpoint(tmp_path / "half" / "model.pers"),
+    )
+    training.save_checkpoint(tmp_path / "resumed.pers", resumed)
+    assert (tmp_path / "resumed.pers").read_bytes() == blobs[0]
+
+
 def trained_checkpoint(tmp_path):
     config_path, cfg, paths = simulate(tmp_path)
     argv = ["train", "--config", config_path, "--data", paths["data"], "--vectors", paths["vectors"]]
@@ -342,3 +375,54 @@ def test_eval_other_bucket_count_than_training_exits_2(tmp_path, capsys):
     capsys.readouterr()
     assert run(eval_argv + ["--code-source", "hashed", "--hash-buckets", "16"]) == 2
     assert_one_line_error(capsys, "checkpoint has 32 hash buckets x 8, source 16 x 8")
+
+
+def shift_second_entry_onto_first(header):
+    header["manifest"][1]["offset"] = header["manifest"][0]["offset"]
+
+
+@pytest.mark.parametrize(
+    "edit, fragment",
+    [
+        (shift_second_entry_onto_first, "overlap"),
+        (lambda h: h["manifest"][0].update(offset=-8), "negative offset"),
+        (None, "16 trailing payload bytes belong to no manifest entry"),
+    ],
+    ids=["shared-bytes", "negative-offset", "trailing-bytes"],
+)
+def test_eval_checkpoint_bad_manifest_extents_exit_2(tmp_path, capsys, edit, fragment):
+    model, eval_argv = trained_checkpoint(tmp_path)
+    if edit is None:
+        with open(model, "ab") as fh:
+            fh.write(b"\x00" * 16)
+    else:
+        rewrite_header(model, edit)
+    capsys.readouterr()
+    assert run(eval_argv) == 2
+    assert_one_line_error(capsys, fragment)
+
+
+@pytest.fixture(scope="module")
+def saved_model(tmp_path_factory):
+    tmp_path = tmp_path_factory.mktemp("truncation")
+    model, eval_argv = trained_checkpoint(tmp_path)
+    return tmp_path, open(model, "rb").read(), eval_argv
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_eval_truncated_checkpoint_exits_2_with_one_error_line(saved_model, data):
+    tmp_path, blob, eval_argv = saved_model
+    magic = len(training.CHECKPOINT_MAGIC)
+    header_end = magic + 8 + int.from_bytes(blob[magic : magic + 8], "little")
+    edges = [0, magic - 1, magic, magic + 7, magic + 8, header_end - 1, header_end, header_end + 1, len(blob) - 1]
+    cut = data.draw(st.one_of(st.sampled_from(edges), st.integers(0, len(blob) - 1)))
+    path = tmp_path / "cut.pers"
+    path.write_bytes(blob[:cut])
+    argv = list(eval_argv)
+    argv[argv.index("--checkpoint") + 1] = str(path)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert run(argv) == 2
+    lines = err.getvalue().strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), lines

@@ -428,6 +428,61 @@ def test_unroll_matches_step_oracle_for_every_variant():
                 assert_matches_oracle(model, ragged_batch(model, [5, 2, 4, 1], 3, code_source))
 
 
+def full_row_bce(logits, targets, negatives):
+    """The sampled objective read off full (N, M) logit rows, as it was
+    computed before the loss scored only its own columns: the oracle."""
+    b = len(targets)
+    rows = np.arange(b)
+    z_t = logits.data[rows, targets]
+    z_n = logits.data[rows[:, None], negatives]
+    value = (np.logaddexp(0.0, -z_t) + np.logaddexp(0.0, z_n).sum(axis=1)).sum() / b
+
+    def vjp(g):
+        w = float(g) / b
+        grad = np.zeros_like(logits.data)
+        np.add.at(grad, (rows, targets), (1.0 / (1.0 + np.exp(-z_t)) - 1.0) * w)
+        np.add.at(grad, (rows[:, None], negatives), 1.0 / (1.0 + np.exp(-z_n)) * w)
+        return (grad,)
+
+    return tk.Tensor(np.asarray(value), (logits,), vjp)
+
+
+def test_sampled_loss_matches_full_row_oracle():
+    # For the same negatives and dropout masks, scoring only the target
+    # and negative columns gives the loss and every gradient that reading
+    # them off full logit rows gives.
+    for variant in perscell.VARIANTS:
+        for layers in (1, 2):
+            for code_source in ("precomputed", "hashed"):
+                model = make_params(40, variant=variant, layers=layers, buckets=16 if code_source == "hashed" else None)
+                batch = ragged_batch(model, [6, 2, 5, 1, 3], 8, code_source)
+                vocab_size = model.hyper.vocab_size
+                negatives = training._batch_negatives(batch, vocab_size, 4, np.random.default_rng(layers))
+                rows, steps = batch.target_cells()
+                columns = training.sampled_columns(batch, negatives)
+                assert columns.shape == (rows.size, 5)
+                run = perscell.run_window(model, batch, 0.3, np.random.default_rng(9), columns)
+                loss = training.sequence_loss(run, batch, vocab_size, "sampled_bce", negatives)
+                full = perscell.run_window(model, batch, 0.3, np.random.default_rng(9))
+                assert full.logits[0].data.shape == (rows.size, vocab_size)
+                oracle = full_row_bce(full.logits[0], batch.targets[rows, steps], negatives[rows, steps])
+                assert rel_err(loss.data, oracle.data) <= 1e-12
+                got_g = tk.backward(loss, model.tensors)
+                want_g = tk.backward(oracle, model.tensors)
+                for name in model.tensors:
+                    assert rel_err(got_g[name], want_g[name]) <= 1e-12, (variant, layers, code_source, name)
+
+
+def test_sampled_loss_rejects_full_row_run():
+    model = make_params(41)
+    batch = ragged_batch(model, [4, 3], 2, "precomputed")
+    negatives = training._batch_negatives(batch, model.hyper.vocab_size, 4, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="negative columns"):
+        training.sequence_loss(perscell.run_window(model, batch), batch, model.hyper.vocab_size, "sampled_bce", negatives)
+    with pytest.raises(tk.ShapeError, match="cols must be"):
+        perscell.run_window(model, batch, columns=training.sampled_columns(batch, negatives)[1:])
+
+
 def test_all_padding_row_keeps_exact_zero_state():
     model = make_params(30)
     hp = model.hyper

@@ -201,6 +201,42 @@ def test_gather_rows_bag_shape_errors():
         tk.gather_rows(table, np.array([[0, 4]]), np.ones((1, 2)))
 
 
+def test_affine_columns_matches_full_affine_and_finite_differences():
+    # Column 3 repeats within row 0 and across rows 0, 1 and 3.
+    g = rng(11)
+    x = tk.parameter(g.normal(size=(4, 3)), "x")
+    w = tk.parameter(g.normal(size=(3, 6)), "W")
+    b = tk.parameter(g.normal(size=6), "b")
+    cols = np.array([[3, 3, 0], [5, 3, 1], [2, 4, 0], [3, 0, 5]])
+    out = tk.affine_columns(x, w, b, cols)
+    full = tk.affine(x, w, b).data
+    np.testing.assert_allclose(out.data, np.take_along_axis(full, cols, axis=1), rtol=1e-14, atol=1e-14)
+    probe = tk.tensor(g.normal(size=cols.shape))
+    fn = lambda p: tk.sum_all(tk.hadamard(tk.tanh(tk.affine_columns(p["x"], p["W"], p["b"], cols)), probe))
+    params = {"x": x, "W": w, "b": b}
+    for name in params:
+        assert tk.finite_diff_check(fn, params, name) < 1e-8, name
+    grads = tk.backward(tk.sum_all(out), params)
+    want_w = np.zeros((3, 6))
+    for i, row in enumerate(cols):
+        for c in row:
+            want_w[:, c] += x.data[i]
+    np.testing.assert_allclose(grads["W"], want_w, rtol=1e-14, atol=1e-14)
+    np.testing.assert_array_equal(grads["b"], np.bincount(cols.ravel(), minlength=6))
+
+
+def test_affine_columns_shape_errors():
+    x, w, b = tk.tensor(np.zeros((2, 3))), tk.parameter(np.zeros((3, 5)), "W"), tk.tensor(np.zeros(5))
+    with pytest.raises(tk.ShapeError, match="out of range"):
+        tk.affine_columns(x, w, b, np.array([[0, 5], [1, 2]]))
+    with pytest.raises(tk.ShapeError, match="integer"):
+        tk.affine_columns(x, w, b, np.zeros((2, 2)))
+    with pytest.raises(tk.ShapeError, match=r"\(2,C\)"):
+        tk.affine_columns(x, w, b, np.zeros((3, 2), dtype=np.int64))
+    with pytest.raises(tk.ShapeError, match="chain"):
+        tk.affine_columns(x, w, tk.tensor(np.zeros(4)), np.zeros((2, 2), dtype=np.int64))
+
+
 def test_cross_entropy_uniform_logits_is_log_k():
     # 5 allowed classes with equal logits: loss = ln 5 per the softmax definition.
     logits = tk.tensor(np.zeros((2, 7)))
@@ -246,28 +282,23 @@ def test_cross_entropy_rejects_masked_target():
 
 
 def test_bce_with_negatives_matches_naive_oracle():
-    g = rng(8)
-    logits_data = g.normal(size=(4, 10))[:3]  # of four drawn rows, the three with a target
-    targets = np.array([2, 3, 4])
-    negatives = np.array([[6, 7], [8, 9], [2, 3]])
-
+    # Column 0 of each row is its target, columns 1..2 its negatives.
+    logits_data = rng(8).normal(size=(3, 3))
     sig = lambda x: 1.0 / (1.0 + np.exp(-x))
     total = 0.0
-    for i in range(3):
-        row = -np.log(sig(logits_data[i, targets[i]]))
-        for j in negatives[i]:
-            row += -np.log(1.0 - sig(logits_data[i, j]))
-        total += row
+    for row in logits_data:
+        total += -np.log(sig(row[0])) - np.log(1.0 - sig(row[1:])).sum()
     logits = tk.parameter(logits_data, "logits")
-    loss = tk.bce_with_negatives(logits, targets, negatives)
-    assert float(loss.data) == pytest.approx(total / 3.0, abs=1e-9)
-
-    err = tk.finite_diff_check(
-        lambda p: tk.bce_with_negatives(p["logits"], targets, negatives),
-        {"logits": logits},
-        "logits",
-    )
+    loss = tk.bce_with_negatives(logits)
+    assert float(loss.data) == pytest.approx(total / 3.0, abs=1e-12)
+    grad = tk.backward(loss, {"logits": logits})["logits"]
+    want = sig(logits_data)
+    want[:, 0] -= 1.0
+    np.testing.assert_allclose(grad, want / 3.0, rtol=1e-14)
+    err = tk.finite_diff_check(lambda p: tk.bce_with_negatives(p["logits"]), {"logits": logits}, "logits")
     assert err < 1e-4
+    with pytest.raises(tk.ShapeError, match="B >= 1"):
+        tk.bce_with_negatives(tk.tensor(np.zeros((0, 3))))
 
 
 def test_adam_zero_gradient_leaves_params_unchanged():

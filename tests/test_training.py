@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import source_for, vocab_for, window_of
 from pers import perscell, tensorkit as tk, training
@@ -54,30 +55,78 @@ def checkpoint_bytes(cp, tmp_path, tag):
 # --- negative sampling -------------------------------------------------------
 
 
-def test_sample_negatives_forced_choice():
-    # 3 real exercises (indices 2..4), target 3, k=2: only {2,4} possible.
-    out = training.sample_negatives(3, vocab_size=5, k=2, rng=np.random.default_rng(0))
-    assert sorted(out.tolist()) == [2, 4]
+def target_batch(targets):
+    """A WindowBatch carrying only (B, L) targets; a cell whose target is
+    below 2 has no loss."""
+    targets = np.asarray(targets, dtype=np.int64)
+    zeros = np.zeros_like(targets)
+    mask = (targets >= 2).astype(np.float64)
+    return perscell.WindowBatch(
+        zeros, zeros, zeros, zeros, np.ones(targets.shape), np.where(mask > 0, targets, 0), mask,
+        [f"u{i}" for i in range(len(targets))],
+    )
 
 
-def test_sample_negatives_never_hits_target_or_reserved():
-    rng = np.random.default_rng(1)
-    for _ in range(200):
-        out = training.sample_negatives(5, vocab_size=12, k=4, rng=rng)
-        assert len(set(out.tolist())) == 4
-        assert 5 not in out and 0 not in out and 1 not in out
-        assert np.all(out >= 2) and np.all(out < 12)
+@st.composite
+def catalog_and_targets(draw):
+    k = draw(st.integers(0, 6))
+    vocab_size = draw(st.integers(k + 3, 40))
+    b, length = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    targets = draw(st.lists(st.integers(0, vocab_size - 1), min_size=b * length, max_size=b * length))
+    return vocab_size, k, np.array(targets).reshape(b, length)
 
 
-def test_sample_negatives_deterministic_given_seed():
-    a = training.sample_negatives(4, 30, 5, np.random.default_rng(42))
-    b = training.sample_negatives(4, 30, 5, np.random.default_rng(42))
-    np.testing.assert_array_equal(a, b)
+@settings(max_examples=200, deadline=None)
+@given(case=catalog_and_targets(), seed=st.integers(0, 2**32 - 1))
+def test_batch_negatives_are_distinct_real_non_targets(case, seed):
+    # Targets 0 and 1 stand for cells without a loss; they get no negatives.
+    vocab_size, k, targets = case
+    batch = target_batch(targets)
+    negs = training._batch_negatives(batch, vocab_size, k, np.random.default_rng(seed))
+    assert negs.shape == targets.shape + (k,)
+    for (row, t), target in np.ndenumerate(batch.targets):
+        got = negs[row, t].tolist()
+        if batch.loss_mask[row, t] == 0.0:
+            assert got == [0] * k
+            continue
+        assert len(set(got)) == k
+        assert all(2 <= v < vocab_size and v != target for v in got)
+    again = training._batch_negatives(batch, vocab_size, k, np.random.default_rng(seed))
+    np.testing.assert_array_equal(negs, again)
 
 
-def test_sample_negatives_catalog_too_small():
+@settings(max_examples=50, deadline=None)
+@given(k=st.integers(1, 8), data=st.data())
+def test_batch_negatives_forced_choice(k, data):
+    # k + 1 real exercises: the negatives are every one but the target.
+    vocab_size = k + 3
+    targets = np.array([data.draw(st.lists(st.integers(2, vocab_size - 1), min_size=1, max_size=5))])
+    negs = training._batch_negatives(target_batch(targets), vocab_size, k, np.random.default_rng(k))
+    for t, target in enumerate(targets[0]):
+        assert sorted(negs[0, t].tolist()) == [v for v in range(2, vocab_size) if v != target]
+
+
+@settings(max_examples=30, deadline=None)
+@given(k=st.integers(1, 8), spare=st.integers(0, 8))
+def test_batch_negatives_catalog_too_small(k, spare):
+    vocab_size = min(k + 2, 2 + spare)  # at most k real exercises
     with pytest.raises(ValueError, match="catalog too small"):
-        training.sample_negatives(2, vocab_size=4, k=2, rng=np.random.default_rng(0))
+        training._batch_negatives(target_batch([[2]]), vocab_size, k, np.random.default_rng(0))
+
+
+def test_batch_negatives_are_uniform_over_non_targets():
+    # 10 real exercises, k = 4: each of the 9 non-targets is drawn with
+    # probability 4/9 per target. 5 standard deviations of the binomial.
+    vocab_size, k, n = 12, 4, 20000
+    targets = np.where(np.arange(n) < n // 2, 2, 7).reshape(100, 200)
+    negs = training._batch_negatives(target_batch(targets), vocab_size, k, np.random.default_rng(5))
+    p = k / 9
+    bound = 5.0 * np.sqrt(n // 2 * p * (1 - p))
+    for target in (2, 7):
+        counts = np.bincount(negs[targets == target].ravel(), minlength=vocab_size)
+        assert counts[[0, 1, target]].sum() == 0
+        others = np.delete(counts, [0, 1, target])
+        assert np.all(np.abs(others - n // 2 * p) <= bound), (target, others)
 
 
 # --- loss --------------------------------------------------------------------
