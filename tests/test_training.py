@@ -78,8 +78,9 @@ def catalog_and_targets(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(case=catalog_and_targets(), seed=st.integers(0, 2**32 - 1))
-def test_batch_negatives_are_distinct_real_non_targets(case, seed):
-    # Targets 0 and 1 stand for cells without a loss; they get no negatives.
+def test_sample_negatives_never_hits_target_or_reserved(case, seed):
+    # Each target gets k distinct real exercises other than itself; targets
+    # 0 and 1 stand for cells without a loss and get no negatives.
     vocab_size, k, targets = case
     batch = target_batch(targets)
     negs = training._batch_negatives(batch, vocab_size, k, np.random.default_rng(seed))
@@ -91,6 +92,14 @@ def test_batch_negatives_are_distinct_real_non_targets(case, seed):
             continue
         assert len(set(got)) == k
         assert all(2 <= v < vocab_size and v != target for v in got)
+
+
+@settings(max_examples=50, deadline=None)
+@given(case=catalog_and_targets(), seed=st.integers(0, 2**32 - 1))
+def test_sample_negatives_deterministic_given_seed(case, seed):
+    vocab_size, k, targets = case
+    batch = target_batch(targets)
+    negs = training._batch_negatives(batch, vocab_size, k, np.random.default_rng(seed))
     again = training._batch_negatives(batch, vocab_size, k, np.random.default_rng(seed))
     np.testing.assert_array_equal(negs, again)
 
