@@ -261,10 +261,11 @@ def cmd_stats(config: dict) -> list[str]:
 
 
 def cmd_train(config: dict) -> list[str]:
+    train_config = make_train_config(config)
     _, _, vocab, train_w, _ = load_dataset(config)
     source = load_code_source(config)
     hp = make_hyper(config, vocab.n_exercises)
-    cp = training.train(train_w, vocab, hp, make_train_config(config), source)
+    cp = training.train(train_w, vocab, hp, train_config, source)
     out_dir = config["out_dir"]
     model_path = os.path.join(out_dir, "model.pers")
     atomic_call(model_path, lambda tmp: training.save_checkpoint(tmp, cp))
@@ -275,16 +276,17 @@ def cmd_train(config: dict) -> list[str]:
     )
     print(
         f"trained {config['epochs']} epochs; final loss {cp.loss_log[-1]:.6f} "
-        f"(best epoch {cp.best_epoch}) -> {model_path}"
+        f"(best epoch {int(np.argmin(cp.loss_log))}) -> {model_path}"
     )
     return [model_path, log_path]
 
 
 def cmd_eval(config: dict) -> list[str]:
+    batch_size = make_train_config(config).eval_batch_size
     _, _, vocab, _, test_w = load_dataset(config)
     cp = training.load_checkpoint(config["checkpoint"])
     source = load_code_source(config)
-    metrics, _ = evalrank.evaluate(cp, test_w, vocab, source, config["eval_batch_size"])
+    metrics, _ = evalrank.evaluate(cp, test_w, vocab, source, batch_size)
     rows = [evalrank.AblationRow(cp.model.variant, metrics)]
     out_dir = config["out_dir"]
     tsv_path = os.path.join(out_dir, "report.tsv")
@@ -296,10 +298,11 @@ def cmd_eval(config: dict) -> list[str]:
 
 
 def cmd_ablate(config: dict) -> list[str]:
+    train_config = make_train_config(config)
     _, _, vocab, train_w, test_w = load_dataset(config)
     source = load_code_source(config)
     hp = make_hyper(config, vocab.n_exercises)
-    rows = evalrank.ablate(train_w, test_w, vocab, hp, make_train_config(config), source)
+    rows = evalrank.ablate(train_w, test_w, vocab, hp, train_config, source)
     out_dir = config["out_dir"]
     tsv_path = os.path.join(out_dir, "ablation.tsv")
     json_path = os.path.join(out_dir, "ablation.json")
@@ -342,18 +345,7 @@ def cmd_probe(config: dict) -> list[str]:
     if config["per_step"]:
         steps = probe.export_step_latents(cp, sequences, source)
         step_path = os.path.join(out_dir, "latents_steps.tsv")
-        d_k = cp.model.hyper.d_k
-        header = (
-            ["learner_id", "step"]
-            + [f"pa_{i}" for i in range(d_k)]
-            + [f"ps_{i}" for i in range(d_k)]
-            + [f"us_{i}" for i in range(d_k)]
-        )
-        lines = ["\t".join(header)]
-        for lid, t, pa, ps, us in steps:
-            vals = [lid, str(t)] + [f"{v:.9g}" for v in np.concatenate([pa, ps, us])]
-            lines.append("\t".join(vals))
-        atomic_write(step_path, "\n".join(lines) + "\n")
+        atomic_call(step_path, lambda tmp: probe.write_latents(tmp, steps, "step"))
         outputs.append(step_path)
     return outputs
 

@@ -138,4 +138,8 @@ def read_vectors(path) -> PrecomputedSource:
             if len(fields) != dim + 1:
                 raise CodeFeatureError(f"line {lineno}: expected {dim} floats after ref")
             table[fields[0]] = np.array([float(x) for x in fields[1:]])
-    return PrecomputedSource(table, dim)
+    source = PrecomputedSource(table, dim)
+    bad = ~np.isfinite(source.matrix).all(axis=1)
+    if bad.any():
+        raise CodeFeatureError(f"{path}: vector of '{list(table)[int(np.argmax(bad))]}' is not finite")
+    return source

@@ -11,6 +11,7 @@ latent-trajectory claims.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,8 +24,7 @@ DIMENSIONS = ("processing", "understanding")
 EXPORT_BATCH = 64  # learners per export unroll
 
 
-@dataclass(frozen=True)
-class LatentRow:
+class LatentRow(NamedTuple):
     learner_id: str
     length: int  # total events of the learner
     pa: np.ndarray
@@ -91,27 +91,18 @@ def export_step_latents(
     return out
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.9g}"
-
-
-def write_latents(path, rows: list[LatentRow]) -> None:
+def write_latents(path, rows: list[tuple], count: str = "length") -> None:
+    """Write (learner_id, n, PA, PS, US) rows as TSV: export_latents rows,
+    whose n is the event count, or export_step_latents rows with
+    count="step"."""
     if not rows:
         raise ValueError("no latent rows to write")
-    d_k = rows[0].pa.shape[0]
-    cols = (
-        ["learner_id", "length"]
-        + [f"pa_{i}" for i in range(d_k)]
-        + [f"ps_{i}" for i in range(d_k)]
-        + [f"us_{i}" for i in range(d_k)]
-    )
+    d_k = rows[0][2].shape[0]
+    cols = ["learner_id", count] + [f"{name}_{i}" for name in ("pa", "ps", "us") for i in range(d_k)]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\t".join(cols) + "\n")
-        for row in rows:
-            vals = [row.learner_id, str(row.length)]
-            for vec in (row.pa, row.ps, row.us):
-                vals.extend(_fmt(v) for v in vec)
-            fh.write("\t".join(vals) + "\n")
+        for learner_id, n, *states in rows:
+            fh.write("\t".join([learner_id, str(n)] + [f"{v:.9g}" for v in np.concatenate(states)]) + "\n")
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -60,6 +60,13 @@ class TrainConfig:
             raise ValueError(f"variant must be one of {perscell.VARIANTS}")
         if not (0.0 <= self.dropout < 1.0):
             raise ValueError("dropout must be in [0, 1)")
+        if not (math.isfinite(self.lr) and self.lr >= 0.0):  # lr 0 keeps the initial parameters
+            raise ValueError("lr must be a finite number >= 0")
+        if not self.grad_clip > 0.0:
+            raise ValueError("grad_clip must be positive")
+        for name in ("layers", "batch_size", "eval_batch_size", "epochs", "negatives_per_positive"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
 
 
 def _rng(seed: int, purpose: int, *extra: int) -> np.random.Generator:
@@ -137,22 +144,14 @@ def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> dict[str, n
 
 @dataclass
 class Checkpoint:
+    """A run's final state. The seed, variant and layers are read from
+    `config`, and the epochs done are `len(loss_log)`."""
+
     model: ModelParams  # final-epoch parameters; resume continues from these
     adam: tk.AdamState
     config: TrainConfig
     vocab: Vocabulary
-    seed: int
-    epochs_done: int
-    loss_log: list[float] = field(default_factory=list)
-    best_epoch: int = -1  # epoch with the lowest mean loss
-    best_tensors: dict[str, tk.Tensor] | None = None
-
-    def best_model(self) -> ModelParams:
-        """Parameters of the lowest-loss epoch (the final ones if the run
-        never improved or predates best-tracking)."""
-        if self.best_tensors is None:
-            return self.model
-        return self.model.replace_tensors(self.best_tensors)
+    loss_log: list[float]  # mean training loss of each epoch done
 
 
 def train(
@@ -163,8 +162,10 @@ def train(
     code_source: PrecomputedSource | HashedTokenSource | None = None,
     resume: Checkpoint | None = None,
 ) -> Checkpoint:
-    """Run shuffled mini-batch epochs; returns the final checkpoint with
-    the per-epoch mean-loss log (the best epoch is recoverable from it).
+    """Run shuffled mini-batch epochs up to `config.epochs`; returns the
+    final checkpoint with the per-epoch mean-loss log. A resumed run
+    continues after the checkpoint's last epoch with the same variant and
+    layers.
     """
     if not train_windows:
         raise ValueError("train split is empty")
@@ -173,27 +174,26 @@ def train(
     dataset = assemble_batch(train_windows, vocab, hp, code_source if needs_code else None)
 
     if resume is not None:
-        model = resume.model
-        adam = resume.adam
-        start_epoch = resume.epochs_done
-        loss_log = list(resume.loss_log)
-        best_epoch = resume.best_epoch
-        best_tensors = resume.best_tensors
+        model, adam, loss_log = resume.model, resume.adam, list(resume.loss_log)
         if model.hyper != hp or resume.vocab != vocab:
             raise CheckpointError("resume checkpoint does not match the dataset/hyperparams")
+        if (model.variant, model.layers) != (config.variant, config.layers):
+            raise CheckpointError(
+                f"resume checkpoint is a {model.layers}-layer {model.variant} model, "
+                f"not {config.layers}-layer {config.variant}"
+            )
+        if len(loss_log) > config.epochs:
+            raise CheckpointError(f"resume checkpoint has {len(loss_log)} epochs done, past epochs={config.epochs}")
     else:
         buckets = code_source.buckets if isinstance(code_source, HashedTokenSource) and needs_code else None
         model = perscell.init_model_params(
             _rng(config.seed, 0), hp, config.variant, config.layers, buckets
         )
         adam = tk.AdamState()
-        start_epoch = 0
         loss_log = []
-        best_epoch = -1
-        best_tensors = None
 
     n = dataset.batch
-    for epoch in range(start_epoch, config.epochs):
+    for epoch in range(len(loss_log), config.epochs):
         order = _rng(config.seed, 1, epoch).permutation(n)
         epoch_loss = 0.0
         epoch_count = 0.0
@@ -221,23 +221,19 @@ def train(
             grads["E_p"][0, :] = 0.0  # the padding row is never trained
             grads = clip_gradients(grads, config.grad_clip)
             model = model.replace_tensors(tk.adam_step(model.tensors, grads, adam, config.lr))
-        mean_loss = epoch_loss / max(epoch_count, 1.0)
-        loss_log.append(mean_loss)
-        if best_epoch < 0 or mean_loss < loss_log[best_epoch]:
-            best_epoch = len(loss_log) - 1
-            best_tensors = model.tensors  # tensors are immutable; keeping them is free
+        loss_log.append(epoch_loss / max(epoch_count, 1.0))
 
-    return Checkpoint(
-        model, adam, config, vocab, config.seed, config.epochs, loss_log, best_epoch, best_tensors
-    )
+    return Checkpoint(model, adam, config, vocab, loss_log)
 
 
 # --- checkpoint file format --------------------------------------------------
 #
 # magic "PERS1\n", then a little-endian uint64 byte length, then that many
-# bytes of UTF-8 JSON (hyperparams, config, vocabulary, tensor manifest),
-# then the raw little-endian float64 tensor payloads in manifest order. The
-# manifest's extents must tile the payload exactly.
+# bytes of UTF-8 JSON (hyperparams, code bucket count, train config,
+# vocabulary, Adam step count, loss log, tensor manifest), then the raw
+# little-endian float64 payloads of the model tensors and Adam moments in
+# manifest order. The manifest's extents must tile the payload exactly.
+# The model's variant and layers are those of the stored config.
 
 
 def save_checkpoint(path, cp: Checkpoint) -> None:
@@ -259,25 +255,15 @@ def save_checkpoint(path, cp: Checkpoint) -> None:
         if name in cp.adam.m:
             push(f"m:{name}", cp.adam.m[name])
             push(f"v:{name}", cp.adam.v[name])
-    best_is_final = cp.best_tensors is cp.model.tensors or cp.best_tensors is None
-    if not best_is_final:
-        for name in sorted(cp.best_tensors):
-            push(f"best:{name}", cp.best_tensors[name].data)
 
     header = {
         "format_version": FORMAT_VERSION,
         "hyper": asdict(cp.model.hyper),
-        "variant": cp.model.variant,
-        "layers": cp.model.layers,
         "code_buckets": cp.model.code_buckets,
         "config": asdict(cp.config),
         "vocab": cp.vocab.ids(),
         "adam_t": cp.adam.t,
-        "seed": cp.seed,
-        "epochs_done": cp.epochs_done,
         "loss_log": cp.loss_log,
-        "best_epoch": cp.best_epoch,
-        "best_is_final": best_is_final,
         "manifest": entries,
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
@@ -329,45 +315,35 @@ def load_checkpoint(path) -> Checkpoint:
         arrays[entry["name"]] = np.frombuffer(chunk, dtype="<f8").reshape(dims).copy()
 
     tensors = {}
-    best_tensors: dict[str, tk.Tensor] = {}
     adam = tk.AdamState(t=header["adam_t"])
     for name, arr in arrays.items():
         if name.startswith("m:"):
             adam.m[name[2:]] = arr
         elif name.startswith("v:"):
             adam.v[name[2:]] = arr
-        elif name.startswith("best:"):
-            best_tensors[name[5:]] = tk.parameter(arr, name[5:])
         else:
             tensors[name] = tk.parameter(arr, name)
 
     if len(header["vocab"]) != hyper.n_exercises:
         raise CheckpointError("vocabulary size does not match the stored hyperparams")
-    model = ModelParams(hyper, header["variant"], header["layers"], header["code_buckets"], tensors)
-    _check_tensor_shapes(model, best_tensors, adam)
-    if header.get("best_is_final", True):
-        best = tensors if header.get("best_epoch", -1) >= 0 else None
-    else:
-        best = best_tensors
-    return Checkpoint(
-        model, adam, config, Vocabulary(header["vocab"]), header["seed"], header["epochs_done"],
-        list(header["loss_log"]), header.get("best_epoch", -1), best,
-    )
+    model = ModelParams(hyper, config.variant, config.layers, header["code_buckets"], tensors)
+    _check_tensor_shapes(model, adam)
+    return Checkpoint(model, adam, config, Vocabulary(header["vocab"]), list(header["loss_log"]))
 
 
-# JSON types of the header fields; best_epoch and best_is_final may be absent.
+# JSON types of the header fields. Fields not listed here, such as those
+# of earlier version-1 files, are ignored.
 _HEADER_TYPES = {
-    "hyper": (dict,), "variant": (str,), "layers": (int,), "code_buckets": (int, type(None)),
-    "config": (dict,), "vocab": (list,), "adam_t": (int,), "seed": (int,), "epochs_done": (int,),
-    "loss_log": (list,), "manifest": (list,), "best_epoch": (int,), "best_is_final": (bool,),
+    "hyper": (dict,), "code_buckets": (int, type(None)), "config": (dict,), "vocab": (list,),
+    "adam_t": (int,), "loss_log": (list,), "manifest": (list,),
 }
 
 
 def _check_header(header: dict) -> None:
     for name, kinds in _HEADER_TYPES.items():
-        if name not in header and name not in ("best_epoch", "best_is_final"):
+        if name not in header:
             raise CheckpointError(f"header lacks field '{name}'")
-        if name in header and type(header[name]) not in kinds:
+        if type(header[name]) not in kinds:
             want = " or ".join(k.__name__ for k in kinds)
             raise CheckpointError(f"header field '{name}' is a {type(header[name]).__name__}, not {want}")
     for i, entry in enumerate(header["manifest"]):
@@ -405,11 +381,10 @@ def _check_extents(manifest: list[dict], payload_size: int) -> None:
         raise CheckpointError(f"{payload_size - end} trailing payload bytes belong to no manifest entry")
 
 
-def _check_tensor_shapes(model: ModelParams, best: dict[str, tk.Tensor], adam: tk.AdamState) -> None:
+def _check_tensor_shapes(model: ModelParams, adam: tk.AdamState) -> None:
     """Every stored tensor set must be exactly the one the stored
     hyperparams, variant, layers and bucket count define. Only the model
-    tensors are always stored: a run that never stepped has no moments,
-    one whose best epoch is its last no separate best copy."""
+    tensors are always stored: a run that never stepped has no moments."""
     try:
         fresh = perscell.init_model_params(
             np.random.default_rng(0), model.hyper, model.variant, model.layers, model.code_buckets
@@ -419,7 +394,6 @@ def _check_tensor_shapes(model: ModelParams, best: dict[str, tk.Tensor], adam: t
     want = {name: t.data.shape for name, t in fresh.tensors.items()}
     groups = {
         "tensors": {name: t.data.shape for name, t in model.tensors.items()},
-        "best tensors": {name: t.data.shape for name, t in best.items()},
         "adam first moments": {name: a.shape for name, a in adam.m.items()},
         "adam second moments": {name: a.shape for name, a in adam.v.items()},
     }

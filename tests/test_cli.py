@@ -426,3 +426,85 @@ def test_eval_truncated_checkpoint_exits_2_with_one_error_line(saved_model, data
         assert run(argv) == 2
     lines = err.getvalue().strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), lines
+
+
+@pytest.fixture(scope="module")
+def simulated(tmp_path_factory):
+    return simulate(tmp_path_factory.mktemp("sim"))
+
+
+@pytest.mark.parametrize(
+    "command, flags, key",
+    [
+        ("train", ["--epochs", "0"], "epochs"),
+        ("train", ["--batch-size", "-3"], "batch_size"),
+        ("train", ["--batch-size", "0"], "batch_size"),
+        ("eval", ["--eval-batch-size", "0"], "eval_batch_size"),
+        ("train", ["--lr", "-1"], "lr"),
+        ("train", ["--lr", "nan"], "lr"),
+        ("train", ["--grad-clip", "0"], "grad_clip"),
+        ("train", ["--layers", "0"], "layers"),
+        ("train", ["--loss-mode", "sampled_bce", "--negatives-per-positive", "0"], "negatives_per_positive"),
+    ],
+)
+def test_invalid_trainer_setting_exits_1(simulated, tmp_path, capsys, command, flags, key):
+    config_path, _, paths = simulated
+    argv = [
+        command, "--config", config_path, "--data", paths["data"], "--vectors", paths["vectors"],
+        "--checkpoint", str(tmp_path / "absent.pers"), "--out-dir", str(tmp_path / "out"), *flags,
+    ]
+    capsys.readouterr()
+    assert run(argv) == 1
+    assert_one_line_error(capsys, key)
+    assert not os.path.exists(tmp_path / "out" / "model.pers")
+
+
+def test_train_on_non_finite_vector_exits_2(simulated, tmp_path, capsys):
+    config_path, _, paths = simulated
+    lines = open(paths["vectors"]).read().splitlines()
+    ref, *values = lines[3].split()
+    lines[3] = " ".join([ref, values[0], "nan", *values[2:]])
+    vectors = tmp_path / "vectors.txt"
+    vectors.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    argv = ["train", "--config", config_path, "--data", paths["data"], "--vectors", str(vectors), "--out-dir", str(tmp_path)]
+    assert run(argv) == 2
+    assert_one_line_error(capsys, f"vector of '{ref}' is not finite")
+
+
+def test_checkpoint_with_earlier_header_fields_evaluates_the_same(tmp_path):
+    """Files from before the header lost its repeated fields still load
+    and evaluate the same; resaving drops those fields."""
+    model, eval_argv = trained_checkpoint(tmp_path)
+    assert run(eval_argv + ["--out-dir", str(tmp_path / "new")]) == 0
+    new_bytes = open(model, "rb").read()
+
+    def add_earlier_fields(header):
+        config = header["config"]
+        header.update(
+            seed=config["seed"], epochs_done=len(header["loss_log"]), best_epoch=0, best_is_final=True,
+            variant=config["variant"], layers=config["layers"],
+        )
+
+    rewrite_header(model, add_earlier_fields)
+    assert run(eval_argv + ["--out-dir", str(tmp_path / "old")]) == 0
+    for name in ("report.tsv", "report.json"):
+        assert (tmp_path / "old" / name).read_bytes() == (tmp_path / "new" / name).read_bytes()
+    training.save_checkpoint(tmp_path / "resaved.pers", training.load_checkpoint(model))
+    assert (tmp_path / "resaved.pers").read_bytes() == new_bytes
+
+
+def test_eval_checkpoint_with_best_copy_exits_2(tmp_path, capsys):
+    model, eval_argv = trained_checkpoint(tmp_path)
+    b_12 = training.load_checkpoint(model).model.tensors["b_12"].data
+
+    def add_best_entry(header):
+        end = max(e["offset"] + 8 * int(np.prod(e["dims"])) for e in header["manifest"])
+        header["manifest"].append({"name": "best:b_12", "dims": list(b_12.shape), "offset": end})
+
+    rewrite_header(model, add_best_entry)
+    with open(model, "ab") as fh:
+        fh.write(b_12.astype("<f8").tobytes())
+    capsys.readouterr()
+    assert run(eval_argv) == 2
+    assert_one_line_error(capsys, "tensors differ from the stored model settings at ['best:b_12']")

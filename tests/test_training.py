@@ -1,13 +1,16 @@
 from __future__ import annotations
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import source_for, vocab_for, window_of
-from pers import perscell, tensorkit as tk, training
-from pers.codefeat import PrecomputedSource
-from pers.dataio import Interaction, LearnerSequence, MaskedWindow, Vocabulary, build_sequences, split
+from pers import cli, perscell, tensorkit as tk, training
+from pers.codefeat import PrecomputedSource, write_vectors
+from pers.dataio import Interaction, LearnerSequence, MaskedWindow, Vocabulary, build_sequences, split, write_log
 from pers.encoder import HyperParams
 
 
@@ -44,6 +47,12 @@ def toy_training_setup(**over):
     hp = toy_hp(vocab.n_exercises)
     config = training.TrainConfig(epochs=over.pop("epochs", 2), batch_size=8, seed=7, **over)
     return train_w, test_w, vocab, hp, config, source
+
+
+def read_header(path) -> dict:
+    data = open(path, "rb").read()
+    magic = len(training.CHECKPOINT_MAGIC)
+    return json.loads(data[magic + 8 : magic + 8 + int.from_bytes(data[magic : magic + 8], "little")])
 
 
 def checkpoint_bytes(cp, tmp_path, tag):
@@ -306,20 +315,31 @@ def test_resume_matches_uninterrupted_run(tmp_path):
     assert checkpoint_bytes(resumed, tmp_path, "resumed") == checkpoint_bytes(full, tmp_path, "full")
 
 
-def test_best_epoch_checkpoint_retained():
-    train_w, _, vocab, hp, config, source = toy_training_setup(epochs=5, lr=0.01)
-    cp = training.train(train_w, vocab, hp, config, source)
-    assert cp.best_epoch == int(np.argmin(cp.loss_log))
-    best = cp.best_model()
-    assert set(best.tensors) == set(cp.model.tensors)
-    if cp.best_epoch != len(cp.loss_log) - 1:
-        assert any(
-            not np.array_equal(best.tensors[n].data, cp.model.tensors[n].data) for n in best.tensors
-        )
+def test_best_epoch_checkpoint_retained(tmp_path, capsys):
+    """`pers train` reports the first lowest-loss epoch, derived from the
+    loss log; the checkpoint keeps only the final model and Adam state."""
+    interactions, source = toy_corpus()
+    write_log(tmp_path / "log.jsonl", interactions)
+    write_vectors(tmp_path / "vectors.txt", {ref: source.matrix[i] for ref, i in source.rows.items()}, source.dim)
+    argv = [
+        "train", "--data", str(tmp_path / "log.jsonl"), "--vectors", str(tmp_path / "vectors.txt"),
+        "--out-dir", str(tmp_path), "--d-p", "16", "--d-c", "6", "--d-k", "16", "--d-ct", "4", "--d-cm", "4",
+        "--d-cs", "4", "--epochs", "4", "--batch-size", "8", "--seed", "7", "--lr", "0.05",
+    ]
+    assert cli.main(argv) == 0
+    cp = training.load_checkpoint(tmp_path / "model.pers")
+    best = int(np.argmin(cp.loss_log))
+    assert best < len(cp.loss_log) - 1  # the lr is high enough that the last epoch is not the best
+    assert f"(best epoch {best})" in capsys.readouterr().out
+    log = [float(line.split("\t")[1]) for line in (tmp_path / "train_log.tsv").read_text().splitlines()[1:]]
+    assert log == [float(f"{v:.9g}") for v in cp.loss_log]
+    names = [e["name"] for e in read_header(tmp_path / "model.pers")["manifest"]]
+    assert sorted(names) == sorted([*cp.model.tensors, *(f"m:{n}" for n in cp.adam.m), *(f"v:{n}" for n in cp.adam.v)])
 
 
 def test_best_tensors_survive_checkpoint_round_trip(tmp_path):
-    # An absurd late-stage lr spike makes the final epoch worse than the best.
+    # An absurd late-stage lr spike makes the final epoch worse than the
+    # best; the file still holds the final state only, and round-trips.
     train_w, _, vocab, hp, _, source = toy_training_setup(epochs=3, lr=0.01)
     cp = training.train(train_w, vocab, hp, training.TrainConfig(epochs=3, batch_size=8, seed=7, lr=0.01), source)
     spiked = training.train(
@@ -327,16 +347,35 @@ def test_best_tensors_survive_checkpoint_round_trip(tmp_path):
         training.TrainConfig(epochs=5, batch_size=8, seed=7, lr=5.0),
         source, resume=cp,
     )
-    assert spiked.best_epoch < len(spiked.loss_log) - 1
+    assert int(np.argmin(spiked.loss_log)) < len(spiked.loss_log) - 1
     path = tmp_path / "spiked.pers"
     training.save_checkpoint(path, spiked)
+    header = read_header(path)
+    assert sorted(header) == [
+        "adam_t", "code_buckets", "config", "format_version", "hyper", "loss_log", "manifest", "vocab"
+    ]
+    assert not [e for e in header["manifest"] if e["name"].startswith("best:")]
     loaded = training.load_checkpoint(path)
-    assert loaded.best_epoch == spiked.best_epoch
-    for name, t in spiked.best_tensors.items():
-        assert loaded.best_tensors[name].data.tobytes() == t.data.tobytes()
+    assert loaded.loss_log == spiked.loss_log
     path2 = tmp_path / "spiked2.pers"
     training.save_checkpoint(path2, loaded)
     assert path.read_bytes() == path2.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "over, fragment",
+    [
+        ({"variant": "PERS-us"}, "1-layer PERS model, not 1-layer PERS-us"),
+        ({"layers": 2}, "1-layer PERS model, not 2-layer PERS"),
+        ({"epochs": 2}, "3 epochs done, past epochs=2"),
+    ],
+    ids=["other-variant", "other-layers", "fewer-epochs"],
+)
+def test_resume_with_other_settings_raises(over, fragment):
+    train_w, _, vocab, hp, config, source = toy_training_setup(epochs=3)
+    cp = training.train(train_w, vocab, hp, config, source)
+    with pytest.raises(training.CheckpointError, match=fragment):
+        training.train(train_w, vocab, hp, dataclasses.replace(config, **over), source, resume=cp)
 
 
 # --- gradient flow and gradcheck ---------------------------------------------
