@@ -313,6 +313,9 @@ def cmd_ablate(config: dict) -> list[str]:
 
 
 def cmd_probe(config: dict) -> list[str]:
+    for key in ("probe_splits", "probe_trials"):
+        if config[key] < 1:
+            raise ConfigError(f"{key} must be at least 1")
     interactions, sequences, vocab, _, _ = load_dataset(config)
     cp = training.load_checkpoint(config["checkpoint"])
     if vocab != cp.vocab:

@@ -124,6 +124,80 @@ def _stratified_split(labels: np.ndarray, rng: np.random.Generator, test_frac: f
     return np.sort(np.array(train_idx)), np.sort(np.array(test_idx))
 
 
+class _Fits(NamedTuple):
+    """One descent over every (label vector, split seed) pair: arrays
+    indexed [label vector, split]."""
+
+    weights: np.ndarray  # (L, S, d)
+    bias: np.ndarray  # (L, S)
+    accuracy: np.ndarray  # (L, S) held-out accuracy
+    n_train: int
+    n_test: int
+
+
+def _check_classes(labels: np.ndarray, min_per_class: int) -> tuple[str, str]:
+    classes = tuple(sorted(np.unique(labels).tolist()))
+    if len(classes) != 2:
+        raise ValueError(f"probe needs exactly two classes, got {classes}")
+    for cls in classes:
+        n_cls = int((labels == cls).sum())
+        if n_cls < min_per_class:
+            raise ValueError(f"class '{cls}' has {n_cls} learners; need >= {min_per_class}")
+    return classes
+
+
+def _fit_stack(
+    features: np.ndarray,
+    label_vectors: list[np.ndarray],
+    seeds: list[int],
+    l2: float = 0.1,
+    lr: float = 0.3,
+    iterations: int = 400,
+) -> _Fits:
+    """Fit one logistic probe per (label vector, split seed) pair, all
+    in one full-batch gradient descent over a (T, n, d) stack.
+
+    Each fit takes its 80/20 stratified split from `default_rng(seed)`
+    and standardises with its train rows' mean and std. The label vectors
+    share one pair of classes and their counts (a permutation keeps
+    them), so every split has the same train size and the stack is
+    rectangular. The caller checks the classes.
+    """
+    if not label_vectors or not seeds:
+        raise ValueError("probe splits and trials must be at least 1")
+    features = np.asarray(features, dtype=np.float64)
+    x_train, x_test, y_train, y_test = [], [], [], []
+    for labels in label_vectors:
+        positive = labels == np.unique(labels)[1]
+        for seed in seeds:
+            train_idx, test_idx = _stratified_split(labels, np.random.default_rng(seed))
+            mu = features[train_idx].mean(axis=0)
+            sd = features[train_idx].std(axis=0)
+            sd[sd < 1e-8] = 1.0
+            x_train.append((features[train_idx] - mu) / sd)
+            x_test.append((features[test_idx] - mu) / sd)
+            y_train.append(positive[train_idx].astype(np.float64))
+            y_test.append(positive[test_idx])
+    n_train, n_test = len(y_train[0]), len(y_test[0])
+    assert all(len(y) == n_train for y in y_train), "probe splits differ in train size"
+    x, y = np.stack(x_train), np.stack(y_train)
+
+    t, n, d = x.shape
+    w = np.zeros((t, d))
+    b = np.zeros(t)
+    for _ in range(iterations):
+        z = np.matmul(x, w[:, :, None])[:, :, 0] + b[:, None]
+        p = 1.0 / (1.0 + np.exp(-z))
+        err = p - y
+        w -= lr * (np.matmul(err[:, None, :], x)[:, 0, :] / n + l2 * w)
+        b -= lr * err.mean(axis=1)
+
+    pred = (np.matmul(np.stack(x_test), w[:, :, None])[:, :, 0] + b[:, None]) > 0.0
+    accuracy = (pred == np.stack(y_test)).mean(axis=1)
+    shape = (len(label_vectors), len(seeds))
+    return _Fits(w.reshape(*shape, d), b.reshape(shape), accuracy.reshape(shape), n_train, n_test)
+
+
 def fit_probe(
     features: np.ndarray,
     labels: list[str],
@@ -139,40 +213,10 @@ def fit_probe(
     L2 keeps the probe from memorising noise, which pins permuted-label
     accuracy near chance without hurting genuinely separable latents.
     """
-    features = np.asarray(features, dtype=np.float64)
     labels_arr = np.asarray(labels)
-    classes = tuple(sorted(np.unique(labels_arr).tolist()))
-    if len(classes) != 2:
-        raise ValueError(f"probe needs exactly two classes, got {classes}")
-    for cls in classes:
-        n_cls = int((labels_arr == cls).sum())
-        if n_cls < min_per_class:
-            raise ValueError(f"class '{cls}' has {n_cls} learners; need >= {min_per_class}")
-
-    y = (labels_arr == classes[1]).astype(np.float64)
-    rng = np.random.default_rng(seed)
-    train_idx, test_idx = _stratified_split(labels_arr, rng)
-
-    mu = features[train_idx].mean(axis=0)
-    sd = features[train_idx].std(axis=0)
-    sd[sd < 1e-8] = 1.0
-    x_train = (features[train_idx] - mu) / sd
-    x_test = (features[test_idx] - mu) / sd
-    y_train = y[train_idx]
-
-    n, d = x_train.shape
-    w = np.zeros(d)
-    b = 0.0
-    for _ in range(iterations):
-        z = x_train @ w + b
-        p = 1.0 / (1.0 + np.exp(-z))
-        err = p - y_train
-        w -= lr * (x_train.T @ err / n + l2 * w)
-        b -= lr * float(err.mean())
-
-    pred = (x_test @ w + b) > 0.0
-    accuracy = float((pred == (y[test_idx] > 0.5)).mean())
-    return ProbeResult(accuracy, len(train_idx), len(test_idx), classes)
+    classes = _check_classes(labels_arr, min_per_class)
+    fits = _fit_stack(features, [labels_arr], [seed], l2, lr, iterations)
+    return ProbeResult(float(fits.accuracy[0, 0]), fits.n_train, fits.n_test, classes)
 
 
 def mean_probe_accuracy(
@@ -182,18 +226,18 @@ def mean_probe_accuracy(
     splits: int = 1,
     min_per_class: int = 20,
 ) -> float:
-    """Held-out accuracy averaged over `splits` stratified splits.
+    """Held-out accuracy averaged over `splits` stratified splits, drawn
+    with seeds seed, seed + 1, ...
 
     A single 20% holdout of a desk-scale population is only a few dozen
     learners, so one split's accuracy carries binomial noise of several
     points; averaging split seeds estimates the same quantity with a
     tighter spread.
     """
-    accs = [
-        fit_probe(features, labels, seed=seed + s, min_per_class=min_per_class).accuracy
-        for s in range(splits)
-    ]
-    return float(np.mean(accs))
+    labels_arr = np.asarray(labels)
+    _check_classes(labels_arr, min_per_class)
+    fits = _fit_stack(features, [labels_arr], [seed + s for s in range(splits)])
+    return float(np.mean(fits.accuracy[0]))
 
 
 def dimension_features(
@@ -226,13 +270,13 @@ def permutation_null(
     splits: int = 5,
 ) -> list[float]:
     """Split-averaged held-out accuracies after destroying the
-    label-feature pairing; the leakage check compares these to 0.65."""
+    label-feature pairing; the leakage check compares these to 0.65.
+    Trial i permutes the labels with `default_rng([seed, i])` and is
+    scored like `mean_probe_accuracy(..., seed=seed, splits=splits)`."""
     labels_arr = np.asarray(labels)
-    out = []
-    for trial in range(trials):
-        rng = np.random.default_rng([seed, trial])
-        permuted = labels_arr[rng.permutation(len(labels_arr))].tolist()
-        out.append(
-            mean_probe_accuracy(features, permuted, seed=seed, splits=splits, min_per_class=min_per_class)
-        )
-    return out
+    _check_classes(labels_arr, min_per_class)
+    permuted = [
+        labels_arr[np.random.default_rng([seed, trial]).permutation(len(labels_arr))] for trial in range(trials)
+    ]
+    fits = _fit_stack(features, permuted, [seed + s for s in range(splits)])
+    return [float(np.mean(row)) for row in fits.accuracy]

@@ -8,6 +8,7 @@ replays the identical randomness an uninterrupted run would have used.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import os
@@ -174,7 +175,8 @@ def train(
     dataset = assemble_batch(train_windows, vocab, hp, code_source if needs_code else None)
 
     if resume is not None:
-        model, adam, loss_log = resume.model, resume.adam, list(resume.loss_log)
+        model, loss_log = resume.model, list(resume.loss_log)
+        adam = copy.deepcopy(resume.adam)  # adam_step advances it in place; the checkpoint keeps its own
         if model.hyper != hp or resume.vocab != vocab:
             raise CheckpointError("resume checkpoint does not match the dataset/hyperparams")
         if (model.variant, model.layers) != (config.variant, config.layers):
@@ -232,7 +234,8 @@ def train(
 # bytes of UTF-8 JSON (hyperparams, code bucket count, train config,
 # vocabulary, Adam step count, loss log, tensor manifest), then the raw
 # little-endian float64 payloads of the model tensors and Adam moments in
-# manifest order. The manifest's extents must tile the payload exactly.
+# manifest order. The manifest's extents must tile the payload exactly, and
+# every stored value must be finite.
 # The model's variant and layers are those of the stored config.
 
 
@@ -312,7 +315,10 @@ def load_checkpoint(path) -> Checkpoint:
         dims = tuple(entry["dims"])
         start = entry["offset"]
         chunk = payload[start : start + 8 * math.prod(dims)]
-        arrays[entry["name"]] = np.frombuffer(chunk, dtype="<f8").reshape(dims).copy()
+        arr = np.frombuffer(chunk, dtype="<f8").reshape(dims).copy()
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"stored tensor '{entry['name']}' holds a non-finite value")
+        arrays[entry["name"]] = arr
 
     tensors = {}
     adam = tk.AdamState(t=header["adam_t"])

@@ -276,14 +276,35 @@ def assert_one_line_error(capsys, fragment):
 
 
 def test_eval_with_nan_logits_exits_3(tmp_path, capsys):
+    # A checkpoint may not store a non-finite value, but finite ones can
+    # still overflow: output weights and biases at the largest float push
+    # the target logits to +-inf or NaN.
     model, eval_argv = trained_checkpoint(tmp_path)
     cp = training.load_checkpoint(model)
-    cp.model.tensors["b_12"] = tk.parameter(np.full_like(cp.model.tensors["b_12"].data, np.nan), "b_12")
+    for name in ("W_12", "b_12"):
+        huge = np.full_like(cp.model.tensors[name].data, np.finfo(np.float64).max)
+        cp.model.tensors[name] = tk.parameter(huge, name)
     training.save_checkpoint(model, cp)
     capsys.readouterr()
-    assert run(eval_argv) == 3
+    with np.errstate(over="ignore"):
+        assert run(eval_argv) == 3
     assert_one_line_error(capsys, "non-finite logits")
     assert not os.path.exists(os.path.join(os.path.dirname(model), "report.tsv"))
+
+
+@pytest.mark.parametrize("entry", ["W_12", "m:W_12"])
+def test_eval_checkpoint_non_finite_value_exits_2(tmp_path, capsys, entry):
+    model, eval_argv = trained_checkpoint(tmp_path)
+    data = bytearray(open(model, "rb").read())
+    magic = len(training.CHECKPOINT_MAGIC)
+    n = int.from_bytes(data[magic : magic + 8], "little")
+    offset = next(e["offset"] for e in json.loads(data[magic + 8 : magic + 8 + n])["manifest"] if e["name"] == entry)
+    at = magic + 8 + n + offset + 8  # the entry's second value
+    data[at : at + 8] = np.array([np.nan], dtype="<f8").tobytes()
+    open(model, "wb").write(bytes(data))
+    capsys.readouterr()
+    assert run(eval_argv) == 2
+    assert_one_line_error(capsys, f"stored tensor '{entry}' holds a non-finite value")
 
 
 def test_eval_checkpoint_missing_tensor_exits_2(tmp_path, capsys):
@@ -457,6 +478,22 @@ def test_invalid_trainer_setting_exits_1(simulated, tmp_path, capsys, command, f
     assert run(argv) == 1
     assert_one_line_error(capsys, key)
     assert not os.path.exists(tmp_path / "out" / "model.pers")
+
+
+@pytest.mark.parametrize("key", ["probe_splits", "probe_trials"])
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_probe_count_below_one_exits_1_before_export(simulated, tmp_path, capsys, key, value):
+    config_path, _, paths = simulated
+    out = tmp_path / "out"
+    argv = [
+        "probe", "--config", config_path, "--data", paths["data"], "--vectors", paths["vectors"],
+        "--labels", paths["labels"], "--checkpoint", str(tmp_path / "absent.pers"), "--out-dir", str(out),
+        "--" + key.replace("_", "-"), value,
+    ]
+    capsys.readouterr()
+    assert run(argv) == 1
+    assert_one_line_error(capsys, f"{key} must be at least 1")
+    assert not os.path.exists(out / "latents.tsv") and not os.path.exists(out / "probe.json")
 
 
 def test_train_on_non_finite_vector_exits_2(simulated, tmp_path, capsys):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pers import probe, training
 from pers.dataio import build_sequences, split
@@ -126,3 +127,99 @@ def test_probe_dimension_selects_right_latent():
         assert probe.fit_probe(feats, labs, min_per_class=5).accuracy == 1.0
     with pytest.raises(ValueError):
         probe.dimension_features(rows, labels, "perception")
+
+
+# --- batched descent against the per-fit loop --------------------------------
+
+
+def loop_fit(features, labels, seed, l2=0.1, lr=0.3, iterations=400):
+    """The per-fit descent the batched one replaced: (w, b, accuracy)."""
+    features = np.asarray(features, dtype=np.float64)
+    labels_arr = np.asarray(labels)
+    classes = sorted(np.unique(labels_arr).tolist())
+    y = (labels_arr == classes[1]).astype(np.float64)
+    train_idx, test_idx = probe._stratified_split(labels_arr, np.random.default_rng(seed))
+    mu = features[train_idx].mean(axis=0)
+    sd = features[train_idx].std(axis=0)
+    sd[sd < 1e-8] = 1.0
+    x_train = (features[train_idx] - mu) / sd
+    x_test = (features[test_idx] - mu) / sd
+    y_train = y[train_idx]
+    n, d = x_train.shape
+    w = np.zeros(d)
+    b = 0.0
+    for _ in range(iterations):
+        z = x_train @ w + b
+        p = 1.0 / (1.0 + np.exp(-z))
+        err = p - y_train
+        w -= lr * (x_train.T @ err / n + l2 * w)
+        b -= lr * float(err.mean())
+    pred = (x_test @ w + b) > 0.0
+    return w, b, float((pred == (y[test_idx] > 0.5)).mean())
+
+
+def loop_permutation_null(features, labels, trials, seed, splits):
+    labels_arr = np.asarray(labels)
+    out = []
+    for trial in range(trials):
+        permuted = labels_arr[np.random.default_rng([seed, trial]).permutation(len(labels_arr))]
+        out.append(float(np.mean([loop_fit(features, permuted, seed + s)[2] for s in range(splits)])))
+    return out
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n_a=st.integers(5, 30),
+    n_b=st.integers(5, 30),
+    d=st.integers(1, 9),
+    data_seed=st.integers(0, 2**32 - 1),
+    seed=st.integers(0, 10_000),
+    splits=st.integers(1, 4),
+    trials=st.integers(1, 3),
+)
+def test_batched_descent_matches_per_fit_loop(n_a, n_b, d, data_seed, seed, splits, trials):
+    rng = np.random.default_rng(data_seed)
+    x = rng.normal(size=(n_a + n_b, d)) * rng.uniform(0.1, 10.0, size=d)
+    x[:, 0] += rng.uniform(0.0, 2.0) * (np.arange(n_a + n_b) < n_a)
+    labels = np.array(["a"] * n_a + ["b"] * n_b)[rng.permutation(n_a + n_b)]
+    seeds = [seed + s for s in range(splits)]
+    permuted = [labels[rng.permutation(len(labels))] for _ in range(trials)]
+    vectors = [labels, *permuted]
+
+    fits = probe._fit_stack(x, vectors, seeds)
+    assert fits.weights.shape == (len(vectors), splits, d)
+    for i, vec in enumerate(vectors):
+        for j, s in enumerate(seeds):
+            w, b, acc = loop_fit(x, vec, s)
+            scale = max(np.abs(w).max(), abs(b))
+            assert np.abs(fits.weights[i, j] - w).max() <= 1e-12 * scale
+            assert abs(fits.bias[i, j] - b) <= 1e-12 * scale
+            assert fits.accuracy[i, j] == acc
+
+    accs = [loop_fit(x, labels, s)[2] for s in seeds]
+    assert probe.mean_probe_accuracy(x, labels, seed=seed, splits=splits, min_per_class=5) == float(np.mean(accs))
+    assert probe.permutation_null(x, labels, trials, seed, 5, splits) == loop_permutation_null(
+        x, labels, trials, seed, splits
+    )
+
+
+def test_fit_probe_is_element_zero_of_a_larger_stack():
+    x, labels = separable_features(n=48, d=5, gap=0.7, seed=2)
+    labels_arr = np.asarray(labels)
+    alone = probe._fit_stack(x, [labels_arr], [9])
+    stacked = probe._fit_stack(x, [labels_arr, labels_arr[::-1]], [9, 10, 11])
+    assert alone.weights[0, 0].tobytes() == stacked.weights[0, 0].tobytes()
+    assert alone.bias[0, 0] == stacked.bias[0, 0]
+    result = probe.fit_probe(x, labels, seed=9)
+    assert result.accuracy == stacked.accuracy[0, 0]
+    assert (result.n_train, result.n_test) == (stacked.n_train, stacked.n_test)
+
+
+@pytest.mark.parametrize(
+    "fn, over",
+    [("mean_probe_accuracy", {"splits": 0}), ("permutation_null", {"trials": 0}), ("permutation_null", {"splits": -1})],
+)
+def test_probe_counts_below_one_rejected(fn, over):
+    x, labels = separable_features()
+    with pytest.raises(ValueError, match="must be at least 1"):
+        getattr(probe, fn)(x, labels, **over)

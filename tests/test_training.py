@@ -315,6 +315,23 @@ def test_resume_matches_uninterrupted_run(tmp_path):
     assert checkpoint_bytes(resumed, tmp_path, "resumed") == checkpoint_bytes(full, tmp_path, "full")
 
 
+def adam_bytes(adam: tk.AdamState):
+    return adam.t, {k: m.tobytes() for k, m in adam.m.items()}, {k: v.tobytes() for k, v in adam.v.items()}
+
+
+def test_resume_leaves_the_checkpoint_unchanged():
+    train_w, _, vocab, hp, config, source = toy_training_setup(epochs=3)
+    half = training.train(train_w, vocab, hp, dataclasses.replace(config, epochs=1), source)
+    before = adam_bytes(half.adam)
+    first = training.train(train_w, vocab, hp, config, source, resume=half)
+    assert adam_bytes(half.adam) == before
+    assert half.loss_log == first.loss_log[:1]
+    second = training.train(train_w, vocab, hp, config, source, resume=half)
+    for name, t in first.model.tensors.items():
+        assert second.model.tensors[name].data.tobytes() == t.data.tobytes(), name
+    assert second.adam.t == first.adam.t
+
+
 def test_best_epoch_checkpoint_retained(tmp_path, capsys):
     """`pers train` reports the first lowest-loss epoch, derived from the
     loss log; the checkpoint keeps only the final model and Adam state."""
