@@ -16,6 +16,7 @@ import argparse
 import dataclasses
 import json
 import os
+import pathlib
 import sys
 import time
 
@@ -87,20 +88,6 @@ SCHEMA: dict[str, tuple[type, object, str]] = {
     "tol": (float, 1e-4, "gradcheck pass threshold"),
 }
 
-COMMANDS = ("preprocess", "simulate", "train", "eval", "ablate", "probe", "stats", "gradcheck")
-
-REQUIRED = {
-    "preprocess": ("data",),
-    "simulate": (),
-    "train": ("data",),
-    "eval": ("data", "checkpoint"),
-    "ablate": ("data",),
-    "probe": ("data", "checkpoint", "labels"),
-    "stats": ("data",),
-    "gradcheck": (),
-}
-
-
 def load_config(path: str | None) -> dict:
     if path is None:
         return {}
@@ -135,23 +122,20 @@ def resolve_config(args: argparse.Namespace) -> dict:
         value = getattr(args, key, None)
         if value is not None:
             config[key] = value
-    for key in REQUIRED[args.command]:
+    for key in COMMANDS[args.command][1]:
         if config.get(key) is None:
             raise ConfigError(f"command '{args.command}' needs config key '{key}'")
     return config
-
-
-def atomic_write(path, text: str) -> None:
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
 
 
 def atomic_call(path, writer) -> None:
     tmp = f"{path}.tmp.{os.getpid()}"
     writer(tmp)
     os.replace(tmp, path)
+
+
+def atomic_write(path, text: str) -> None:
+    atomic_call(path, lambda tmp: pathlib.Path(tmp).write_text(text, encoding="utf-8"))
 
 
 def write_manifest(out_dir, command: str, config: dict, outputs: list[str], t0: float) -> None:
@@ -201,6 +185,16 @@ def load_dataset(config: dict):
     sequences, vocab = dataio.build_sequences(interactions, config["max_len"], config["sliding"])
     train_w, test_w = dataio.split(sequences, config["split_ratio"])
     return interactions, sequences, vocab, train_w, test_w
+
+
+def write_report(out_dir, stem: str, rows: list[evalrank.AblationRow]) -> list[str]:
+    """Write the metric table as <stem>.tsv and <stem>.json and print the TSV."""
+    table = evalrank.report_tsv(rows)
+    paths = [os.path.join(out_dir, f"{stem}.tsv"), os.path.join(out_dir, f"{stem}.json")]
+    atomic_write(paths[0], table)
+    atomic_write(paths[1], evalrank.report_json(rows))
+    print(table, end="")
+    return paths
 
 
 # --- commands ----------------------------------------------------------------
@@ -287,14 +281,7 @@ def cmd_eval(config: dict) -> list[str]:
     cp = training.load_checkpoint(config["checkpoint"])
     source = load_code_source(config)
     metrics, _ = evalrank.evaluate(cp, test_w, vocab, source, batch_size)
-    rows = [evalrank.AblationRow(cp.model.variant, metrics)]
-    out_dir = config["out_dir"]
-    tsv_path = os.path.join(out_dir, "report.tsv")
-    json_path = os.path.join(out_dir, "report.json")
-    atomic_write(tsv_path, evalrank.report_tsv(rows))
-    atomic_write(json_path, evalrank.report_json(rows))
-    print(evalrank.report_tsv(rows), end="")
-    return [tsv_path, json_path]
+    return write_report(config["out_dir"], "report", [evalrank.AblationRow(cp.model.variant, metrics)])
 
 
 def cmd_ablate(config: dict) -> list[str]:
@@ -303,13 +290,7 @@ def cmd_ablate(config: dict) -> list[str]:
     source = load_code_source(config)
     hp = make_hyper(config, vocab.n_exercises)
     rows = evalrank.ablate(train_w, test_w, vocab, hp, train_config, source)
-    out_dir = config["out_dir"]
-    tsv_path = os.path.join(out_dir, "ablation.tsv")
-    json_path = os.path.join(out_dir, "ablation.json")
-    atomic_write(tsv_path, evalrank.report_tsv(rows))
-    atomic_write(json_path, evalrank.report_json(rows))
-    print(evalrank.report_tsv(rows), end="")
-    return [tsv_path, json_path]
+    return write_report(config["out_dir"], "ablation", rows)
 
 
 def cmd_probe(config: dict) -> list[str]:
@@ -370,15 +351,16 @@ def cmd_gradcheck(config: dict) -> list[str]:
     return []
 
 
-HANDLERS = {
-    "preprocess": cmd_preprocess,
-    "simulate": cmd_simulate,
-    "train": cmd_train,
-    "eval": cmd_eval,
-    "ablate": cmd_ablate,
-    "probe": cmd_probe,
-    "stats": cmd_stats,
-    "gradcheck": cmd_gradcheck,
+# command -> (handler, the config keys it cannot run without)
+COMMANDS = {
+    "preprocess": (cmd_preprocess, ("data",)),
+    "simulate": (cmd_simulate, ()),
+    "train": (cmd_train, ("data",)),
+    "eval": (cmd_eval, ("data", "checkpoint")),
+    "ablate": (cmd_ablate, ("data",)),
+    "probe": (cmd_probe, ("data", "checkpoint", "labels")),
+    "stats": (cmd_stats, ("data",)),
+    "gradcheck": (cmd_gradcheck, ()),
 }
 
 
@@ -406,7 +388,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = resolve_config(args)
         os.makedirs(config["out_dir"], exist_ok=True)
-        outputs = HANDLERS[args.command](config)
+        outputs = COMMANDS[args.command][0](config)
         write_manifest(config["out_dir"], args.command, config, outputs, t0)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import tensorkit as tk
-from .dataio import PAD_INDEX, STATUSES
+from .dataio import STATUSES
 
 N_TIME_BUCKETS = 32
 N_MEMORY_BUCKETS = 32
@@ -86,42 +86,6 @@ def time_bucket(exec_time_ms: int) -> int:
 
 def memory_bucket(exec_memory_kb: int) -> int:
     return min(N_MEMORY_BUCKETS - 1, (exec_memory_kb + 1).bit_length() - 1)
-
-
-def _uniform(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
-    bound = 1.0 / np.sqrt(fan_in)
-    return rng.uniform(-bound, bound, size=shape)
-
-
-def init_encoder_params(rng: np.random.Generator, hp: HyperParams, layers: int = 1) -> dict[str, np.ndarray]:
-    """Encoder tables and projections as plain arrays, keyed by name.
-
-    Weight matrices use uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)); biases
-    start at zero. Embedding tables follow the same rule with their row
-    width as fan-in, except exercise rows 0 (padding) and 1 (unknown)
-    which start at zero.
-    """
-    e_p = _uniform(rng, hp.d_p, (hp.vocab_size, hp.d_p))
-    e_p[PAD_INDEX] = 0.0
-    e_p[1] = 0.0
-    params = {
-        "E_p": e_p,
-        "status_table": _uniform(rng, hp.d_cs, (len(STATUSES), hp.d_cs)),
-        "time_table": _uniform(rng, hp.d_ct, (N_TIME_BUCKETS, hp.d_ct)),
-        "memory_table": _uniform(rng, hp.d_cm, (N_MEMORY_BUCKETS, hp.d_cm)),
-    }
-    d_code_in = hp.d_c + hp.d_cs + hp.d_ct + hp.d_cm
-    _add_mlp(params, rng, "1", hp.d_p + hp.d_pos, hp.d_k, layers)
-    _add_mlp(params, rng, "2", d_code_in, hp.d_k, layers)
-    return params
-
-
-def _add_mlp(params: dict, rng: np.random.Generator, tag: str, d_in: int, d_out: int, layers: int) -> None:
-    params[f"W_{tag}"] = _uniform(rng, d_in, (d_in, d_out))
-    params[f"b_{tag}"] = np.zeros(d_out)
-    for l in range(2, layers + 1):
-        params[f"W_{tag}.{l}"] = _uniform(rng, d_out, (d_out, d_out))
-        params[f"b_{tag}.{l}"] = np.zeros(d_out)
 
 
 def apply_mlp(params: dict[str, tk.Tensor], tag: str, x: tk.Tensor, layers: int = 1) -> tk.Tensor:

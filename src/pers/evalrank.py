@@ -28,11 +28,7 @@ class VocabularyMismatch(ValueError):
 @dataclass(frozen=True)
 class RankResult:
     learner_id: str
-    event_index: int  # running index within the evaluation order
     rank: int
-    hit: float
-    reciprocal: float
-    gain: float
 
 
 def rank_event(scores: np.ndarray, target: int) -> int:
@@ -103,22 +99,27 @@ def evaluate(
     results: list[RankResult] = []
     for lo in range(0, len(test_windows), batch_size):
         chunk = test_windows[lo : lo + batch_size]
-        batch = assemble_batch(chunk, vocab, hp, code_source if needs_code else None)
-        run = run_window(model, batch)
-        if not run.logits:
-            continue
-        logits = run.logits[0].data
-        # min/max propagate NaN and expose +-inf without an (N, M) temporary.
-        if not (np.isfinite(logits.min()) and np.isfinite(logits.max())):
-            raise DivergenceError("non-finite logits at an evaluation target")
-        rows, steps = batch.target_cells()
-        for i, (row, t) in enumerate(zip(rows, steps)):
-            scores = logits[i].copy()
-            scores[:2] = -np.inf
-            r = rank_event(scores, int(batch.targets[row, t]))
-            h, m, g = contributions(r)
-            results.append(RankResult(batch.learner_ids[row], len(results), r, h, m, g))
+        results.extend(_rank_batch(model, assemble_batch(chunk, vocab, hp, code_source if needs_code else None)))
     return metrics_at_k([r.rank for r in results]), results
+
+
+def _rank_batch(model: perscell.ModelParams, batch: perscell.WindowBatch) -> list[RankResult]:
+    """Rank a batch's targets in target_cells order. The run and its tape
+    die on return, before the next batch is built."""
+    run = run_window(model, batch)
+    if not run.logits:
+        return []
+    logits = run.logits[0].data
+    # min/max propagate NaN and expose +-inf without an (N, M) temporary.
+    if not (np.isfinite(logits.min()) and np.isfinite(logits.max())):
+        raise DivergenceError("non-finite logits at an evaluation target")
+    results = []
+    rows, steps = batch.target_cells()
+    for i, (row, t) in enumerate(zip(rows, steps)):
+        scores = logits[i].copy()
+        scores[:2] = -np.inf
+        results.append(RankResult(batch.learner_ids[row], rank_event(scores, int(batch.targets[row, t]))))
+    return results
 
 
 @dataclass(frozen=True)

@@ -27,14 +27,14 @@ import numpy as np
 
 from . import tensorkit as tk
 from .codefeat import HashedTokenSource, PrecomputedSource
-from .dataio import MaskedWindow, Vocabulary
+from .dataio import PAD_INDEX, STATUSES, MaskedWindow, Vocabulary
 from .encoder import (
+    N_MEMORY_BUCKETS,
+    N_TIME_BUCKETS,
     HyperParams,
-    _uniform,
     apply_mlp,
     enhance_code,
     enhance_exercise,
-    init_encoder_params,
     memory_bucket,
     status_index,
     time_bucket,
@@ -84,34 +84,43 @@ class ModelParams:
         return ModelParams(self.hyper, self.variant, self.layers, self.code_buckets, tensors)
 
 
-def init_cell_params(rng: np.random.Generator, hp: HyperParams, layers: int = 1) -> dict[str, np.ndarray]:
-    """Differencing/update/predict weights. W_10 carries no bias: the
-    understanding-style recurrence is a pure accumulation, so a bias term
-    would break its hold-when-gated-shut property.
+def param_shapes(hp: HyperParams, layers: int = 1, code_buckets: int | None = None) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every model tensor, in the order `init_model_params`
+    draws them: the one definition of the model's tensor set.
 
-    The state-carry blocks of the ability and processing-style updates
-    start at identity. Small random carries forget the past within a few
-    steps, and the latents then never learn to integrate behaviour over a
-    window; an identity carry makes them running accumulators (like the
-    understanding-style update is by construction) that training reshapes.
+    The exercise and code encoders (E_p, the status/time/memory tables,
+    W_1, W_2), differencing (W_3, W_4), the PA/PS/US updates (W_5-W_10)
+    and the predictor (W_11, W_12), plus the hash-bucket code table when
+    the code source is hashed. W_1, W_2 and W_11 gain a (d_k, d_k) layer
+    per extra layer. W_10 carries no bias: the understanding-style
+    recurrence is a pure accumulation, so a bias term would break its
+    hold-when-gated-shut property.
     """
+    if hp.n_exercises < 1:
+        raise ValueError("hyperparams need n_exercises set (use hp.with_exercises)")
     d = hp.d_k
-    m = hp.vocab_size
-    params: dict[str, np.ndarray] = {}
+    shapes = {
+        "E_p": (hp.vocab_size, hp.d_p),
+        "status_table": (len(STATUSES), hp.d_cs),
+        "time_table": (N_TIME_BUCKETS, hp.d_ct),
+        "memory_table": (N_MEMORY_BUCKETS, hp.d_cm),
+    }
+
+    def affine(tag: str, d_in: int, d_out: int = d, depth: int = 1) -> None:
+        shapes[f"W_{tag}"], shapes[f"b_{tag}"] = (d_in, d_out), (d_out,)
+        for l in range(2, depth + 1):
+            shapes[f"W_{tag}.{l}"], shapes[f"b_{tag}.{l}"] = (d_out, d_out), (d_out,)
+
+    affine("1", hp.d_p + hp.d_pos, depth=layers)
+    affine("2", hp.d_c + hp.d_cs + hp.d_ct + hp.d_cm, depth=layers)
     for tag, d_in in (("3", 3 * d), ("4", 3 * d), ("5", 2 * d), ("6", 2 * d), ("7", d), ("8", 2 * d), ("9", d)):
-        params[f"W_{tag}"] = _uniform(rng, d_in, (d_in, d))
-        params[f"b_{tag}"] = np.zeros(d)
-    params["W_6"][d:, :] = np.eye(d)  # PA_{t-1} slot
-    params["W_8"][:d, :] = np.eye(d)  # PS_{t-1} slot
-    params["W_10"] = _uniform(rng, d, (d, d))
-    params["W_11"] = _uniform(rng, 3 * d, (3 * d, d))
-    params["b_11"] = np.zeros(d)
-    for l in range(2, layers + 1):
-        params[f"W_11.{l}"] = _uniform(rng, d, (d, d))
-        params[f"b_11.{l}"] = np.zeros(d)
-    params["W_12"] = _uniform(rng, d, (d, m))
-    params["b_12"] = np.zeros(m)
-    return params
+        affine(tag, d_in)
+    shapes["W_10"] = (d, d)
+    affine("11", 3 * d, depth=layers)
+    affine("12", d, hp.vocab_size)
+    if code_buckets is not None:
+        shapes["code_table"] = (code_buckets, hp.d_c)
+    return shapes
 
 
 def init_model_params(
@@ -121,14 +130,32 @@ def init_model_params(
     layers: int = 1,
     code_buckets: int | None = None,
 ) -> ModelParams:
+    """Draw every tensor of `param_shapes` in its order.
+
+    Weight matrices use uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) with
+    their row count as fan-in; the embedding and code tables follow the
+    same rule with their row width as fan-in. Biases start at zero, and
+    so do exercise rows 0 (padding) and 1 (unknown).
+
+    The state-carry blocks of the ability and processing-style updates
+    start at identity. Small random carries forget the past within a few
+    steps, and the latents then never learn to integrate behaviour over a
+    window; an identity carry makes them running accumulators (like the
+    understanding-style update is by construction) that training reshapes.
+    """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    if hp.n_exercises < 1:
-        raise ValueError("hyperparams need n_exercises set (use hp.with_exercises)")
-    arrays = init_encoder_params(rng, hp, layers)
-    arrays.update(init_cell_params(rng, hp, layers))
-    if code_buckets is not None:
-        arrays["code_table"] = _uniform(rng, hp.d_c, (code_buckets, hp.d_c))
+    arrays = {}
+    for name, shape in param_shapes(hp, layers, code_buckets).items():
+        if name.startswith("b_"):
+            arrays[name] = np.zeros(shape)
+        else:
+            bound = 1.0 / np.sqrt(shape[0] if name.startswith("W_") else shape[1])
+            arrays[name] = rng.uniform(-bound, bound, size=shape)
+    d = hp.d_k
+    arrays["E_p"][[PAD_INDEX, 1]] = 0.0
+    arrays["W_6"][d:, :] = np.eye(d)  # PA_{t-1} slot
+    arrays["W_8"][:d, :] = np.eye(d)  # PS_{t-1} slot
     tensors = {name: tk.parameter(a, name) for name, a in arrays.items()}
     return ModelParams(hp, variant, layers, code_buckets, tensors)
 
@@ -380,7 +407,7 @@ def run_window(
     else:
         # Code-ablated variants: all code-side inputs collapse to zeros,
         # so the projection reduces to its bias and no table is touched.
-        zeros_in = tk.tensor(np.zeros((n, hp.d_c + hp.d_cs + hp.d_ct + hp.d_cm)))
+        zeros_in = tk.tensor(np.zeros((n, tensors["W_2"].data.shape[0])))
         enh_c = apply_mlp(tensors, "2", zeros_in, layers)
     if rng is not None and dropout > 0.0:
         keep = (rng.random((2, n, d)) >= dropout) / (1.0 - dropout)

@@ -10,7 +10,6 @@ latent-trajectory claims.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -59,6 +58,7 @@ def _history_states(
         run = run_window(model, assemble_batch(windows, checkpoint.vocab, model.hyper, source))
         for i, history in enumerate(chunk):
             yield history, run.row_states(i)
+        del run  # free this batch's tape before the next batch builds its own
 
 
 def export_latents(
@@ -103,14 +103,6 @@ def write_latents(path, rows: list[tuple], count: str = "length") -> None:
         fh.write("\t".join(cols) + "\n")
         for learner_id, n, *states in rows:
             fh.write("\t".join([learner_id, str(n)] + [f"{v:.9g}" for v in np.concatenate(states)]) + "\n")
-
-
-@dataclass(frozen=True)
-class ProbeResult:
-    accuracy: float
-    n_train: int
-    n_test: int
-    classes: tuple[str, str]
 
 
 def _stratified_split(labels: np.ndarray, rng: np.random.Generator, test_frac: float = 0.2):
@@ -162,6 +154,9 @@ def _fit_stack(
     share one pair of classes and their counts (a permutation keeps
     them), so every split has the same train size and the stack is
     rectangular. The caller checks the classes.
+
+    L2 keeps the probe from memorising noise, which pins permuted-label
+    accuracy near chance without hurting genuinely separable latents.
     """
     if not label_vectors or not seeds:
         raise ValueError("probe splits and trials must be at least 1")
@@ -196,27 +191,6 @@ def _fit_stack(
     accuracy = (pred == np.stack(y_test)).mean(axis=1)
     shape = (len(label_vectors), len(seeds))
     return _Fits(w.reshape(*shape, d), b.reshape(shape), accuracy.reshape(shape), n_train, n_test)
-
-
-def fit_probe(
-    features: np.ndarray,
-    labels: list[str],
-    seed: int = 0,
-    min_per_class: int = 20,
-    l2: float = 0.1,
-    lr: float = 0.3,
-    iterations: int = 400,
-) -> ProbeResult:
-    """Logistic probe by full-batch gradient descent on an 80/20
-    stratified split; returns held-out accuracy.
-
-    L2 keeps the probe from memorising noise, which pins permuted-label
-    accuracy near chance without hurting genuinely separable latents.
-    """
-    labels_arr = np.asarray(labels)
-    classes = _check_classes(labels_arr, min_per_class)
-    fits = _fit_stack(features, [labels_arr], [seed], l2, lr, iterations)
-    return ProbeResult(float(fits.accuracy[0, 0]), fits.n_train, fits.n_test, classes)
 
 
 def mean_probe_accuracy(

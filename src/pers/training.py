@@ -352,6 +352,8 @@ def _check_header(header: dict) -> None:
         if type(header[name]) not in kinds:
             want = " or ".join(k.__name__ for k in kinds)
             raise CheckpointError(f"header field '{name}' is a {type(header[name]).__name__}, not {want}")
+    if not all(type(v) is int for v in header["hyper"].values()):
+        raise CheckpointError("header field 'hyper' holds a value that is not an integer")
     for i, entry in enumerate(header["manifest"]):
         if not (
             type(entry) is dict and type(entry.get("name")) is str and type(entry.get("offset")) is int
@@ -389,15 +391,16 @@ def _check_extents(manifest: list[dict], payload_size: int) -> None:
 
 def _check_tensor_shapes(model: ModelParams, adam: tk.AdamState) -> None:
     """Every stored tensor set must be exactly the one the stored
-    hyperparams, variant, layers and bucket count define. Only the model
-    tensors are always stored: a run that never stepped has no moments."""
+    hyperparams, layers and bucket count define. Only the model tensors
+    are always stored: a run that never stepped has no moments. The
+    comparison is of shapes alone, so a header whose widths disagree with
+    the payload fails here without anything sized by it being allocated."""
+    if model.layers > len(model.tensors):  # each layer adds tensors, so the file bounds the table
+        raise CheckpointError(f"stored tensors cannot hold a {model.layers}-layer model")
     try:
-        fresh = perscell.init_model_params(
-            np.random.default_rng(0), model.hyper, model.variant, model.layers, model.code_buckets
-        )
+        want = perscell.param_shapes(model.hyper, model.layers, model.code_buckets)
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"stored model settings are invalid: {exc}") from exc
-    want = {name: t.data.shape for name, t in fresh.tensors.items()}
     groups = {
         "tensors": {name: t.data.shape for name, t in model.tensors.items()},
         "adam first moments": {name: a.shape for name, a in adam.m.items()},

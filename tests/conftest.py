@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -50,3 +53,30 @@ def source_for(windows, d_c, seed=0):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def watch_runs(monkeypatch):
+    """watch_runs(module) wraps module.run_window: each call asserts that
+    every run returned before it is already freed. The cyclic collector is
+    off meanwhile, so a run counts as freed only once reference counting
+    has dropped it, tape and all."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+
+    def watch(module):
+        refs = []
+        original = module.run_window
+
+        def run_window(*args, **kwargs):
+            assert all(ref() is None for ref in refs), f"run {len(refs)} still alive at the next call"
+            run = original(*args, **kwargs)
+            refs.append(weakref.ref(run))
+            return run
+
+        monkeypatch.setattr(module, "run_window", run_window)
+        return refs
+
+    yield watch
+    if was_enabled:
+        gc.enable()

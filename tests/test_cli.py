@@ -357,6 +357,27 @@ def test_eval_checkpoint_bad_header_field_exits_2(tmp_path, capsys, edit, fragme
     assert_one_line_error(capsys, fragment)
 
 
+@pytest.mark.parametrize(
+    "edit, fragment",
+    [
+        (lambda h: h["hyper"].update(d_k=10**6), "the stored model settings at ['W_1', "),
+        (lambda h: h.update(code_buckets=10**12), "the stored model settings at ['code_table']"),
+        (lambda h: h["hyper"].update(d_k=8.0), "header field 'hyper' holds a value that is not an integer"),
+        (lambda h: h["config"].update(layers=10**12), "stored tensors cannot hold a 1000000000000-layer model"),
+    ],
+    ids=["huge-d_k", "huge-code-buckets", "float-d_k", "huge-layers"],
+)
+def test_eval_checkpoint_header_widths_unlike_payload_exit_2(tmp_path, capsys, edit, fragment):
+    """Header widths, bucket counts and layer counts that disagree with the
+    stored tensors are refused from shapes alone: nothing sized by the
+    header is allocated."""
+    model, eval_argv = trained_checkpoint(tmp_path)
+    rewrite_header(model, edit)
+    capsys.readouterr()
+    assert run(eval_argv) == 2
+    assert_one_line_error(capsys, fragment)
+
+
 def with_code_text(path):
     """Give every record of a log some code text, for the hashed source."""
     records = [json.loads(line) for line in open(path)]

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from pers import encoder
+from pers import encoder, perscell
 from pers import tensorkit as tk
 
 
@@ -11,6 +11,12 @@ def small_hp(**over):
     defaults = dict(d_p=6, d_c=5, d_k=4, d_pos=4, d_ct=3, d_cm=3, d_cs=3, max_len=10, n_exercises=8)
     defaults.update(over)
     return encoder.HyperParams(**defaults)
+
+
+def init_arrays(seed, hp, layers=1):
+    """The model's tensors as fresh arrays; the encoder's are drawn first."""
+    model = perscell.init_model_params(np.random.default_rng(seed), hp, layers=layers)
+    return {name: t.data.copy() for name, t in model.tensors.items()}
 
 
 def as_tensors(arrays):
@@ -63,7 +69,7 @@ def test_status_index_unknown_maps_to_other():
 
 def test_init_shapes_and_reserved_rows():
     hp = small_hp()
-    params = encoder.init_encoder_params(np.random.default_rng(0), hp)
+    params = init_arrays(0, hp)
     assert params["E_p"].shape == (10, 6)
     assert np.all(params["E_p"][0] == 0.0) and np.all(params["E_p"][1] == 0.0)
     assert np.any(params["E_p"][2:] != 0.0)
@@ -75,7 +81,7 @@ def test_init_shapes_and_reserved_rows():
 
 
 def test_init_extra_layers():
-    params = encoder.init_encoder_params(np.random.default_rng(0), small_hp(), layers=3)
+    params = init_arrays(0, small_hp(), layers=3)
     assert params["W_1.2"].shape == (4, 4)
     assert params["W_1.3"].shape == (4, 4)
     assert "W_2.3" in params
@@ -83,7 +89,7 @@ def test_init_extra_layers():
 
 def test_enhance_exercise_padding_row_with_zero_params_is_zero():
     hp = small_hp()
-    params = encoder.init_encoder_params(np.random.default_rng(0), hp)
+    params = init_arrays(0, hp)
     params["W_1"] = np.zeros_like(params["W_1"])
     out = encoder.enhance_exercise(as_tensors(params), hp, np.array([0]), t=0)
     assert np.all(out.data == 0.0) and out.dims == [1, 4]
@@ -92,7 +98,7 @@ def test_enhance_exercise_padding_row_with_zero_params_is_zero():
 def test_enhance_exercise_identity_block_recovers_embedding():
     # W_1 selecting the e_p slot (d_p == d_k here) reproduces the raw row.
     hp = small_hp(d_p=4)
-    params = encoder.init_encoder_params(np.random.default_rng(1), hp)
+    params = init_arrays(1, hp)
     w = np.zeros((4 + 4, 4))
     w[:4, :4] = np.eye(4)
     params["W_1"] = w
@@ -102,7 +108,7 @@ def test_enhance_exercise_identity_block_recovers_embedding():
 
 def test_enhance_exercise_matches_matvec_oracle():
     hp = small_hp()
-    params = encoder.init_encoder_params(np.random.default_rng(2), hp)
+    params = init_arrays(2, hp)
     idx = np.array([2, 7, 4])
     t = 3
     out = encoder.enhance_exercise(as_tensors(params), hp, idx, t)
@@ -115,7 +121,7 @@ def test_enhance_exercise_matches_matvec_oracle():
 
 def test_enhance_exercise_position_ablation_zeroes_pos_slot():
     hp = small_hp()
-    params = encoder.init_encoder_params(np.random.default_rng(3), hp)
+    params = init_arrays(3, hp)
     tensors = as_tensors(params)
     idx = np.array([4])
     with_pos = encoder.enhance_exercise(tensors, hp, idx, t=5, use_position=True)
@@ -127,14 +133,14 @@ def test_enhance_exercise_position_ablation_zeroes_pos_slot():
 
 def test_enhance_exercise_rejects_out_of_range_index():
     hp = small_hp()
-    tensors = as_tensors(encoder.init_encoder_params(np.random.default_rng(0), hp))
+    tensors = as_tensors(init_arrays(0, hp))
     with pytest.raises(tk.ShapeError):
         encoder.enhance_exercise(tensors, hp, np.array([10]), t=0)
 
 
 def test_enhance_code_all_zero_features_gives_bias():
     hp = small_hp()
-    params = encoder.init_encoder_params(np.random.default_rng(4), hp)
+    params = init_arrays(4, hp)
     params["status_table"][:] = 0.0
     params["time_table"][:] = 0.0
     params["memory_table"][:] = 0.0
@@ -152,7 +158,7 @@ def test_enhance_code_all_zero_features_gives_bias():
 
 def test_enhance_code_status_changes_output():
     hp = small_hp()
-    params = as_tensors(encoder.init_encoder_params(np.random.default_rng(5), hp))
+    params = as_tensors(init_arrays(5, hp))
     code = tk.tensor(np.ones((1, hp.d_c)))
     a = encoder.enhance_code(params, hp, code, np.array([0]), np.array([2]), np.array([2]))
     b = encoder.enhance_code(params, hp, code, np.array([1]), np.array([2]), np.array([2]))
@@ -161,7 +167,7 @@ def test_enhance_code_status_changes_output():
 
 def test_enhance_code_matches_concat_matvec_oracle():
     hp = small_hp()
-    params = encoder.init_encoder_params(np.random.default_rng(6), hp)
+    params = init_arrays(6, hp)
     rng = np.random.default_rng(7)
     code = rng.normal(size=(3, hp.d_c))
     st, ti, me = np.array([1, 0, 6]), np.array([2, 0, 31]), np.array([0, 5, 9])
@@ -175,7 +181,7 @@ def test_enhance_code_matches_concat_matvec_oracle():
 
 def test_enhance_outputs_have_width_dk():
     hp = small_hp()
-    tensors = as_tensors(encoder.init_encoder_params(np.random.default_rng(8), hp))
+    tensors = as_tensors(init_arrays(8, hp))
     for b in (1, 4):
         out = encoder.enhance_exercise(tensors, hp, np.zeros(b, dtype=int), t=0)
         assert out.dims == [b, hp.d_k]
@@ -184,7 +190,7 @@ def test_enhance_outputs_have_width_dk():
 def test_padding_row_gets_zero_gradient_when_masked():
     # Padding rows are gathered but their downstream loss weight is 0.
     hp = small_hp()
-    params = as_tensors(encoder.init_encoder_params(np.random.default_rng(9), hp))
+    params = as_tensors(init_arrays(9, hp))
     idx = np.array([0, 3])  # row 0 is padding
     out = encoder.enhance_exercise(params, hp, idx, t=0)
     masked = tk.hadamard(out, tk.tensor(np.repeat([[0.0], [1.0]], hp.d_k, axis=1)))
@@ -195,7 +201,7 @@ def test_padding_row_gets_zero_gradient_when_masked():
 
 def test_multilayer_mlp_matches_manual_composition():
     hp = small_hp()
-    params = encoder.init_encoder_params(np.random.default_rng(10), hp, layers=2)
+    params = init_arrays(10, hp, layers=2)
     tensors = as_tensors(params)
     idx = np.array([2])
     out = encoder.enhance_exercise(tensors, hp, idx, t=1, layers=2)

@@ -109,7 +109,15 @@ def test_evaluate_deterministic_and_wellformed():
     assert m1.events == len(results1) > 0
     for r in results1:
         assert r.rank >= 1
-        assert 0.0 <= r.reciprocal <= r.gain <= r.hit <= 1.0
+        hit, reciprocal, gain = evalrank.contributions(r.rank)
+        assert 0.0 <= reciprocal <= gain <= hit <= 1.0
+
+
+def test_evaluate_frees_each_batch_run_before_the_next(watch_runs):
+    cp, _, test_w, vocab, source = trained_toy(epochs=1)
+    runs = watch_runs(evalrank)
+    evalrank.evaluate(cp, test_w, vocab, source, batch_size=1)
+    assert len(runs) == len(test_w) > 1
 
 
 def test_evaluate_vocabulary_mismatch():

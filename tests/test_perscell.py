@@ -524,6 +524,36 @@ def test_unknown_variant_rejected():
         make_params(variant="PERS-xx")
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    widths=st.lists(st.integers(1, 7), min_size=6, max_size=6),
+    half_pos=st.integers(1, 4),
+    n_exercises=st.integers(1, 9),
+    layers=st.integers(1, 3),
+    buckets=st.one_of(st.none(), st.integers(1, 40)),
+    seed=st.integers(0, 2**16),
+)
+def test_init_walks_the_shape_table(widths, half_pos, n_exercises, layers, buckets, seed):
+    d_p, d_c, d_k, d_ct, d_cm, d_cs = widths
+    hp = HyperParams(d_p, d_c, d_k, 2 * half_pos, d_ct, d_cm, d_cs, 10, n_exercises)
+    shapes = perscell.param_shapes(hp, layers, buckets)
+    tensors = perscell.init_model_params(np.random.default_rng(seed), hp, layers=layers, code_buckets=buckets).tensors
+    assert list(shapes.items()) == [(name, t.data.shape) for name, t in tensors.items()]
+    assert ("code_table" in shapes) == (buckets is not None)
+    assert sum(name.startswith("W_11.") for name in shapes) == layers - 1
+    drawn = {name: t.data for name, t in tensors.items()}
+    drawn["W_6"], drawn["W_8"] = drawn["W_6"][:d_k], drawn["W_8"][d_k:]  # the carry blocks are set, not drawn
+    for name, shape in shapes.items():
+        if name.startswith("b_"):
+            assert np.all(drawn[name] == 0.0), name
+        else:
+            fan_in = shape[0] if name.startswith("W_") else shape[1]
+            assert np.all(np.abs(drawn[name]) <= 1.0 / np.sqrt(fan_in)), name
+    assert np.all(tensors["E_p"].data[:2] == 0.0)
+    assert np.array_equal(tensors["W_6"].data[d_k:], np.eye(d_k))
+    assert np.array_equal(tensors["W_8"].data[:d_k], np.eye(d_k))
+
+
 def variant_loss_fn(model, batch):
     def fn(tensors):
         probe = model.replace_tensors(dict(tensors))

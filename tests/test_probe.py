@@ -28,6 +28,13 @@ def test_export_one_row_per_learner_with_lengths():
         assert row.pa.shape == (8,) and row.ps.shape == (8,) and row.us.shape == (8,)
 
 
+def test_export_frees_each_batch_run_before_the_next(watch_runs):
+    cp, seqs, source = trained_checkpoint()
+    runs = watch_runs(probe)
+    rows = probe.export_latents(cp, seqs, source, batch_size=1)
+    assert len(runs) == len(rows) == 6
+
+
 def test_identical_learners_export_identical_rows():
     from dataclasses import replace
 
@@ -81,22 +88,22 @@ def separable_features(n=60, d=6, gap=4.0, seed=0):
 
 def test_probe_perfectly_separable_reaches_one():
     x, labels = separable_features()
-    result = probe.fit_probe(x, labels, seed=1)
-    assert result.accuracy == 1.0
-    assert result.classes == ("hi", "lo")
-    assert result.n_train + result.n_test == 60
+    assert probe.mean_probe_accuracy(x, labels, seed=1, splits=1) == 1.0
+    assert probe._check_classes(np.asarray(labels), 20) == ("hi", "lo")
+    fits = probe._fit_stack(x, [np.asarray(labels)], [1])
+    assert fits.n_train + fits.n_test == 60
 
 
 def test_probe_rejects_single_class():
     x = np.zeros((40, 3))
     with pytest.raises(ValueError, match="two classes"):
-        probe.fit_probe(x, ["same"] * 40, min_per_class=1)
+        probe.mean_probe_accuracy(x, ["same"] * 40, splits=1, min_per_class=1)
 
 
 def test_probe_enforces_min_class_size():
     x, labels = separable_features(n=30)
     with pytest.raises(ValueError, match="need >="):
-        probe.fit_probe(x, labels, min_per_class=20)
+        probe.mean_probe_accuracy(x, labels, splits=1, min_per_class=20)
 
 
 def test_permuted_labels_sit_near_chance():
@@ -124,7 +131,7 @@ def test_probe_dimension_selects_right_latent():
         labels[lid] = (processing, understanding)
     for dimension in ("processing", "understanding"):
         feats, labs = probe.dimension_features(rows, labels, dimension)
-        assert probe.fit_probe(feats, labs, min_per_class=5).accuracy == 1.0
+        assert probe.mean_probe_accuracy(feats, labs, splits=1, min_per_class=5) == 1.0
     with pytest.raises(ValueError):
         probe.dimension_features(rows, labels, "perception")
 
@@ -203,16 +210,16 @@ def test_batched_descent_matches_per_fit_loop(n_a, n_b, d, data_seed, seed, spli
     )
 
 
-def test_fit_probe_is_element_zero_of_a_larger_stack():
+def test_single_fit_is_element_zero_of_a_larger_stack():
     x, labels = separable_features(n=48, d=5, gap=0.7, seed=2)
     labels_arr = np.asarray(labels)
     alone = probe._fit_stack(x, [labels_arr], [9])
     stacked = probe._fit_stack(x, [labels_arr, labels_arr[::-1]], [9, 10, 11])
     assert alone.weights[0, 0].tobytes() == stacked.weights[0, 0].tobytes()
     assert alone.bias[0, 0] == stacked.bias[0, 0]
-    result = probe.fit_probe(x, labels, seed=9)
-    assert result.accuracy == stacked.accuracy[0, 0]
-    assert (result.n_train, result.n_test) == (stacked.n_train, stacked.n_test)
+    assert alone.accuracy[0, 0] == stacked.accuracy[0, 0]
+    assert probe.mean_probe_accuracy(x, labels, seed=9, splits=1) == stacked.accuracy[0, 0]
+    assert (alone.n_train, alone.n_test) == (stacked.n_train, stacked.n_test)
 
 
 @pytest.mark.parametrize(
