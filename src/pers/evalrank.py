@@ -91,7 +91,7 @@ def evaluate(
         raise VocabularyMismatch("checkpoint vocabulary differs from the dataset's")
     if not test_windows:
         raise ValueError("evaluate: empty test split")
-    model = checkpoint.model
+    model = checkpoint.model.frozen()
     hp = model.hyper
     if batch_size is None:
         batch_size = checkpoint.config.eval_batch_size
@@ -103,9 +103,16 @@ def evaluate(
     return metrics_at_k([r.rank for r in results]), results
 
 
+# Target rows per vectorised rank count. Each count builds a few
+# (rows, M) boolean temporaries; over every target of a wide eval batch at
+# once they would outgrow the batch's own float64 logit block.
+RANK_BLOCK = 1024
+
+
 def _rank_batch(model: perscell.ModelParams, batch: perscell.WindowBatch) -> list[RankResult]:
-    """Rank a batch's targets in target_cells order. The run and its tape
-    die on return, before the next batch is built."""
+    """Rank a batch's targets in target_cells order. The model's tensors
+    are constants, so the run records no tape; it and its logits die on
+    return, before the next batch is built."""
     run = run_window(model, batch)
     if not run.logits:
         return []
@@ -113,13 +120,29 @@ def _rank_batch(model: perscell.ModelParams, batch: perscell.WindowBatch) -> lis
     # min/max propagate NaN and expose +-inf without an (N, M) temporary.
     if not (np.isfinite(logits.min()) and np.isfinite(logits.max())):
         raise DivergenceError("non-finite logits at an evaluation target")
-    results = []
     rows, steps = batch.target_cells()
-    for i, (row, t) in enumerate(zip(rows, steps)):
-        scores = logits[i].copy()
-        scores[:2] = -np.inf
-        results.append(RankResult(batch.learner_ids[row], rank_event(scores, int(batch.targets[row, t]))))
-    return results
+    ranks = _target_ranks(logits, batch.targets[rows, steps])
+    return [RankResult(batch.learner_ids[row], int(rank)) for row, rank in zip(rows, ranks)]
+
+
+def _target_ranks(logits: np.ndarray, targets: np.ndarray, block: int = RANK_BLOCK) -> np.ndarray:
+    """`rank_event` of every row of finite (N, M) logits at its target,
+    counted `block` rows at a time: 1 + the columns >= 2 that score above
+    the target + the columns 2..target-1 that score equal to it. Columns
+    0 and 1 are left out of the count instead of masked to -inf."""
+    if targets.min() < 2:
+        raise ValueError(f"target {int(targets.min())} is a masked index")
+    ranks = np.empty(targets.size, dtype=np.int64)
+    columns = np.arange(2, logits.shape[1])
+    for lo in range(0, targets.size, block):
+        t = targets[lo : lo + block, None]
+        scores = logits[lo : lo + block]
+        s_t = np.take_along_axis(scores, t, axis=1)
+        scores = scores[:, 2:]
+        greater = np.count_nonzero(scores > s_t, axis=1)
+        tied_before = np.count_nonzero((scores == s_t) & (columns < t), axis=1)
+        ranks[lo : lo + block] = 1 + greater + tied_before
+    return ranks
 
 
 @dataclass(frozen=True)

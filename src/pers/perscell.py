@@ -83,6 +83,12 @@ class ModelParams:
     def replace_tensors(self, tensors: dict[str, tk.Tensor]) -> "ModelParams":
         return ModelParams(self.hyper, self.variant, self.layers, self.code_buckets, tensors)
 
+    def frozen(self) -> "ModelParams":
+        """The same model with every tensor rewrapped, uncopied, as a
+        constant: a run on it records no tape, so inference keeps only the
+        arrays it still reads."""
+        return self.replace_tensors({name: tk.tensor(t.data, name) for name, t in self.tensors.items()})
+
 
 def param_shapes(hp: HyperParams, layers: int = 1, code_buckets: int | None = None) -> dict[str, tuple[int, ...]]:
     """Name -> shape of every model tensor, in the order `init_model_params`

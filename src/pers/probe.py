@@ -44,9 +44,10 @@ def _history_states(
     property of the learner, so the export unrolls the recurrence over
     the concatenated windows in one stateful pass. Batches are small
     because full histories can be an order of magnitude longer than a
-    training window.
+    training window. The model's tensors are constants here, so the
+    unroll records no tape.
     """
-    model = checkpoint.model
+    model = checkpoint.model.frozen()
     source = code_source if uses_code(model.variant) else None
     events: dict[str, list] = {}
     for seq in sequences:
@@ -58,7 +59,7 @@ def _history_states(
         run = run_window(model, assemble_batch(windows, checkpoint.vocab, model.hyper, source))
         for i, history in enumerate(chunk):
             yield history, run.row_states(i)
-        del run  # free this batch's tape before the next batch builds its own
+        del run  # free this batch's states before the next batch builds its own
 
 
 def export_latents(

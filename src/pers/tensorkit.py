@@ -1,8 +1,11 @@
 """Dense float64 tensors with reverse-mode gradients.
 
 All model arithmetic is built from the small op set below. Ops evaluate
-eagerly and record their inputs, so a computation is a DAG of `Tensor`
-nodes; `backward` walks it in reverse topological order. Shapes are
+eagerly. An op records its inputs and a vjp only when a `Parameter`
+feeds it, directly or through recorded ops, so a computation on
+parameters is a DAG of `Tensor` nodes that `backward` walks in reverse
+topological order, and the same ops on constants alone record nothing
+and free their inputs at once. Shapes are
 explicit: the only implicit broadcast is the row-wise bias of `affine`.
 `linear_scan` runs a linear recurrence along the time axis of a batch of
 sequences in one node, so a whole unrolled window stays a short tape.
@@ -17,6 +20,7 @@ import numpy as np
 
 __all__ = [
     "Tensor",
+    "Parameter",
     "ShapeError",
     "NonScalarRootError",
     "tensor",
@@ -54,7 +58,10 @@ class Tensor:
 
     Leaves hold data (parameters or constants); interior nodes remember
     their parents and a vjp closure mapping the output gradient to parent
-    gradients. `data` is never mutated after construction.
+    gradients. An op's result is an interior node only when one of its
+    inputs is a `Parameter` or an interior node itself; otherwise no
+    gradient can reach it, and it is a constant leaf that keeps neither.
+    `data` is never mutated after construction.
     """
 
     __slots__ = ("data", "parents", "vjp", "name")
@@ -67,8 +74,10 @@ class Tensor:
         name: str | None = None,
     ):
         self.data = data
-        self.parents = parents
-        self.vjp = vjp
+        if any(p.parents or isinstance(p, Parameter) for p in parents):
+            self.parents, self.vjp = parents, vjp
+        else:
+            self.parents, self.vjp = (), None
         self.name = name
 
     @property
@@ -80,19 +89,26 @@ class Tensor:
         return f"Tensor({tag}, dims={self.dims})"
 
 
+class Parameter(Tensor):
+    """A trainable leaf: the ops it feeds record a tape for `backward`."""
+
+    __slots__ = ()
+
+
 def tensor(values, name: str | None = None) -> Tensor:
-    """Wrap values as a constant leaf (row-major float64)."""
+    """Wrap values as a constant leaf (row-major float64); no copy when
+    they already are."""
     data = np.ascontiguousarray(values, dtype=np.float64)
     if data.ndim > 2:
         raise ShapeError(f"tensor '{name}': only rank 0/1/2 supported, got {data.ndim}")
     return Tensor(data, name=name)
 
 
-def parameter(values, name: str) -> Tensor:
+def parameter(values, name: str) -> Parameter:
     """Wrap values as a named parameter leaf."""
     if not name:
         raise ValueError("parameter needs a non-empty name")
-    return tensor(values, name=name)
+    return Parameter(tensor(values, name).data, name=name)
 
 
 def _label(t: Tensor) -> str:
@@ -128,7 +144,8 @@ def _same_shape(op: str, a: Tensor, b: Tensor) -> None:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     _same_shape("add", a, b)
-    return Tensor(a.data + b.data, (a, b), lambda g: (g, g))
+    # Each parent gets its own array: backward accumulates into them in place.
+    return Tensor(a.data + b.data, (a, b), lambda g: (g, g.copy()))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -406,20 +423,23 @@ def backward(root: Tensor, params: Mapping[str, Tensor]) -> dict[str, np.ndarray
     """Gradients of a scalar root w.r.t. every named parameter.
 
     Parameters that the root does not depend on get zero gradients of the
-    right shape, so optimizers can treat the result as total. Ops that no
-    parameter feeds (a gather from a constant table, say) are skipped.
+    right shape, so optimizers can treat the result as total. Only ops
+    that a parameter feeds are on the tape, so every recorded node is
+    walked. Raises ValueError when a `params` value is not a `Parameter`
+    or when the root recorded no tape: either would give silent zeros.
     """
     if root.data.shape not in ((), (1,)):
         raise NonScalarRootError(f"backward root must be scalar, got dims {root.dims}")
+    for name, p in params.items():
+        if not isinstance(p, Parameter):
+            raise ValueError(f"backward: params['{name}'] is not a Parameter, so no op recorded it")
+    if not root.parents:
+        raise ValueError("backward: the root recorded no tape; no Parameter feeds it")
     order = _topo_order(root)
-    live = {id(p) for p in params.values()}
-    for node in order:
-        if any(id(p) in live for p in node.parents):
-            live.add(id(node))
     grads: dict[int, np.ndarray] = {id(root): np.ones_like(root.data)}
     for node in reversed(order):
-        if node.vjp is None or id(node) not in live:
-            continue  # leaves keep their accumulated gradient; dead ops need none
+        if node.vjp is None:
+            continue  # leaves keep their accumulated gradient
         g = grads.pop(id(node), None)
         if g is None:
             continue
@@ -451,11 +471,11 @@ def adam_step(
     beta1: float = 0.9,
     beta2: float = 0.999,
     eps: float = 1e-8,
-) -> dict[str, Tensor]:
-    """One Adam update; returns fresh parameter tensors, mutates `state`."""
+) -> dict[str, Parameter]:
+    """One Adam update; returns fresh `Parameter`s, mutates `state`."""
     state.t += 1
     t = state.t
-    out: dict[str, Tensor] = {}
+    out: dict[str, Parameter] = {}
     for name, p in params.items():
         g = grads[name]
         if g.shape != p.data.shape:
@@ -472,7 +492,7 @@ def adam_step(
         v += (1.0 - beta2) * g * g
         mhat = m / (1.0 - beta1**t)
         vhat = v / (1.0 - beta2**t)
-        out[name] = Tensor(p.data - lr * mhat / (np.sqrt(vhat) + eps), name=name)
+        out[name] = Parameter(p.data - lr * mhat / (np.sqrt(vhat) + eps), name=name)
     return out
 
 

@@ -6,6 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
+from pers import tensorkit as tk
 from pers.codefeat import PrecomputedSource
 from pers.dataio import Interaction, LearnerSequence, MaskedWindow, Vocabulary
 
@@ -80,3 +81,22 @@ def watch_runs(monkeypatch):
     yield watch
     if was_enabled:
         gc.enable()
+
+
+@pytest.fixture
+def watch_tensors(monkeypatch):
+    """watch_tensors() returns a list that collects every tk.Tensor built
+    from then on, so a test can check what a call recorded."""
+
+    def watch():
+        built = []
+        original = tk.Tensor.__init__
+
+        def init(self, *args, **kwargs):
+            original(self, *args, **kwargs)
+            built.append(self)
+
+        monkeypatch.setattr(tk.Tensor, "__init__", init)
+        return built
+
+    return watch

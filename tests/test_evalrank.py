@@ -4,9 +4,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import source_for, vocab_for, window_of
-from pers import evalrank, perscell, training
+from pers import evalrank, perscell, probe, training
 from pers.dataio import build_sequences, split
 from pers.encoder import HyperParams
 from test_training import toy_corpus, toy_hp
@@ -52,6 +53,30 @@ def test_rank_invariant_under_constant_shift():
     shifted[:2] = -np.inf
     for target in range(2, 10):
         assert evalrank.rank_event(scores, target) == evalrank.rank_event(shifted, target)
+
+
+@st.composite
+def score_rows(draw):
+    # Few integer levels, so ties are common, columns 0-1 included.
+    m = draw(st.integers(3, 9))
+    n = draw(st.integers(1, 12))
+    levels = st.integers(-2, 2).map(float)
+    logits = np.array(draw(st.lists(st.lists(levels, min_size=m, max_size=m), min_size=n, max_size=n)))
+    targets = draw(st.lists(st.sampled_from([2, m - 1]) | st.integers(2, m - 1), min_size=n, max_size=n))
+    return logits, np.array(targets, dtype=np.int64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(score_rows(), st.integers(1, 5))
+def test_block_ranks_equal_rank_event_row_by_row(rows, block):
+    logits, targets = rows
+    got = evalrank._target_ranks(logits, targets, block)
+    assert got.tolist() == [evalrank.rank_event(masked(row), int(t)) for row, t in zip(logits, targets)]
+
+
+def test_block_ranks_reject_masked_target():
+    with pytest.raises(ValueError, match="masked"):
+        evalrank._target_ranks(np.zeros((2, 4)), np.array([2, 1]))
 
 
 def test_metrics_single_event_rank_three():
@@ -118,6 +143,16 @@ def test_evaluate_frees_each_batch_run_before_the_next(watch_runs):
     runs = watch_runs(evalrank)
     evalrank.evaluate(cp, test_w, vocab, source, batch_size=1)
     assert len(runs) == len(test_w) > 1
+
+
+def test_inference_builds_no_tape(watch_tensors):
+    cp, train_w, test_w, vocab, source = trained_toy(epochs=1)
+    seqs = [mw.window for mw in train_w + test_w]
+    built = watch_tensors()
+    metrics, _ = evalrank.evaluate(cp, test_w, vocab, source)
+    assert metrics.events > 0
+    assert probe.export_latents(cp, seqs, source) and probe.export_step_latents(cp, seqs, source)
+    assert built and all(t.parents == () and t.vjp is None for t in built)
 
 
 def test_evaluate_vocabulary_mismatch():

@@ -236,6 +236,21 @@ def assert_matches_oracle(model, batch, tol=1e-12):
         assert rel_err(got_g[name], want_g[name]) <= tol, name
 
 
+def test_frozen_run_matches_taped_run_bitwise_and_records_no_tape():
+    for variant in ("PERS", "PERS-cr", "PERS-us"):
+        for layers in (1, 2):
+            for code_source in ("precomputed", "hashed"):
+                model = make_params(21, variant=variant, layers=layers, buckets=16 if code_source == "hashed" else None)
+                batch = ragged_batch(model, [5, 2, 4, 1], 4, code_source)
+                taped, frozen = perscell.run_window(model, batch), perscell.run_window(model.frozen(), batch)
+                nodes = [*frozen.logits, frozen.pa, frozen.ps, frozen.us, frozen.delta_exercise, frozen.gate_ps, frozen.gate_us]
+                assert all(t.parents == () and t.vjp is None for t in nodes)
+                assert taped.pa.parents  # the taped run is not vacuous
+                for want, got in zip([*taped.logits, taped.pa, taped.ps, taped.us], nodes):
+                    assert want.data.tobytes() == got.data.tobytes()
+                assert all(f.data is t.data for f, t in zip(model.frozen().tensors.values(), model.tensors.values()))
+
+
 # --- updating ---------------------------------------------------------------
 
 

@@ -160,6 +160,35 @@ def test_backward_skips_ops_no_parameter_feeds():
     np.testing.assert_array_equal(grads["w"], np.full((2, 2), 2.0))
 
 
+def test_ops_on_constants_alone_record_nothing():
+    g = rng(12)
+    a, b = tk.tensor(g.normal(size=(3, 4))), tk.tensor(g.normal(size=(4, 4)))
+    consts = [
+        tk.matmul(a, b),
+        tk.tanh(a),
+        tk.linear_scan(a, b, 3),
+        tk.concat([a, a]),
+        tk.gather_rows(b, np.array([0, 3])),
+        tk.sum_all(tk.hadamard(tk.sub(a, a), a)),
+    ]
+    assert all(t.parents == () and t.vjp is None for t in consts)
+    # A parameter anywhere upstream keeps the tape, through a constant op too.
+    w = tk.parameter(g.normal(size=(4, 4)), "w")
+    taped = tk.sum_all(tk.tanh(tk.matmul(tk.tanh(a), w)))
+    assert taped.parents and taped.vjp is not None
+    assert type(tk.parameter(np.zeros(2), "p")) is tk.Parameter and type(tk.tensor(np.zeros(2))) is tk.Tensor
+
+
+def test_backward_rejects_non_parameters_and_untaped_roots():
+    w = tk.parameter(np.ones((2, 2)), "w")
+    const = tk.tensor(np.ones((2, 2)))
+    root = tk.sum_all(tk.hadamard(w, const))
+    with pytest.raises(ValueError, match="not a Parameter"):
+        tk.backward(root, {"w": w, "c": const})
+    with pytest.raises(ValueError, match="no tape"):
+        tk.backward(tk.sum_all(const), {"w": w})
+
+
 def test_gather_rows_index_out_of_range():
     table = tk.parameter(np.zeros((4, 3)), "E")
     with pytest.raises(tk.ShapeError, match="out of range"):
@@ -332,6 +361,19 @@ def test_adam_descends_convex_quadratic():
     assert losses[1] < losses[0] and losses[2] < losses[1]
 
 
+def test_adam_returns_parameters_that_train_again():
+    params = {"w": tk.parameter(np.array([3.0, -2.0]), "w")}
+    x = tk.tensor(np.array([1.0, 0.5]))
+    state = tk.AdamState()
+    seen = [params["w"].data]
+    for _ in range(2):
+        grads = tk.backward(tk.sum_all(tk.hadamard(tk.hadamard(params["w"], params["w"]), x)), params)
+        params = tk.adam_step(params, grads, state, lr=0.1)
+        assert isinstance(params["w"], tk.Parameter)
+        seen.append(params["w"].data)
+    assert np.all(seen[2] != seen[1]) and np.all(seen[1] != seen[0])
+
+
 def test_adam_shape_mismatch():
     p = {"w": tk.parameter(np.zeros(3), "w")}
     with pytest.raises(tk.ShapeError):
@@ -343,6 +385,19 @@ def test_gradient_accumulates_over_shared_subexpression():
     y = tk.add(x, x)  # dy/dx = 2
     grads = tk.backward(tk.sum_all(y), {"x": x})
     np.testing.assert_array_equal(grads["x"], [2.0])
+
+
+def test_add_gives_each_parent_its_own_gradient():
+    # a's second contribution must not leak into b's gradient.
+    a = tk.parameter(np.array([1.0, 2.0]), "a")
+    b = tk.parameter(np.array([3.0, 4.0]), "b")
+    c = tk.tensor(np.array([5.0, 6.0]))
+    grads = tk.backward(tk.sum_all(tk.add(tk.add(a, b), a)), {"a": a, "b": b})
+    np.testing.assert_array_equal(grads["a"], [2.0, 2.0])
+    np.testing.assert_array_equal(grads["b"], [1.0, 1.0])
+    grads = tk.backward(tk.sum_all(tk.add(tk.add(a, b), tk.hadamard(a, c))), {"a": a, "b": b})
+    np.testing.assert_array_equal(grads["a"], [6.0, 7.0])
+    np.testing.assert_array_equal(grads["b"], [1.0, 1.0])
 
 
 def _scan_graph(carry_name):
