@@ -401,6 +401,10 @@ def main(argv: list[str] | None = None) -> int:
         # populations too small for the requested analysis
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        # an allocation sized by the inputs or the config did not fit
+        print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -4,9 +4,13 @@ The reference pipeline consumes frozen pretrained code vectors; at desk
 scale we substitute two sources behind one interface: a precomputed
 vector table keyed by code_vec_ref, and a trainable hashed token bag for
 raw code text. Both describe an event's code as a weighted bag of rows
-of one table (`weights`), and `table_for` returns that table, so the
-model has a single code path. Token hashing is pinned to 64-bit FNV-1a
-so stored tables stay portable.
+of one table, and `table_for` returns that table, so the model has a
+single code path. Each source numbers the bags it has seen
+(`bag_numbers`) and keeps them in one CSR `store`: flat table rows,
+flat weights, and offsets with bag n at [offsets[n], offsets[n+1]).
+The hashed source tokenizes a submission the first time a batch asks
+for it and never again. Token hashing is pinned to 64-bit FNV-1a so
+stored tables stay portable.
 """
 
 from __future__ import annotations
@@ -14,6 +18,8 @@ from __future__ import annotations
 import functools
 import re
 from collections import Counter
+from itertools import chain
+from typing import Sequence
 
 import numpy as np
 
@@ -51,26 +57,42 @@ def tokenize(code: str) -> list[str]:
     return _TOKEN_RE.findall(code.lower())
 
 
+def _lookup(index: dict, keys: list) -> np.ndarray:
+    """index[key] for every key, -1 where the key is absent."""
+    return np.fromiter(map(index.get, keys, [-1] * len(keys)), dtype=np.int64, count=len(keys))
+
+
+def _missing(interaction: Interaction, what: str) -> CodeFeatureError:
+    return CodeFeatureError(f"interaction of {interaction.learner_id} at t={interaction.timestamp} has no {what}")
+
+
 class PrecomputedSource:
     """Frozen pretrained vectors: row `rows[ref]` of `matrix` (R, dim) is
-    the vector of ref. No gradient flows into them."""
+    the vector of ref. No gradient flows into them. Bag n is row n alone,
+    with weight 1."""
 
     def __init__(self, table: dict[str, np.ndarray], dim: int):
         self.dim = dim
         self.rows = {ref: i for i, ref in enumerate(table)}
         self.matrix = np.array(list(table.values()), dtype=np.float64).reshape(len(table), dim)
         self.matrix.flags.writeable = False
+        offsets = np.arange(len(table) + 1, dtype=np.int64)
+        # Views, not copies: the store holds one array of len(table) + 1.
+        self.store = (offsets[:-1], np.broadcast_to(1.0, (len(table),)), offsets)
 
     def weights(self, interaction: Interaction) -> Bag:
-        ref = interaction.code_vec_ref
-        if ref is None:
-            raise CodeFeatureError(
-                f"interaction of {interaction.learner_id} at t={interaction.timestamp} has no code_vec_ref"
-            )
-        row = self.rows.get(ref)
-        if row is None:
-            raise CodeFeatureError(f"code_vec_ref '{ref}' not in vector table")
+        row = int(self.bag_numbers([interaction])[0])
         return (row,), (1.0,)
+
+    def bag_numbers(self, events: Sequence[Interaction]) -> np.ndarray:
+        """The bag number of each event's code: its vector's row."""
+        numbers = _lookup(self.rows, [ev.code_vec_ref for ev in events])
+        if (numbers < 0).any():
+            ev = events[int(np.argmax(numbers < 0))]
+            if ev.code_vec_ref is None:
+                raise _missing(ev, "code_vec_ref")
+            raise CodeFeatureError(f"code_vec_ref '{ev.code_vec_ref}' not in vector table")
+        return numbers
 
     def table_for(self, tensors: dict[str, tk.Tensor]) -> tk.Tensor:
         if "code_table" in tensors:
@@ -85,6 +107,10 @@ class HashedTokenSource:
     returns the distinct buckets of the code's tokens with each one's
     share of the tokens. An empty token list is an empty bag, the zero
     vector.
+
+    Bags are interned by code text: `bag_numbers` sends only a text it
+    has not seen through `weights` and appends its bag to the store, so
+    each distinct submission is tokenized once per source.
     """
 
     def __init__(self, buckets: int, dim: int):
@@ -92,15 +118,41 @@ class HashedTokenSource:
             raise ValueError("need at least one hash bucket")
         self.buckets = buckets
         self.dim = dim
+        self._numbers: dict[str, int] = {}  # code text -> bag number
+        self.store = (np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(1, dtype=np.int64))
 
     def weights(self, interaction: Interaction) -> Bag:
         if interaction.code is None:
-            raise CodeFeatureError(
-                f"interaction of {interaction.learner_id} at t={interaction.timestamp} has no code text"
-            )
+            raise _missing(interaction, "code text")
         tokens = tokenize(interaction.code)
         counts = Counter(_token_hash(tok) % self.buckets for tok in tokens)
         return tuple(counts), tuple(c / len(tokens) for c in counts.values())
+
+    def bag_numbers(self, events: Sequence[Interaction]) -> np.ndarray:
+        """The bag number of each event's code, interning unseen texts."""
+        texts = [ev.code for ev in events]
+        numbers = _lookup(self._numbers, texts)
+        new: list[Bag] = []
+        try:
+            for i in np.flatnonzero(numbers < 0).tolist():
+                n = self._numbers.get(texts[i])
+                if n is None:
+                    new.append(self.weights(events[i]))  # raises on a missing text
+                    n = self._numbers[texts[i]] = len(self._numbers)
+                numbers[i] = n
+        finally:  # bags numbered before a raise still enter the store
+            if new:
+                self._append(new)
+        return numbers
+
+    def _append(self, bags: list[Bag]) -> None:
+        ids, weights, offsets = self.store
+        sizes = np.fromiter((len(rows) for rows, _ in bags), dtype=np.int64, count=len(bags))
+        self.store = (
+            np.concatenate([ids, np.fromiter(chain.from_iterable(r for r, _ in bags), dtype=np.int64)]),
+            np.concatenate([weights, np.fromiter(chain.from_iterable(w for _, w in bags), dtype=np.float64)]),
+            np.concatenate([offsets, offsets[-1] + np.cumsum(sizes)]),
+        )
 
     def table_for(self, tensors: dict[str, tk.Tensor]) -> tk.Tensor:
         table = tensors.get("code_table")

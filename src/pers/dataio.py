@@ -10,7 +10,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Sequence
+
+import numpy as np
 
 STATUSES = (
     "accepted",
@@ -173,7 +175,12 @@ class Vocabulary:
         return len(self._ids)
 
     def encode(self, exercise_id: str) -> int:
-        return self._index.get(exercise_id, UNKNOWN_INDEX)
+        return int(self.encode_all([exercise_id])[0])
+
+    def encode_all(self, exercise_ids: Sequence[str]) -> np.ndarray:
+        """The index of every id, as an int64 array; an unseen id is UNKNOWN_INDEX."""
+        unknown = [UNKNOWN_INDEX] * len(exercise_ids)
+        return np.fromiter(map(self._index.get, exercise_ids, unknown), dtype=np.int64, count=len(exercise_ids))
 
     def decode(self, index: int) -> str:
         if index < 2 or index >= self.size:

@@ -11,6 +11,7 @@ any window.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -72,20 +73,37 @@ def positional_encoding(t, d_pos: int) -> np.ndarray:
     return out
 
 
-def status_index(status: str) -> int:
-    try:
-        return STATUSES.index(status)
-    except ValueError:
-        return STATUSES.index("other")
+_STATUS_INDEX = {status: i for i, status in enumerate(STATUSES)}
 
 
-def time_bucket(exec_time_ms: int) -> int:
-    """log2 bucket of the millisecond count, capped at 31."""
-    return min(N_TIME_BUCKETS - 1, (exec_time_ms + 1).bit_length() - 1)
+def status_index(statuses: Sequence[str]) -> np.ndarray:
+    """The index in STATUSES of each status; an unseen verdict counts as
+    "other"."""
+    other = [_STATUS_INDEX["other"]] * len(statuses)
+    return np.fromiter(map(_STATUS_INDEX.get, statuses, other), dtype=np.int64, count=len(statuses))
 
 
-def memory_bucket(exec_memory_kb: int) -> int:
-    return min(N_MEMORY_BUCKETS - 1, (exec_memory_kb + 1).bit_length() - 1)
+def _log2_bucket(counts, n_buckets: int) -> np.ndarray:
+    """floor(log2(count + 1)) of each non-negative integer, capped at
+    n_buckets - 1: Python's (count + 1).bit_length() - 1.
+
+    counts may be one int or a sequence of Python ints of any size; they
+    are clipped below 2**n_buckets before entering int64, which keeps the
+    cap and never overflows.
+    """
+    clipped = np.asarray(np.minimum(np.asarray(counts), 2**n_buckets), dtype=np.int64)
+    # frexp's exponent of an integer below 2**53 is its bit length.
+    return np.minimum(np.frexp((clipped + 1).astype(np.float64))[1] - 1, n_buckets - 1).astype(np.int64)
+
+
+def time_bucket(exec_time_ms) -> np.ndarray:
+    """log2 bucket of each millisecond count, capped at 31."""
+    return _log2_bucket(exec_time_ms, N_TIME_BUCKETS)
+
+
+def memory_bucket(exec_memory_kb) -> np.ndarray:
+    """log2 bucket of each kilobyte count, capped at 31."""
+    return _log2_bucket(exec_memory_kb, N_MEMORY_BUCKETS)
 
 
 def apply_mlp(params: dict[str, tk.Tensor], tag: str, x: tk.Tensor, layers: int = 1) -> tk.Tensor:

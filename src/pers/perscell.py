@@ -298,58 +298,65 @@ def assemble_batch(
 ) -> WindowBatch:
     """Pack masked windows into dense arrays, padded to the longest.
 
-    code_source resolves each event's code bag; None skips them, which is
-    only legal for the code-ablated variants.
+    The events' fields are read into one list each and bucketed as
+    arrays. Each event's code becomes a bag number of code_source
+    (`bag_numbers`), and one gather from the source's CSR store fills the
+    code arrays; None skips them, which is only legal for the
+    code-ablated variants.
     """
     if not windows:
         raise ValueError("assemble_batch: no windows")
     if code_source is not None and code_source.dim != hp.d_c:
         raise ValueError(f"code source width {code_source.dim} != d_c {hp.d_c}")
     b = len(windows)
-    length = max(len(mw.window) for mw in windows)
+    lengths = np.fromiter((len(mw.window) for mw in windows), dtype=np.int64, count=b)
+    length = int(lengths.max())
+    valid = (np.arange(length) < lengths[:, None]).astype(np.float64)
+    cells = np.nonzero(valid)  # (rows, steps) of every event, row-major like `events`
+    events = [ev for mw in windows for ev in mw.window.events]
     exercise_idx, status_idx, time_idx, mem_idx, targets = (np.zeros((b, length), dtype=np.int64) for _ in range(5))
-    valid, loss_mask = np.zeros((b, length)), np.zeros((b, length))
+    # One list per field: faster than one pass that builds a tuple per event.
+    exercise_idx[cells] = vocab.encode_all([ev.exercise_id for ev in events])
+    status_idx[cells] = status_index([ev.status for ev in events])
+    time_idx[cells] = time_bucket([ev.exec_time_ms for ev in events])
+    mem_idx[cells] = memory_bucket([ev.exec_memory_kb for ev in events])
 
-    learner_ids = []
-    bags = []  # one per valid cell, in row-major order
-    for row, mw in enumerate(windows):
-        events = mw.window.events
-        learner_ids.append(mw.window.learner_id)
-        for t, ev in enumerate(events):
-            exercise_idx[row, t] = vocab.encode(ev.exercise_id)
-            status_idx[row, t] = status_index(ev.status)
-            time_idx[row, t] = time_bucket(ev.exec_time_ms)
-            mem_idx[row, t] = memory_bucket(ev.exec_memory_kb)
-            valid[row, t] = 1.0
-            if code_source is not None:
-                bags.append(code_source.weights(ev))
-        for t in mw.target_steps:
-            if t + 1 >= len(events):
-                raise ValueError("target step has no following event")
-            targets[row, t] = vocab.encode(events[t + 1].exercise_id)
-            loss_mask[row, t] = 1.0
+    counts = [len(mw.target_steps) for mw in windows]
+    target_rows = np.repeat(np.arange(b), counts)
+    target_steps = np.fromiter(
+        chain.from_iterable(mw.target_steps for mw in windows), dtype=np.int64, count=sum(counts)
+    )
+    if (target_steps + 1 >= lengths[target_rows]).any():
+        raise ValueError("target step has no following event")
+    targets[target_rows, target_steps] = exercise_idx[target_rows, target_steps + 1]
+    loss_mask = np.zeros((b, length))
+    loss_mask[target_rows, target_steps] = 1.0
+
     code_ids = code_weights = None
     if code_source is not None:
-        code_ids, code_weights = _pack_bags(bags, valid)
+        numbers = code_source.bag_numbers(events)  # interns first: the store may grow
+        code_ids, code_weights = _pack_bags(code_source.store, numbers, cells, valid.shape)
     return WindowBatch(
-        exercise_idx, status_idx, time_idx, mem_idx, valid, targets, loss_mask, learner_ids,
-        code_ids, code_weights, code_source,
+        exercise_idx, status_idx, time_idx, mem_idx, valid, targets, loss_mask,
+        [mw.window.learner_id for mw in windows], code_ids, code_weights, code_source,
     )
 
 
-def _pack_bags(bags: list, valid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Scatter the (ids, weights) bags of the valid cells, in row-major
-    order, into (B, L, K) arrays in one pass; K is the largest bag."""
-    sizes = np.fromiter((len(ids) for ids, _ in bags), dtype=np.int64, count=len(bags))
+def _pack_bags(store, numbers: np.ndarray, cells, shape) -> tuple[np.ndarray, np.ndarray]:
+    """Gather the CSR store's bags `numbers`, one per cell of `cells`, into
+    (B, L, K) arrays; K is the largest bag."""
+    ids, weights, offsets = store
+    starts = offsets[numbers]
+    sizes = offsets[numbers + 1] - starts
     k = int(sizes.max(initial=0))
-    code_ids = np.zeros(valid.shape + (k,), dtype=np.int64)
-    code_weights = np.zeros(valid.shape + (k,))
-    rows, steps = np.nonzero(valid)
-    cell = np.repeat(np.arange(len(bags)), sizes)
+    code_ids = np.zeros(shape + (k,), dtype=np.int64)
+    code_weights = np.zeros(shape + (k,))
+    cell = np.repeat(np.arange(numbers.size), sizes)
     slot = np.arange(cell.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    at = (rows[cell], steps[cell], slot)
-    code_ids[at] = np.fromiter(chain.from_iterable(ids for ids, _ in bags), dtype=np.int64, count=cell.size)
-    code_weights[at] = np.fromiter(chain.from_iterable(w for _, w in bags), dtype=np.float64, count=cell.size)
+    at = (cells[0][cell], cells[1][cell], slot)
+    flat = starts[cell] + slot
+    code_ids[at] = ids[flat]
+    code_weights[at] = weights[flat]
     return code_ids, code_weights
 
 

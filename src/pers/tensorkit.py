@@ -316,12 +316,12 @@ def gather_rows(table: Tensor, indices: np.ndarray, weights: np.ndarray | None =
             out += table.data[idx[:, j]] * w[:, j, None]
 
     def vjp(g: np.ndarray) -> tuple[np.ndarray, ...]:
-        acc = np.zeros_like(table.data)
-        if weights is None:
-            np.add.at(acc, idx, g)
-        else:
-            np.add.at(acc, idx.reshape(-1), (g[:, None, :] * w[:, :, None]).reshape(-1, g.shape[1]))
-        return (acc,)
+        v, d = table.data.shape
+        rows, vals = (idx, g) if weights is None else (idx.reshape(-1), g[:, None, :] * w[:, :, None])
+        # Bin r*d + c is table[r, c]; each bin sums its values in input
+        # order from 0.0, as np.add.at would, so the bits are the same.
+        flat = (rows[:, None] * d + np.arange(d)).reshape(-1)
+        return (np.bincount(flat, vals.reshape(-1), v * d).reshape(v, d),)
 
     return Tensor(out, (table,), vjp)
 

@@ -1,0 +1,161 @@
+"""assemble_batch against the per-event packing loop it replaced, and the
+code sources' interning."""
+
+from __future__ import annotations
+
+from collections import Counter
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from pers import codefeat, perscell
+from pers.codefeat import CodeFeatureError, HashedTokenSource, PrecomputedSource
+from pers.dataio import STATUSES, Interaction, LearnerSequence, MaskedWindow, Vocabulary
+from pers.encoder import HyperParams
+
+D_C = 3
+HP = HyperParams(d_p=4, d_c=D_C, d_k=4, d_pos=4, d_ct=2, d_cm=2, d_cs=2, max_len=8, n_exercises=3)
+CODES = ["!!!", "", "a a b", "for i in range(9)", "X = y + Y; x", "while while 7"]
+REFS = [f"r{i}" for i in range(5)]
+EXERCISES = ["p0", "p1", "p2", "never-seen"]
+EDGE_COUNTS = [0, 10**30] + [2**k + d for k in (1, 5, 30, 31, 32, 62, 63, 64) for d in (-1, 0, 1)]
+
+
+def reference_assemble(windows, vocab: Vocabulary, code_source=None) -> dict:
+    """The per-event loop assemble_batch once ran, with the bucket rules
+    written out on Python ints: the oracle for every WindowBatch array."""
+    index = {eid: i + 2 for i, eid in enumerate(vocab.ids())}
+    b = len(windows)
+    length = max(len(mw.window) for mw in windows)
+    arrays = {name: np.zeros((b, length), dtype=np.int64)
+              for name in ("exercise_idx", "status_idx", "time_idx", "memory_idx", "targets")}
+    arrays["valid"], arrays["loss_mask"] = np.zeros((b, length)), np.zeros((b, length))
+    bags = []
+    for row, mw in enumerate(windows):
+        events = mw.window.events
+        for t, ev in enumerate(events):
+            arrays["exercise_idx"][row, t] = index.get(ev.exercise_id, 1)
+            arrays["status_idx"][row, t] = STATUSES.index(ev.status if ev.status in STATUSES else "other")
+            arrays["time_idx"][row, t] = min(31, (ev.exec_time_ms + 1).bit_length() - 1)
+            arrays["memory_idx"][row, t] = min(31, (ev.exec_memory_kb + 1).bit_length() - 1)
+            arrays["valid"][row, t] = 1.0
+            if isinstance(code_source, HashedTokenSource):
+                bags.append(code_source.weights(ev))
+            elif code_source is not None:
+                bags.append(((code_source.rows[ev.code_vec_ref],), (1.0,)))
+        for t in mw.target_steps:
+            arrays["targets"][row, t] = index.get(events[t + 1].exercise_id, 1)
+            arrays["loss_mask"][row, t] = 1.0
+    if code_source is not None:
+        k = max((len(ids) for ids, _ in bags), default=0)
+        arrays["code_ids"] = np.zeros((b, length, k), dtype=np.int64)
+        arrays["code_weights"] = np.zeros((b, length, k))
+        cells = zip(*np.nonzero(arrays["valid"]))
+        for (row, t), (ids, weights) in zip(cells, bags):
+            arrays["code_ids"][row, t, : len(ids)] = ids
+            arrays["code_weights"][row, t, : len(ids)] = weights
+    return arrays
+
+
+def assert_bytes_equal(batch, want: dict, windows) -> None:
+    got = {name: a for name, a in vars(batch).items() if isinstance(a, np.ndarray)}
+    assert got.keys() == want.keys()
+    for name, a in want.items():
+        assert (got[name].dtype, got[name].shape) == (a.dtype, a.shape), name
+        assert got[name].tobytes() == a.tobytes(), name
+    assert batch.learner_ids == [mw.window.learner_id for mw in windows]
+
+
+counts = st.one_of(st.sampled_from(EDGE_COUNTS), st.integers(0, 10**6))
+events = st.builds(
+    lambda eid, status, t_ms, m_kb, code, ref: (eid, status, t_ms, m_kb, code, ref),
+    st.sampled_from(EXERCISES), st.sampled_from(STATUSES + ("weird_verdict",)),
+    counts, counts, st.sampled_from(CODES), st.sampled_from(REFS),
+)
+
+
+@st.composite
+def window_lists(draw):
+    windows = []
+    for w in range(draw(st.integers(1, 4))):
+        fields = draw(st.lists(events, min_size=1, max_size=6))
+        evs = tuple(Interaction(f"u{w}", eid, t, status, t_ms, m_kb, code=code, code_vec_ref=ref)
+                    for t, (eid, status, t_ms, m_kb, code, ref) in enumerate(fields))
+        steps = draw(st.lists(st.integers(0, len(evs) - 2), unique=True)) if len(evs) > 1 else []
+        windows.append(MaskedWindow(LearnerSequence(f"u{w}", evs), tuple(steps)))
+    return windows
+
+
+@settings(max_examples=150, deadline=None)
+@given(first=window_lists(), second=window_lists(), kind=st.sampled_from(["hashed", "precomputed", None]),
+       buckets=st.sampled_from([1, 7, 64]))
+def test_assemble_matches_per_event_loop_bitwise(first, second, kind, buckets):
+    vocab = Vocabulary(EXERCISES[:3])
+    if kind == "hashed":
+        source = HashedTokenSource(buckets, D_C)
+    elif kind == "precomputed":
+        source = PrecomputedSource({ref: np.full(D_C, float(i)) for i, ref in enumerate(REFS)}, D_C)
+    else:
+        source = None
+    # One source across two assembles: the second reuses and extends the
+    # bags the first interned.
+    for windows in (first, second, first):
+        batch = perscell.assemble_batch(windows, vocab, HP, source)
+        assert_bytes_equal(batch, reference_assemble(windows, vocab, source), windows)
+
+
+def _window(codes, lid="u1"):
+    evs = tuple(Interaction(lid, "p0", t, "accepted", 1, 1, code=c) for t, c in enumerate(codes))
+    return MaskedWindow(LearnerSequence(lid, evs), tuple(range(len(evs) - 1)))
+
+
+def test_each_distinct_text_is_tokenized_once_per_source(monkeypatch):
+    calls = Counter()
+    tokenize = codefeat.tokenize
+
+    def counted(code):
+        calls[code] += 1
+        return tokenize(code)
+
+    monkeypatch.setattr(codefeat, "tokenize", counted)
+    windows = [_window(["x = 1", "x = 2", "x = 1", "!!!"]), _window(["!!!", "x = 2", "y"], lid="u2")]
+    vocab = Vocabulary(["p0"])
+    source = HashedTokenSource(16, D_C)
+    for rows in ([0, 1], [1], [0, 1], [1, 0]):
+        perscell.assemble_batch([windows[r] for r in rows], vocab, HP, source)
+    assert calls == Counter({"x = 1": 1, "x = 2": 1, "!!!": 1, "y": 1})
+    perscell.assemble_batch(windows, vocab, HP, HashedTokenSource(16, D_C))
+    assert calls["x = 1"] == 2  # a new source interns afresh
+
+
+def test_missing_code_raises_and_keeps_the_store_whole():
+    source = HashedTokenSource(16, D_C)
+    vocab = Vocabulary(["p0"])
+    with pytest.raises(CodeFeatureError, match="no code text"):
+        perscell.assemble_batch([_window(["a b", "c", None, "d"])], vocab, HP, source)
+    # The texts interned before the raise are usable, and the rest follow.
+    windows = [_window(["c", "a b", "d", "a b e"])]
+    batch = perscell.assemble_batch(windows, vocab, HP, source)
+    assert_bytes_equal(batch, reference_assemble(windows, vocab, source), windows)
+
+
+def test_precomputed_store_is_built_once_and_missing_refs_raise():
+    source = PrecomputedSource({ref: np.zeros(D_C) for ref in REFS}, D_C)
+    store = source.store
+    ids, weights, offsets = store
+    assert ids.tolist() == list(range(5)) and weights.tolist() == [1.0] * 5 and offsets.tolist() == list(range(6))
+    evs = [Interaction("u1", "p0", t, "accepted", 1, 1, code_vec_ref=r) for t, r in enumerate(["r3", "r0", "r3"])]
+    assert source.bag_numbers(evs).tolist() == [3, 0, 3]
+    assert source.store is store
+    with pytest.raises(CodeFeatureError, match="'nope' not in vector table"):
+        source.bag_numbers(evs + [Interaction("u1", "p0", 9, "accepted", 1, 1, code_vec_ref="nope")])
+    with pytest.raises(CodeFeatureError, match="has no code_vec_ref"):
+        source.bag_numbers([Interaction("u1", "p0", 9, "accepted", 1, 1)])
+
+
+def test_target_step_without_a_following_event_is_rejected():
+    window = _window(["a", "b"])
+    bad = MaskedWindow(window.window, (1,))
+    with pytest.raises(ValueError, match="no following event"):
+        perscell.assemble_batch([bad], Vocabulary(["p0"]), HP)

@@ -566,3 +566,16 @@ def test_eval_checkpoint_with_best_copy_exits_2(tmp_path, capsys):
     capsys.readouterr()
     assert run(eval_argv) == 2
     assert_one_line_error(capsys, "tensors differ from the stored model settings at ['best:b_12']")
+
+
+@pytest.mark.parametrize("exc, line", [
+    (MemoryError("Unable to allocate 6.7 GiB"), "error: out of memory: Unable to allocate 6.7 GiB"),
+    (MemoryError(), "error: out of memory"),
+])
+def test_memory_error_exits_2_with_one_error_line(tmp_path, capsys, monkeypatch, exc, line):
+    def handler(config):
+        raise exc
+
+    monkeypatch.setitem(cli.COMMANDS, "simulate", (handler, ()))
+    assert run(["simulate", "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [line]

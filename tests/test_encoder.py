@@ -2,8 +2,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from pers import encoder, perscell
+from pers import dataio, encoder, perscell
 from pers import tensorkit as tk
 
 
@@ -63,8 +64,24 @@ def test_bucketization_boundaries():
 
 
 def test_status_index_unknown_maps_to_other():
-    assert encoder.status_index("accepted") == 0
-    assert encoder.status_index("weird_verdict") == encoder.status_index("other")
+    got = encoder.status_index(["accepted", "weird_verdict", "other"])
+    assert got.dtype == np.int64 and got[0] == 0
+    assert got[1] == got[2] == len(dataio.STATUSES) - 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(
+    st.integers(0, 2**70),
+    st.sampled_from([2**k + d for k in (0, 1, 31, 32, 62, 63, 64) for d in (-1, 0, 1)] + [10**30]),
+), max_size=20))
+def test_buckets_match_bit_length_rule_for_any_int(counts):
+    # The parser accepts any non-negative Python int; the array buckets
+    # must agree with the integer rule and not overflow int64.
+    want = [min(31, (c + 1).bit_length() - 1) for c in counts]
+    for bucket in (encoder.time_bucket, encoder.memory_bucket):
+        got = bucket(counts)
+        assert got.dtype == np.int64 and got.tolist() == want
+        assert [int(bucket(c)) for c in counts] == want
 
 
 def test_init_shapes_and_reserved_rows():

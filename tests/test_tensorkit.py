@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pers import tensorkit as tk
 
@@ -228,6 +229,33 @@ def test_gather_rows_bag_shape_errors():
         tk.gather_rows(table, np.zeros((2, 3)), np.zeros((2, 3)))
     with pytest.raises(tk.ShapeError, match="out of range"):
         tk.gather_rows(table, np.array([[0, 4]]), np.ones((1, 2)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    v=st.integers(1, 6),
+    d=st.integers(1, 4),
+    n=st.integers(0, 12),
+    k=st.sampled_from([None, 0, 1, 3]),
+    seed=st.integers(0, 2**16),
+)
+def test_gather_rows_gradient_bytes_match_add_at_oracle(v, d, n, k, seed):
+    # Few table rows, so indices repeat within and across bags; the
+    # upstream gradient and weights span magnitudes, so a different
+    # summation order would show in the bits.
+    g = rng(seed)
+    table = tk.parameter(g.normal(size=(v, d)), "E")
+    idx = g.integers(0, v, size=(n,) if k is None else (n, k))
+    weights = None if k is None else g.normal(size=(n, k)) * 10.0 ** g.integers(-8, 8, size=(n, k))
+    upstream = g.normal(size=(n, d)) * 10.0 ** g.integers(-8, 8, size=(n, d))
+    out = tk.gather_rows(table, idx, weights)
+    (got,) = out.vjp(upstream)
+    want = np.zeros((v, d))
+    if weights is None:
+        np.add.at(want, idx, upstream)
+    else:
+        np.add.at(want, idx.reshape(-1), (upstream[:, None, :] * weights[:, :, None]).reshape(-1, d))
+    assert got.shape == (v, d) and got.tobytes() == want.tobytes()
 
 
 def test_affine_columns_matches_full_affine_and_finite_differences():
