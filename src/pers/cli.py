@@ -115,13 +115,20 @@ def load_config(path: str | None) -> dict:
     return dict(raw)
 
 
-def resolve_config(args: argparse.Namespace) -> dict:
-    config = {key: default for key, (_, default, _) in SCHEMA.items()}
-    config.update(load_config(args.config))
-    for key in SCHEMA:
-        value = getattr(args, key, None)
-        if value is not None:
-            config[key] = value
+class Config(dict):
+    """The resolved configuration; `given` names the keys that the config
+    file or a flag set, as opposed to schema defaults."""
+
+    given: frozenset[str] = frozenset()
+
+
+def resolve_config(args: argparse.Namespace) -> Config:
+    config = Config({key: default for key, (_, default, _) in SCHEMA.items()})
+    from_file = load_config(args.config)
+    config.update(from_file)
+    flags = {key: getattr(args, key) for key in SCHEMA if getattr(args, key, None) is not None}
+    config.update(flags)
+    config.given = frozenset(from_file) | frozenset(flags)
     for key in COMMANDS[args.command][1]:
         if config.get(key) is None:
             raise ConfigError(f"command '{args.command}' needs config key '{key}'")
@@ -163,12 +170,22 @@ def make_train_config(config: dict) -> TrainConfig:
         raise ConfigError(str(exc)) from exc
 
 
-def load_code_source(config: dict):
+def load_code_source(config: Config, checkpoint: training.Checkpoint | None = None):
+    """The configured code source. Given the checkpoint it will serve, the
+    hashed source takes each width that the config does not set from the
+    checkpoint, and a width that the config sets must match it."""
     kind = config["code_source"]
     if kind == "none":
         return None
     if kind == "hashed":
-        return HashedTokenSource(config["hash_buckets"], config["d_c"])
+        if checkpoint is None or not perscell.uses_code(checkpoint.model.variant):
+            return HashedTokenSource(config["hash_buckets"], config["d_c"])
+        model = checkpoint.model
+        trained = {"hash_buckets": model.code_buckets or config["hash_buckets"], "d_c": model.hyper.d_c}
+        buckets, dim = (config[key] if key in config.given else trained[key] for key in ("hash_buckets", "d_c"))
+        source = HashedTokenSource(buckets, dim)
+        source.table_for(model.tensors)  # names both widths if they differ, or the vectors it was trained on
+        return source
     if kind == "precomputed":
         if config.get("vectors") is None:
             raise ConfigError("code_source=precomputed needs config key 'vectors'")
@@ -279,7 +296,7 @@ def cmd_eval(config: dict) -> list[str]:
     batch_size = make_train_config(config).eval_batch_size
     _, _, vocab, _, test_w = load_dataset(config)
     cp = training.load_checkpoint(config["checkpoint"])
-    source = load_code_source(config)
+    source = load_code_source(config, cp)
     metrics, _ = evalrank.evaluate(cp, test_w, vocab, source, batch_size)
     return write_report(config["out_dir"], "report", [evalrank.AblationRow(cp.model.variant, metrics)])
 
@@ -301,7 +318,7 @@ def cmd_probe(config: dict) -> list[str]:
     cp = training.load_checkpoint(config["checkpoint"])
     if vocab != cp.vocab:
         raise VocabularyMismatch("checkpoint vocabulary differs from the dataset's")
-    source = load_code_source(config)
+    source = load_code_source(config, cp)
     labels = simlearner.read_labels(config["labels"])
     rows = probe.export_latents(cp, sequences, source)
     out_dir = config["out_dir"]

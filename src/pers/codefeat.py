@@ -80,10 +80,6 @@ class PrecomputedSource:
         # Views, not copies: the store holds one array of len(table) + 1.
         self.store = (offsets[:-1], np.broadcast_to(1.0, (len(table),)), offsets)
 
-    def weights(self, interaction: Interaction) -> Bag:
-        row = int(self.bag_numbers([interaction])[0])
-        return (row,), (1.0,)
-
     def bag_numbers(self, events: Sequence[Interaction]) -> np.ndarray:
         """The bag number of each event's code: its vector's row."""
         numbers = _lookup(self.rows, [ev.code_vec_ref for ev in events])

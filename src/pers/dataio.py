@@ -1,15 +1,26 @@
-"""Submission-log ingestion: parsing, vocabularies, windowing, split, stats.
+"""Submission-log ingestion: parsing, vocabularies, windowing, split,
+the event table, stats.
 
 Input is JSONL, one record per line, UTF-8, with keys exactly:
 learner_id, exercise_id, timestamp, status, exec_time_ms, exec_memory_kb,
 and optionally code and/or code_vec_ref.
+
+`build_sequences` lays a dataset's events out once, in window order, as
+one `EventTable`, and every window it cuts records its first row there,
+so a window is a row range and a learner's history a list of them. The
+table encodes the columns the model reads (exercise index, status, time
+and memory buckets, code bag numbers) for a row the first time a batch
+reads it and keeps them, so batches are assembled by index gathers and
+loading a log does no per-event encoding beyond parsing.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import weakref
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -26,6 +37,8 @@ STATUSES = (
 
 PAD_INDEX = 0
 UNKNOWN_INDEX = 1
+N_TIME_BUCKETS = 32
+N_MEMORY_BUCKETS = 32
 
 
 class DataError(ValueError):
@@ -145,13 +158,37 @@ def write_log(path, interactions: Iterable[Interaction]) -> None:
 
 @dataclass(slots=True, frozen=True)
 class LearnerSequence:
-    """One chronological window (length <= max sequence length) of a learner."""
+    """One chronological window (length <= max sequence length) of a learner.
+
+    A window cut by `build_sequences` also records the `EventTable` that
+    holds its events and the row of its first event there; a window built
+    by hand has no table.
+    """
 
     learner_id: str
     events: tuple[Interaction, ...]
+    table: EventTable | None = field(default=None, compare=False, repr=False)
+    start: int = field(default=0, compare=False)
 
     def __len__(self) -> int:
         return len(self.events)
+
+    @property
+    def parts(self) -> tuple[LearnerSequence, ...]:
+        return (self,)
+
+
+@dataclass(slots=True, frozen=True)
+class LearnerHistory:
+    """Some of a learner's windows laid end to end, in the order given:
+    the sequence the latent export unrolls. An assemble reads it as one
+    window whose events are those of its parts."""
+
+    learner_id: str
+    parts: tuple[LearnerSequence, ...]
+
+    def __len__(self) -> int:
+        return sum(len(part) for part in self.parts)
 
 
 class Vocabulary:
@@ -166,11 +203,6 @@ class Vocabulary:
                 self._ids.append(eid)
 
     @property
-    def size(self) -> int:
-        """Total table size including the two reserved slots (N+2)."""
-        return len(self._ids) + 2
-
-    @property
     def n_exercises(self) -> int:
         return len(self._ids)
 
@@ -182,16 +214,101 @@ class Vocabulary:
         unknown = [UNKNOWN_INDEX] * len(exercise_ids)
         return np.fromiter(map(self._index.get, exercise_ids, unknown), dtype=np.int64, count=len(exercise_ids))
 
-    def decode(self, index: int) -> str:
-        if index < 2 or index >= self.size:
-            raise KeyError(f"index {index} is not a real exercise")
-        return self._ids[index - 2]
-
     def ids(self) -> list[str]:
         return list(self._ids)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Vocabulary) and self._ids == other._ids
+
+
+_STATUS_INDEX = {status: i for i, status in enumerate(STATUSES)}
+
+
+def status_index(statuses: Sequence[str]) -> np.ndarray:
+    """The index in STATUSES of each status; an unseen verdict counts as
+    "other"."""
+    other = [_STATUS_INDEX["other"]] * len(statuses)
+    return np.fromiter(map(_STATUS_INDEX.get, statuses, other), dtype=np.int64, count=len(statuses))
+
+
+def _log2_bucket(counts, n_buckets: int) -> np.ndarray:
+    """floor(log2(count + 1)) of each non-negative integer, capped at
+    n_buckets - 1: Python's (count + 1).bit_length() - 1.
+
+    counts may be one int or a sequence of Python ints of any size; they
+    are clipped below 2**n_buckets before entering int64, which keeps the
+    cap and never overflows.
+    """
+    clipped = np.asarray(np.minimum(np.asarray(counts), 2**n_buckets), dtype=np.int64)
+    # frexp's exponent of an integer below 2**53 is its bit length.
+    return np.minimum(np.frexp((clipped + 1).astype(np.float64))[1] - 1, n_buckets - 1).astype(np.int64)
+
+
+def time_bucket(exec_time_ms) -> np.ndarray:
+    """log2 bucket of each millisecond count, capped at 31."""
+    return _log2_bucket(exec_time_ms, N_TIME_BUCKETS)
+
+
+def memory_bucket(exec_memory_kb) -> np.ndarray:
+    """log2 bucket of each kilobyte count, capped at 31."""
+    return _log2_bucket(exec_memory_kb, N_MEMORY_BUCKETS)
+
+
+class EventTable:
+    """Events in window order, each column the model reads encoded once.
+
+    The rows are the given blocks of events laid end to end; row r is
+    `events[r]`. Nothing is joined or encoded until a batch asks: then the
+    rows it reads that are not encoded yet get their exercise index (for
+    that vocabulary), status index and time and memory buckets, and their
+    bag numbers under its code source, and keep them for the next batch.
+    """
+
+    def __init__(self, blocks: list[Sequence[Interaction]]):
+        self._blocks: list[Sequence[Interaction]] | None = blocks
+        self._events: tuple[Interaction, ...] = ()
+        self._vocab: Vocabulary | None = None
+        self._columns = np.zeros((4, 0), dtype=np.int64)  # -1 where a row is not encoded yet
+        self._bags = weakref.WeakKeyDictionary()  # code source -> bag number of each row, -1 if not asked yet
+
+    @property
+    def events(self) -> tuple[Interaction, ...]:
+        if self._blocks is not None:  # joined on first use: a load touches each event once
+            self._events, self._blocks = tuple(chain.from_iterable(self._blocks)), None
+        return self._events
+
+    def columns(self, vocab: Vocabulary, rows: np.ndarray) -> np.ndarray:
+        """The (exercise index, status index, time bucket, memory bucket)
+        of each of `rows`, as a (4, len(rows)) array. Another vocabulary
+        than the last one starts the encoding afresh."""
+        if self._vocab is not vocab and self._vocab != vocab:
+            self._vocab = vocab
+            self._columns = np.full((4, len(self.events)), -1, dtype=np.int64)
+        todo = rows[self._columns[0, rows] < 0]
+        if todo.size:
+            events = self.events
+            batch = [events[r] for r in todo.tolist()]
+            # One list per field: faster than one pass that builds a tuple per event.
+            self._columns[:, todo] = (
+                vocab.encode_all([ev.exercise_id for ev in batch]),
+                status_index([ev.status for ev in batch]),
+                time_bucket([ev.exec_time_ms for ev in batch]),
+                memory_bucket([ev.exec_memory_kb for ev in batch]),
+            )
+        return self._columns[:, rows]
+
+    def bag_numbers(self, source, rows: np.ndarray) -> np.ndarray:
+        """source's bag number of the code of each of `rows`. Rows not yet
+        numbered go to `source.bag_numbers` in the order given, so a
+        missing code raises for the first such row, as it would unkept."""
+        numbers = self._bags.get(source)
+        if numbers is None:
+            numbers = self._bags[source] = np.full(len(self.events), -1, dtype=np.int64)
+        todo = rows[numbers[rows] < 0]
+        if todo.size:
+            events = self.events
+            numbers[todo] = source.bag_numbers([events[r] for r in todo.tolist()])
+        return numbers[rows]
 
 
 def build_sequences(
@@ -205,31 +322,36 @@ def build_sequences(
     stride-1 windows of exactly max_len (plus the short head), which only
     makes sense for small data. Ties in timestamp keep input file order.
     Learners are emitted in first-appearance order so downstream batching
-    is deterministic.
+    is deterministic. The sorted events form one `EventTable`, learner
+    after learner, and each window records its first row in it.
     """
     if max_len < 2:
         raise ValueError(f"max_len must be >= 2, got {max_len}")
     by_learner: dict[str, list[Interaction]] = {}
-    order: list[str] = []
     vocab_ids: list[str] = []
     for it in interactions:
         if it.learner_id not in by_learner:
             by_learner[it.learner_id] = []
-            order.append(it.learner_id)
         by_learner[it.learner_id].append(it)
         vocab_ids.append(it.exercise_id)
     vocab = Vocabulary(vocab_ids)
 
+    blocks: list[Sequence[Interaction]] = []  # the table's rows, laid end to end
+    table = EventTable(blocks)
     sequences: list[LearnerSequence] = []
-    for lid in order:
-        events = sorted(by_learner[lid], key=lambda it: it.timestamp)  # stable: ties keep file order
+    base = 0
+    for lid, learner_events in by_learner.items():  # dicts keep first-seen order
+        events = sorted(learner_events, key=lambda it: it.timestamp)  # stable: ties keep file order
         if sliding and len(events) > max_len:
-            starts = range(0, len(events) - max_len + 1)
-            chunks = [tuple(events[s : s + max_len]) for s in starts]
+            chunks = [tuple(events[s : s + max_len]) for s in range(0, len(events) - max_len + 1)]
+            starts = range(base, base + len(chunks))
+            blocks.append(events)
         else:
-            chunks = [tuple(events[i : i + max_len]) for i in range(0, len(events), max_len)]
-        for chunk in chunks:
-            sequences.append(LearnerSequence(lid, chunk))
+            chunks = [tuple(events[s : s + max_len]) for s in range(0, len(events), max_len)]
+            starts = range(base, base + len(events), max_len)
+            blocks.extend(chunks)  # the windows tile the learner's events
+        sequences += [LearnerSequence(lid, chunk, table, start) for chunk, start in zip(chunks, starts)]
+        base += len(events)
     return sequences, vocab
 
 
@@ -238,10 +360,11 @@ class MaskedWindow:
     """A window plus the step positions whose next-item target is in play.
 
     Step t's target is the exercise of event t+1 in the same window, so
-    the last step never carries a target.
+    the last step never carries a target. The latent export wraps a
+    `LearnerHistory` with no targets.
     """
 
-    window: LearnerSequence
+    window: LearnerSequence | LearnerHistory
     target_steps: tuple[int, ...]
 
 

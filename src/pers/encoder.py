@@ -1,25 +1,21 @@
 """Representing module: enhanced exercise and code embeddings.
 
 Exercise ids index an embedding table whose row is concatenated with a
-sinusoidal position code and projected to width d_k; code vectors are
-concatenated with status / execution-time / memory embeddings and
-projected likewise. All functions operate on batches: index arrays of
-shape (B,) produce (B, d_k) graph nodes, where a row may be any step of
-any window.
+sinusoidal position code, gathered from a table built once per shape,
+and projected to width d_k; code vectors are concatenated with status /
+execution-time / memory embeddings (bucketed by `dataio`) and projected
+likewise. All functions operate on batches: index arrays of shape (B,)
+produce (B, d_k) graph nodes, where a row may be any step of any window.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 import numpy as np
 
 from . import tensorkit as tk
-from .dataio import STATUSES
-
-N_TIME_BUCKETS = 32
-N_MEMORY_BUCKETS = 32
 
 
 @dataclass(frozen=True)
@@ -73,37 +69,13 @@ def positional_encoding(t, d_pos: int) -> np.ndarray:
     return out
 
 
-_STATUS_INDEX = {status: i for i, status in enumerate(STATUSES)}
-
-
-def status_index(statuses: Sequence[str]) -> np.ndarray:
-    """The index in STATUSES of each status; an unseen verdict counts as
-    "other"."""
-    other = [_STATUS_INDEX["other"]] * len(statuses)
-    return np.fromiter(map(_STATUS_INDEX.get, statuses, other), dtype=np.int64, count=len(statuses))
-
-
-def _log2_bucket(counts, n_buckets: int) -> np.ndarray:
-    """floor(log2(count + 1)) of each non-negative integer, capped at
-    n_buckets - 1: Python's (count + 1).bit_length() - 1.
-
-    counts may be one int or a sequence of Python ints of any size; they
-    are clipped below 2**n_buckets before entering int64, which keeps the
-    cap and never overflows.
-    """
-    clipped = np.asarray(np.minimum(np.asarray(counts), 2**n_buckets), dtype=np.int64)
-    # frexp's exponent of an integer below 2**53 is its bit length.
-    return np.minimum(np.frexp((clipped + 1).astype(np.float64))[1] - 1, n_buckets - 1).astype(np.int64)
-
-
-def time_bucket(exec_time_ms) -> np.ndarray:
-    """log2 bucket of each millisecond count, capped at 31."""
-    return _log2_bucket(exec_time_ms, N_TIME_BUCKETS)
-
-
-def memory_bucket(exec_memory_kb) -> np.ndarray:
-    """log2 bucket of each kilobyte count, capped at 31."""
-    return _log2_bucket(exec_memory_kb, N_MEMORY_BUCKETS)
+@functools.lru_cache(maxsize=8)  # one length per training and eval, a few per export
+def position_table(length: int, d_pos: int) -> np.ndarray:
+    """The read-only (length, d_pos) codes of positions 0..length-1, built
+    once per shape: row t is positional_encoding(t, d_pos), bitwise."""
+    table = positional_encoding(np.arange(length), d_pos)
+    table.flags.writeable = False
+    return table
 
 
 def apply_mlp(params: dict[str, tk.Tensor], tag: str, x: tk.Tensor, layers: int = 1) -> tk.Tensor:
@@ -131,7 +103,10 @@ def enhance_exercise(
     idx = np.asarray(indices)
     e_p = tk.gather_rows(params["E_p"], idx)
     if use_position:
-        pos = positional_encoding(np.broadcast_to(t, idx.shape), hp.d_pos)
+        t = np.broadcast_to(t, idx.shape)
+        if t.size and t.min() < 0:
+            raise ValueError(f"position must be >= 0, got {t.min()}")
+        pos = position_table(int(t.max(initial=0)) + 1, hp.d_pos)[t]
     else:
         pos = np.zeros((idx.shape[0], hp.d_pos))
     return apply_mlp(params, "1", tk.concat([e_p, tk.tensor(pos)]), layers)

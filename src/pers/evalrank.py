@@ -103,10 +103,9 @@ def evaluate(
     return metrics_at_k([r.rank for r in results]), results
 
 
-# Target rows per vectorised rank count. Each count builds a few
-# (rows, M) boolean temporaries; over every target of a wide eval batch at
-# once they would outgrow the batch's own float64 logit block.
-RANK_BLOCK = 1024
+# Target rows per vectorised rank count: a block of logit rows and its
+# boolean temporaries stay in cache while they are read four times.
+RANK_BLOCK = 64
 
 
 def _rank_batch(model: perscell.ModelParams, batch: perscell.WindowBatch) -> list[RankResult]:
@@ -116,32 +115,38 @@ def _rank_batch(model: perscell.ModelParams, batch: perscell.WindowBatch) -> lis
     run = run_window(model, batch)
     if not run.logits:
         return []
-    logits = run.logits[0].data
-    # min/max propagate NaN and expose +-inf without an (N, M) temporary.
-    if not (np.isfinite(logits.min()) and np.isfinite(logits.max())):
-        raise DivergenceError("non-finite logits at an evaluation target")
     rows, steps = batch.target_cells()
-    ranks = _target_ranks(logits, batch.targets[rows, steps])
+    ranks = _target_ranks(run.logits[0].data, batch.targets[rows, steps])
     return [RankResult(batch.learner_ids[row], int(rank)) for row, rank in zip(rows, ranks)]
 
 
 def _target_ranks(logits: np.ndarray, targets: np.ndarray, block: int = RANK_BLOCK) -> np.ndarray:
-    """`rank_event` of every row of finite (N, M) logits at its target,
-    counted `block` rows at a time: 1 + the columns >= 2 that score above
-    the target + the columns 2..target-1 that score equal to it. Columns
-    0 and 1 are left out of the count instead of masked to -inf."""
+    """`rank_event` of every row of (N, M) logits at its target, counted
+    `block` rows at a time: 1 + the columns >= 2 that score above the
+    target + the columns 2..target-1 that score equal to it. Columns 0
+    and 1 are left out of the count instead of masked to -inf. The target
+    is one of the equal columns, so only a row with another equal one
+    needs its ties before the target counted.
+
+    Raises DivergenceError if a block holds a non-finite logit: a NaN
+    target would otherwise rank first.
+    """
     if targets.min() < 2:
         raise ValueError(f"target {int(targets.min())} is a masked index")
     ranks = np.empty(targets.size, dtype=np.int64)
-    columns = np.arange(2, logits.shape[1])
     for lo in range(0, targets.size, block):
-        t = targets[lo : lo + block, None]
         scores = logits[lo : lo + block]
-        s_t = np.take_along_axis(scores, t, axis=1)
+        # min/max propagate NaN and expose +-inf without a boolean temporary.
+        if not (np.isfinite(scores.min()) and np.isfinite(scores.max())):
+            raise DivergenceError("non-finite logits at an evaluation target")
+        t = targets[lo : lo + block]
+        s_t = np.take_along_axis(scores, t[:, None], axis=1)
         scores = scores[:, 2:]
-        greater = np.count_nonzero(scores > s_t, axis=1)
-        tied_before = np.count_nonzero((scores == s_t) & (columns < t), axis=1)
-        ranks[lo : lo + block] = 1 + greater + tied_before
+        rank = 1 + np.count_nonzero(scores > s_t, axis=1)
+        equal = scores == s_t
+        for row in np.flatnonzero(np.count_nonzero(equal, axis=1) > 1).tolist():
+            rank[row] += np.count_nonzero(equal[row, : t[row] - 2])  # columns 2..t-1
+        ranks[lo : lo + block] = rank
     return ranks
 
 

@@ -16,6 +16,11 @@ at the columns the loss reads.
 Ablation variants share this single code path and only flip inputs:
 position or code inputs collapse to zeros, or one latent is replaced by
 zeros in the prediction concat.
+
+A batch's arrays are index gathers from the columns of the
+`dataio.EventTable` that holds its windows' events, which encodes each
+row once; `assemble_batch` builds a table for windows that have none, so
+every batch takes the same path.
 """
 
 from __future__ import annotations
@@ -27,18 +32,8 @@ import numpy as np
 
 from . import tensorkit as tk
 from .codefeat import HashedTokenSource, PrecomputedSource
-from .dataio import PAD_INDEX, STATUSES, MaskedWindow, Vocabulary
-from .encoder import (
-    N_MEMORY_BUCKETS,
-    N_TIME_BUCKETS,
-    HyperParams,
-    apply_mlp,
-    enhance_code,
-    enhance_exercise,
-    memory_bucket,
-    status_index,
-    time_bucket,
-)
+from .dataio import N_MEMORY_BUCKETS, N_TIME_BUCKETS, PAD_INDEX, STATUSES, EventTable, MaskedWindow, Vocabulary
+from .encoder import HyperParams, apply_mlp, enhance_code, enhance_exercise
 
 VARIANTS = ("PERS", "ERS", "PERS-ep", "PERS-cr", "PERS-pa", "PERS-ps", "PERS-us")
 
@@ -53,21 +48,6 @@ def uses_position(variant: str) -> bool:
 
 def ablated_latent(variant: str) -> str | None:
     return {"PERS-pa": "pa", "PERS-ps": "ps", "PERS-us": "us"}.get(variant)
-
-
-def excluded_params(variant: str, names) -> set[str]:
-    """Parameter names the variant starves of gradient by construction."""
-    dead: set[str] = set()
-    if not uses_code(variant):
-        dead |= {"W_2", "status_table", "time_table", "memory_table", "code_table"}
-    latent = ablated_latent(variant)
-    if latent == "pa":
-        dead |= {"W_5", "b_5", "W_6", "b_6"}
-    elif latent == "ps":
-        dead |= {"W_4", "b_4", "W_7", "b_7", "W_8", "b_8"}
-    elif latent == "us":
-        dead |= {"W_9", "b_9", "W_10"}
-    return dead & set(names)
 
 
 @dataclass
@@ -298,28 +278,24 @@ def assemble_batch(
 ) -> WindowBatch:
     """Pack masked windows into dense arrays, padded to the longest.
 
-    The events' fields are read into one list each and bucketed as
-    arrays. Each event's code becomes a bag number of code_source
-    (`bag_numbers`), and one gather from the source's CSR store fills the
-    code arrays; None skips them, which is only legal for the
-    code-ablated variants.
+    Every array is a gather from the columns of the event table that
+    holds the windows' events (`_event_rows`), which encodes each row
+    once. Each event's code becomes a bag number of code_source, and one
+    gather from the source's CSR store fills the code arrays; None skips
+    them, which is only legal for the code-ablated variants.
     """
     if not windows:
         raise ValueError("assemble_batch: no windows")
     if code_source is not None and code_source.dim != hp.d_c:
         raise ValueError(f"code source width {code_source.dim} != d_c {hp.d_c}")
     b = len(windows)
-    lengths = np.fromiter((len(mw.window) for mw in windows), dtype=np.int64, count=b)
+    table, rows, lengths = _event_rows(windows)
     length = int(lengths.max())
     valid = (np.arange(length) < lengths[:, None]).astype(np.float64)
-    cells = np.nonzero(valid)  # (rows, steps) of every event, row-major like `events`
-    events = [ev for mw in windows for ev in mw.window.events]
+    cells = np.nonzero(valid)  # (rows, steps) of every event, row-major like `rows`
     exercise_idx, status_idx, time_idx, mem_idx, targets = (np.zeros((b, length), dtype=np.int64) for _ in range(5))
-    # One list per field: faster than one pass that builds a tuple per event.
-    exercise_idx[cells] = vocab.encode_all([ev.exercise_id for ev in events])
-    status_idx[cells] = status_index([ev.status for ev in events])
-    time_idx[cells] = time_bucket([ev.exec_time_ms for ev in events])
-    mem_idx[cells] = memory_bucket([ev.exec_memory_kb for ev in events])
+    for out, column in zip((exercise_idx, status_idx, time_idx, mem_idx), table.columns(vocab, rows)):
+        out[cells] = column
 
     counts = [len(mw.target_steps) for mw in windows]
     target_rows = np.repeat(np.arange(b), counts)
@@ -334,12 +310,35 @@ def assemble_batch(
 
     code_ids = code_weights = None
     if code_source is not None:
-        numbers = code_source.bag_numbers(events)  # interns first: the store may grow
+        numbers = table.bag_numbers(code_source, rows)  # interns first: the store may grow
         code_ids, code_weights = _pack_bags(code_source.store, numbers, cells, valid.shape)
     return WindowBatch(
         exercise_idx, status_idx, time_idx, mem_idx, valid, targets, loss_mask,
         [mw.window.learner_id for mw in windows], code_ids, code_weights, code_source,
     )
+
+
+def _event_rows(windows: list[MaskedWindow]) -> tuple[EventTable, np.ndarray, np.ndarray]:
+    """The event table of the windows, the table row of each of their
+    events, window after window, and each window's length.
+
+    A window's events are those of its parts (one for a window, several
+    for a history), each a row range of its table. Parts that do not all
+    share one table, such as windows built by hand, which have none, get
+    a new table of their events in batch order.
+    """
+    parts = [part for mw in windows for part in mw.window.parts]
+    sizes = np.fromiter((len(part) for part in parts), dtype=np.int64, count=len(parts))
+    ends = np.cumsum(sizes)
+    table = parts[0].table
+    if table is not None and all(part.table is table for part in parts):
+        starts = np.fromiter((part.start for part in parts), dtype=np.int64, count=len(parts))
+    else:
+        table = EventTable([part.events for part in parts])
+        starts = ends - sizes
+    rows = np.arange(ends[-1]) + np.repeat(starts - (ends - sizes), sizes)
+    lengths = np.fromiter((len(mw.window) for mw in windows), dtype=np.int64, count=len(windows))
+    return table, rows, lengths
 
 
 def _pack_bags(store, numbers: np.ndarray, cells, shape) -> tuple[np.ndarray, np.ndarray]:

@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .codefeat import HashedTokenSource, PrecomputedSource
-from .dataio import LearnerSequence, MaskedWindow
+from .dataio import LearnerHistory, LearnerSequence, MaskedWindow
 from .perscell import assemble_batch, run_window, uses_code
 from .training import Checkpoint
 
@@ -42,17 +42,18 @@ def _history_states(
 
     Training chunks histories into windows, but the style vectors are a
     property of the learner, so the export unrolls the recurrence over
-    the concatenated windows in one stateful pass. Batches are small
-    because full histories can be an order of magnitude longer than a
-    training window. The model's tensors are constants here, so the
-    unroll records no tape.
+    the learner's windows laid end to end in one stateful pass; the
+    assemble gathers them from their row ranges of the event table.
+    Batches are small because full histories can be an order of
+    magnitude longer than a training window. The model's tensors are
+    constants here, so the unroll records no tape.
     """
     model = checkpoint.model.frozen()
     source = code_source if uses_code(model.variant) else None
-    events: dict[str, list] = {}
+    parts: dict[str, list[LearnerSequence]] = {}
     for seq in sequences:
-        events.setdefault(seq.learner_id, []).extend(seq.events)
-    histories = [LearnerSequence(lid, tuple(evs)) for lid, evs in events.items()]
+        parts.setdefault(seq.learner_id, []).append(seq)
+    histories = [LearnerHistory(lid, tuple(seqs)) for lid, seqs in parts.items()]
     for lo in range(0, len(histories), batch_size):
         chunk = histories[lo : lo + batch_size]
         windows = [MaskedWindow(history, ()) for history in chunk]

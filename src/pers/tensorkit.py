@@ -26,7 +26,6 @@ __all__ = [
     "tensor",
     "parameter",
     "matmul",
-    "add",
     "sub",
     "affine",
     "affine_columns",
@@ -35,7 +34,6 @@ __all__ = [
     "linear_scan",
     "concat",
     "gather_rows",
-    "sum_all",
     "cross_entropy",
     "bce_with_negatives",
     "backward",
@@ -140,12 +138,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 def _same_shape(op: str, a: Tensor, b: Tensor) -> None:
     _require(a.data.shape == b.data.shape, op, f"shapes differ: {a.dims} vs {b.dims}", a, b)
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    _same_shape("add", a, b)
-    # Each parent gets its own array: backward accumulates into them in place.
-    return Tensor(a.data + b.data, (a, b), lambda g: (g, g.copy()))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -324,15 +316,6 @@ def gather_rows(table: Tensor, indices: np.ndarray, weights: np.ndarray | None =
         return (np.bincount(flat, vals.reshape(-1), v * d).reshape(v, d),)
 
     return Tensor(out, (table,), vjp)
-
-
-def sum_all(a: Tensor) -> Tensor:
-    shape = a.data.shape
-
-    def vjp(g: np.ndarray) -> tuple[np.ndarray, ...]:
-        return (np.full(shape, float(g)),)
-
-    return Tensor(np.asarray(a.data.sum()), (a,), vjp)
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray, class_mask: np.ndarray) -> Tensor:

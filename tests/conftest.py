@@ -6,9 +6,43 @@ import weakref
 import numpy as np
 import pytest
 
-from pers import tensorkit as tk
+from pers import perscell, tensorkit as tk
 from pers.codefeat import PrecomputedSource
 from pers.dataio import Interaction, LearnerSequence, MaskedWindow, Vocabulary
+
+
+def add(a: tk.Tensor, b: tk.Tensor) -> tk.Tensor:
+    """a + b as a recorded op, for the step-by-step oracles: no program
+    path adds two nodes."""
+    tk._same_shape("add", a, b)
+    # Each parent gets its own array: backward accumulates into them in place.
+    return tk.Tensor(a.data + b.data, (a, b), lambda g: (g, g.copy()))
+
+
+def sum_all(a: tk.Tensor) -> tk.Tensor:
+    """The scalar sum of a node: the root that gradient tests differentiate."""
+    shape = a.data.shape
+    return tk.Tensor(np.asarray(a.data.sum()), (a,), lambda g: (np.full(shape, float(g)),))
+
+
+def excluded_params(variant: str, names) -> set[str]:
+    """Parameter names the variant starves of gradient by construction."""
+    dead: set[str] = set()
+    if not perscell.uses_code(variant):
+        dead |= {"W_2", "status_table", "time_table", "memory_table", "code_table"}
+    latent = perscell.ablated_latent(variant)
+    if latent == "pa":
+        dead |= {"W_5", "b_5", "W_6", "b_6"}
+    elif latent == "ps":
+        dead |= {"W_4", "b_4", "W_7", "b_7", "W_8", "b_8"}
+    elif latent == "us":
+        dead |= {"W_9", "b_9", "W_10"}
+    return dead & set(names)
+
+
+def precomputed_bag(source: PrecomputedSource, ev: Interaction):
+    """A precomputed source's bag of one event: its vector's row, weight 1."""
+    return (int(source.bag_numbers([ev])[0]),), (1.0,)
 
 
 def interaction(

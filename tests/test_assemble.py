@@ -1,5 +1,5 @@
-"""assemble_batch against the per-event packing loop it replaced, and the
-code sources' interning."""
+"""assemble_batch against the per-event packing loop it replaced, the event
+table it gathers from, and the code sources' interning."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from pers import codefeat, perscell
 from pers.codefeat import CodeFeatureError, HashedTokenSource, PrecomputedSource
-from pers.dataio import STATUSES, Interaction, LearnerSequence, MaskedWindow, Vocabulary
+from pers.dataio import STATUSES, Interaction, LearnerSequence, MaskedWindow, Vocabulary, build_sequences, split
 from pers.encoder import HyperParams
 
 D_C = 3
@@ -159,3 +159,73 @@ def test_target_step_without_a_following_event_is_rejected():
     bad = MaskedWindow(window.window, (1,))
     with pytest.raises(ValueError, match="no following event"):
         perscell.assemble_batch([bad], Vocabulary(["p0"]), HP)
+
+
+@st.composite
+def loaded_windows(draw):
+    """Masked windows as `load_dataset` cuts them, all rows of one event
+    table, some of them drawn again or in another order."""
+    fields = draw(st.lists(st.tuples(st.sampled_from(["a", "b", "c"]), st.integers(0, 3), events),
+                           min_size=1, max_size=30))
+    log = [Interaction(lid, eid, ts, status, t_ms, m_kb, code=code, code_vec_ref=ref)
+           for lid, ts, (eid, status, t_ms, m_kb, code, ref) in fields]
+    sequences, vocab = build_sequences(log, draw(st.integers(2, 5)), draw(st.booleans()))
+    train, test = split(sequences, draw(st.sampled_from([0.2, 0.5])))
+    pool = train + test + [MaskedWindow(seq, ()) for seq in sequences]
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=8))
+    return [pool[i] for i in picks], vocab
+
+
+@settings(max_examples=150, deadline=None)
+@given(loaded=loaded_windows(), hand=window_lists(), mix=st.sampled_from(["table", "hand", "mixed"]),
+       kind=st.sampled_from(["hashed", "precomputed", None]), other_vocab=st.booleans())
+def test_table_gathers_match_per_event_loop_bitwise(loaded, hand, mix, kind, other_vocab):
+    windows, vocab = loaded
+    assert all(mw.window.table is windows[0].window.table is not None for mw in windows)
+    if mix == "hand":
+        windows = hand
+    elif mix == "mixed":
+        windows = windows[:2] + hand + windows[2:]
+    vocabs = [vocab, Vocabulary(EXERCISES[1:3])] if other_vocab else [vocab]
+    if kind == "hashed":
+        source = HashedTokenSource(7, D_C)
+    elif kind == "precomputed":
+        source = PrecomputedSource({ref: np.full(D_C, float(i)) for i, ref in enumerate(REFS)}, D_C)
+    else:
+        source = None
+    # Repeats read the columns and bag numbers the table kept; switching
+    # the vocabulary must re-encode the exercise column, not reuse it.
+    for v in vocabs + vocabs[::-1]:
+        for batch in (windows, windows[::-1]):
+            got = perscell.assemble_batch(batch, v, HP, source)
+            assert_bytes_equal(got, reference_assemble(batch, v, source), batch)
+
+
+def test_loaded_windows_are_row_ranges_of_one_table():
+    log = [Interaction(lid, f"p{t % 3}", ts, "accepted", 1, 1) for t, (lid, ts) in
+           enumerate([("b", 5), ("a", 2), ("b", 1), ("a", 2), ("a", 0), ("b", 1)])]
+    for sliding in (False, True):
+        sequences, _ = build_sequences(log, max_len=2, sliding=sliding)
+        table = sequences[0].table
+        # Learners in first-seen order, then timestamp, then file order.
+        assert [(ev.learner_id, ev.timestamp) for ev in table.events] == [
+            ("b", 1), ("b", 1), ("b", 5), ("a", 0), ("a", 2), ("a", 2)]
+        assert table.events[2] is log[0] and table.events[0] is log[2]
+        for seq in sequences:
+            assert seq.table is table
+            assert seq.events == table.events[seq.start : seq.start + len(seq)]
+        starts = [seq.start for seq in sequences]
+        assert starts == ([0, 1, 3, 4] if sliding else [0, 2, 3, 5])
+
+
+def test_assemble_asks_a_source_once_per_table_row():
+    log = [Interaction("a", "p0", t, "accepted", 1, 1, code=f"x{t % 2}") for t in range(6)]
+    sequences, vocab = build_sequences(log, max_len=3)
+    source = HashedTokenSource(16, D_C)
+    asked = []
+    bag_numbers = source.bag_numbers
+    source.bag_numbers = lambda evs: (asked.append(len(evs)), bag_numbers(evs))[1]
+    windows = [MaskedWindow(seq, ()) for seq in sequences]
+    for batch in ([windows[0]], windows, windows[::-1]):
+        perscell.assemble_batch(batch, vocab, HP, source)
+    assert asked == [3, 3]  # the second window's rows only; then nothing new

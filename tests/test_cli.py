@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pers import cli, tensorkit as tk, training
+from pers import cli, codefeat, tensorkit as tk, training
 
 
 def run(argv):
@@ -419,6 +419,30 @@ def test_eval_other_bucket_count_than_training_exits_2(tmp_path, capsys):
     assert_one_line_error(capsys, "checkpoint has 32 hash buckets x 8, source 16 x 8")
 
 
+def test_hashed_eval_and_probe_take_their_widths_from_a_d_c_8_checkpoint(tmp_path, capsys):
+    config_path, cfg = base_config(tmp_path, n_learners=48, steps=20, epochs=1)
+    del cfg["d_c"]
+    open(config_path, "w").write(json.dumps(cfg))
+    assert run(["simulate", "--config", config_path, "--d-c", "8"]) == 0
+    out = cfg["out_dir"]
+    data, labels, model = (os.path.join(out, name) for name in ("data.jsonl", "labels.tsv", "model.pers"))
+    with_code_text(data)
+    common = ["--config", config_path, "--data", data, "--code-source", "hashed"]
+    assert run(["train", *common, "--hash-buckets", "32", "--d-c", "8"]) == 0
+    reports = []
+    for widths in ([], ["--hash-buckets", "32", "--d-c", "8"]):
+        dest = str(tmp_path / f"eval{len(widths)}")
+        assert run(["eval", *common, "--checkpoint", model, "--out-dir", dest, *widths]) == 0
+        reports.append(open(os.path.join(dest, "report.tsv")).read())
+    assert reports[0] == reports[1]
+    probe_argv = ["probe", *common, "--checkpoint", model, "--labels", labels, "--probe-trials", "1", "--probe-splits", "1"]
+    assert run(probe_argv) == 0
+    capsys.readouterr()
+    for command in (["eval", *common, "--checkpoint", model], probe_argv):
+        assert run(command + ["--d-c", "4"]) == 2
+        assert_one_line_error(capsys, "checkpoint has 32 hash buckets x 8, source 32 x 4")
+
+
 def shift_second_entry_onto_first(header):
     header["manifest"][1]["offset"] = header["manifest"][0]["offset"]
 
@@ -468,6 +492,33 @@ def test_eval_truncated_checkpoint_exits_2_with_one_error_line(saved_model, data
         assert run(argv) == 2
     lines = err.getvalue().strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), lines
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_eval_on_truncated_or_bit_flipped_vectors_exits_2_with_one_error_line(saved_model, data):
+    """A damaged vectors file either still parses, and then evaluates, or
+    exits 2 with one error line; never a traceback."""
+    tmp_path, _, eval_argv = saved_model
+    at = eval_argv.index("--vectors") + 1
+    blob = open(eval_argv[at], "rb").read()
+    cut = data.draw(st.integers(0, len(blob) - 1))
+    if data.draw(st.booleans()):
+        blob = blob[:cut]
+    else:
+        blob = blob[:cut] + bytes([blob[cut] ^ (1 << data.draw(st.integers(0, 7)))]) + blob[cut + 1 :]
+    path = tmp_path / "fuzzed.txt"
+    path.write_bytes(blob)
+    argv = list(eval_argv)
+    argv[at] = str(path)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run(argv)
+    lines = err.getvalue().strip().splitlines()
+    if code == 0:
+        assert not lines and codefeat.read_vectors(path).dim == 8
+    else:
+        assert code == 2 and len(lines) == 1 and lines[0].startswith("error:"), (code, lines)
 
 
 @pytest.fixture(scope="module")

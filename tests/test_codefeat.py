@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import precomputed_bag
 from pers import codefeat, tensorkit as tk
 from pers.dataio import Interaction
 
@@ -45,7 +46,7 @@ def dense_oracle(code, buckets):
 def test_precomputed_lookup_is_bit_exact():
     vec = np.array([0.5, -1.25, 3.0])
     src = codefeat.PrecomputedSource({"v0": np.zeros(3), "v17": vec}, 3)
-    rows, weights = src.weights(interaction(ref="v17"))
+    rows, weights = precomputed_bag(src, interaction(ref="v17"))
     assert rows == (1,) and weights == (1.0,)
     table = src.table_for({})
     assert table.data[1].tobytes() == vec.tobytes()
@@ -56,9 +57,9 @@ def test_precomputed_lookup_is_bit_exact():
 def test_precomputed_missing_ref():
     src = codefeat.PrecomputedSource({}, 3)
     with pytest.raises(codefeat.CodeFeatureError, match="v9"):
-        src.weights(interaction(ref="v9"))
+        precomputed_bag(src, interaction(ref="v9"))
     with pytest.raises(codefeat.CodeFeatureError):
-        src.weights(interaction())
+        precomputed_bag(src, interaction())
 
 
 def test_hashed_empty_code_gives_zero_vector():

@@ -136,12 +136,12 @@ def test_build_sequences_sliding_windows():
 
 def test_vocabulary_round_trip_and_unknown():
     _, vocab = dataio.build_sequences([make_interaction(eid=f"p{i}", ts=i) for i in range(5)])
-    assert vocab.size == 7
-    for i in range(2, vocab.size):
-        assert vocab.encode(vocab.decode(i)) == i
+    assert vocab.n_exercises + 2 == 7
+    # Index i decodes to ids()[i - 2]; 0 (padding) and 1 (unknown) to none.
+    for i, eid in enumerate(vocab.ids(), start=2):
+        assert vocab.encode(eid) == i
+    assert vocab.encode_all(vocab.ids()).tolist() == list(range(2, 7))
     assert vocab.encode("never-seen") == dataio.UNKNOWN_INDEX
-    with pytest.raises(KeyError):
-        vocab.decode(0)
 
 
 def make_learner(lid, n):

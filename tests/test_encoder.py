@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import sum_all
 from pers import dataio, encoder, perscell
 from pers import tensorkit as tk
 
@@ -46,6 +47,26 @@ def test_positional_encoding_entries_bounded():
         assert np.all(out >= -1.0) and np.all(out <= 1.0)
 
 
+@pytest.mark.parametrize("length, batch, d_pos", [(50, 64, 32), (450, 64, 32), (451, 37, 32), (50, 512, 128), (7, 3, 6)])
+def test_position_table_gather_is_bitwise_the_per_row_code(length, batch, d_pos):
+    positions = np.tile(np.arange(length), batch)
+    table = encoder.position_table(length, d_pos)
+    assert table is encoder.position_table(length, d_pos) and not table.flags.writeable
+    assert table[positions].tobytes() == encoder.positional_encoding(positions, d_pos).tobytes()
+    hp = encoder.HyperParams(d_p=4, d_c=2, d_k=4, d_pos=d_pos, n_exercises=5)
+    params = as_tensors(init_arrays(0, hp))
+    idx = np.arange(positions.size) % 7
+    x = np.concatenate([params["E_p"].data[idx], encoder.positional_encoding(positions, d_pos)], axis=1)
+    out = encoder.enhance_exercise(params, hp, idx, positions)
+    assert out.data.tobytes() == (x @ params["W_1"].data + params["b_1"].data).tobytes()
+
+
+def test_enhance_exercise_rejects_negative_position():
+    hp = small_hp()
+    with pytest.raises(ValueError, match="position must be >= 0"):
+        encoder.enhance_exercise(as_tensors(init_arrays(0, hp)), hp, np.array([2, 3]), np.array([0, -1]))
+
+
 def test_positional_encoding_rejects_odd_dim():
     with pytest.raises(ValueError):
         encoder.positional_encoding(3, 5)
@@ -54,17 +75,17 @@ def test_positional_encoding_rejects_odd_dim():
 
 
 def test_bucketization_boundaries():
-    assert encoder.time_bucket(0) == 0
-    assert encoder.time_bucket(1) == 1
-    assert encoder.time_bucket(2) == 1
-    assert encoder.time_bucket(3) == 2
-    assert encoder.time_bucket(10**12) == 31
-    assert encoder.memory_bucket(0) == 0
-    assert encoder.memory_bucket(10**12) == 31
+    assert dataio.time_bucket(0) == 0
+    assert dataio.time_bucket(1) == 1
+    assert dataio.time_bucket(2) == 1
+    assert dataio.time_bucket(3) == 2
+    assert dataio.time_bucket(10**12) == 31
+    assert dataio.memory_bucket(0) == 0
+    assert dataio.memory_bucket(10**12) == 31
 
 
 def test_status_index_unknown_maps_to_other():
-    got = encoder.status_index(["accepted", "weird_verdict", "other"])
+    got = dataio.status_index(["accepted", "weird_verdict", "other"])
     assert got.dtype == np.int64 and got[0] == 0
     assert got[1] == got[2] == len(dataio.STATUSES) - 1
 
@@ -78,7 +99,7 @@ def test_buckets_match_bit_length_rule_for_any_int(counts):
     # The parser accepts any non-negative Python int; the array buckets
     # must agree with the integer rule and not overflow int64.
     want = [min(31, (c + 1).bit_length() - 1) for c in counts]
-    for bucket in (encoder.time_bucket, encoder.memory_bucket):
+    for bucket in (dataio.time_bucket, dataio.memory_bucket):
         got = bucket(counts)
         assert got.dtype == np.int64 and got.tolist() == want
         assert [int(bucket(c)) for c in counts] == want
@@ -211,7 +232,7 @@ def test_padding_row_gets_zero_gradient_when_masked():
     idx = np.array([0, 3])  # row 0 is padding
     out = encoder.enhance_exercise(params, hp, idx, t=0)
     masked = tk.hadamard(out, tk.tensor(np.repeat([[0.0], [1.0]], hp.d_k, axis=1)))
-    grads = tk.backward(tk.sum_all(masked), {"E_p": params["E_p"]})
+    grads = tk.backward(sum_all(masked), {"E_p": params["E_p"]})
     assert np.all(grads["E_p"][0] == 0.0)
     assert np.any(grads["E_p"][3] != 0.0)
 

@@ -57,17 +57,18 @@ def test_rank_invariant_under_constant_shift():
 
 @st.composite
 def score_rows(draw):
-    # Few integer levels, so ties are common, columns 0-1 included.
+    # Few integer levels, so ties are common, columns 0-1 included; or
+    # mostly one level, so most rows tie their target many times over.
     m = draw(st.integers(3, 9))
-    n = draw(st.integers(1, 12))
-    levels = st.integers(-2, 2).map(float)
+    n = draw(st.integers(1, 40))
+    levels = st.integers(-2, 2).map(float) | st.sampled_from([0.0, 0.0, 0.0, 0.0, 1.0])
     logits = np.array(draw(st.lists(st.lists(levels, min_size=m, max_size=m), min_size=n, max_size=n)))
     targets = draw(st.lists(st.sampled_from([2, m - 1]) | st.integers(2, m - 1), min_size=n, max_size=n))
     return logits, np.array(targets, dtype=np.int64)
 
 
 @settings(max_examples=200, deadline=None)
-@given(score_rows(), st.integers(1, 5))
+@given(score_rows(), st.integers(1, 5) | st.just(evalrank.RANK_BLOCK))
 def test_block_ranks_equal_rank_event_row_by_row(rows, block):
     logits, targets = rows
     got = evalrank._target_ranks(logits, targets, block)

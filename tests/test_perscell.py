@@ -5,7 +5,7 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from conftest import source_for, vocab_for, window_of
+from conftest import add, excluded_params, source_for, sum_all, vocab_for, window_of
 from pers import encoder, perscell, tensorkit as tk, training
 from pers.codefeat import HashedTokenSource, PrecomputedSource
 from pers.dataio import Interaction, LearnerSequence, MaskedWindow
@@ -157,7 +157,7 @@ def step_oracle(model, batch):
             g_ps = tk.tanh(aff("7", dp_mlp))
             ps = aff("8", tk.concat([ps, tk.hadamard(g_ps, dc_mlp)]))
             g_us = tk.tanh(aff("9", dp_mlp))
-            us = tk.add(us, tk.matmul(tk.hadamard(g_us, ep), T["W_10"]))
+            us = add(us, tk.matmul(tk.hadamard(g_us, ep), T["W_10"]))
             steps_of_row.append((pa.data[0], ps.data[0], us.data[0]))
             if batch.loss_mask[row, t] > 0:
                 slots = {"pa": pa, "ps": ps, "us": us}
@@ -174,7 +174,7 @@ def step_oracle(model, batch):
     class_mask = perscell.output_class_mask(hp.vocab_size)
     loss = tk.Tensor(np.asarray(0.0))
     for lg, (r, t) in zip(ordered, cells):
-        loss = tk.add(loss, tk.cross_entropy(lg, batch.targets[r, t : t + 1], class_mask))
+        loss = add(loss, tk.cross_entropy(lg, batch.targets[r, t : t + 1], class_mask))
     return states, ordered, tk.hadamard(loss, tk.Tensor(np.asarray(1.0 / max(len(ordered), 1))))
 
 
@@ -526,12 +526,12 @@ def test_gates_bounded_on_unroll():
 
 def test_excluded_params_by_variant():
     names = make_params(22).tensors.keys()
-    assert perscell.excluded_params("PERS", names) == set()
-    assert "W_2" in perscell.excluded_params("ERS", names)
-    assert "status_table" in perscell.excluded_params("PERS-cr", names)
-    assert perscell.excluded_params("PERS-pa", names) == {"W_5", "b_5", "W_6", "b_6"}
-    assert perscell.excluded_params("PERS-us", names) == {"W_9", "b_9", "W_10"}
-    assert "W_4" in perscell.excluded_params("PERS-ps", names)
+    assert excluded_params("PERS", names) == set()
+    assert "W_2" in excluded_params("ERS", names)
+    assert "status_table" in excluded_params("PERS-cr", names)
+    assert excluded_params("PERS-pa", names) == {"W_5", "b_5", "W_6", "b_6"}
+    assert excluded_params("PERS-us", names) == {"W_9", "b_9", "W_10"}
+    assert "W_4" in excluded_params("PERS-ps", names)
 
 
 def test_unknown_variant_rejected():
@@ -573,7 +573,7 @@ def variant_loss_fn(model, batch):
     def fn(tensors):
         probe = model.replace_tensors(dict(tensors))
         run = perscell.run_window(probe, batch)
-        return tk.add(tk.sum_all(run.logits[0]), tk.sum_all(tk.tanh(run.us)))
+        return add(sum_all(run.logits[0]), sum_all(tk.tanh(run.us)))
     return fn
 
 
@@ -584,7 +584,7 @@ def test_cell_gradients_match_finite_differences(variant):
     vocab = vocab_for([f"p{i}" for i in range(6)])
     batch = perscell.assemble_batch(windows, vocab, model.hyper, source_for(windows, model.hyper.d_c))
     fn = variant_loss_fn(model, batch)
-    dead = perscell.excluded_params(variant, model.tensors.keys())
+    dead = excluded_params(variant, model.tensors.keys())
     for name in model.tensors:
         if name in dead:
             continue

@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+from dataclasses import replace
+from itertools import chain
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pers import probe, training
-from pers.dataio import build_sequences, split
+from pers import perscell, probe, tensorkit as tk, training
+from pers.codefeat import HashedTokenSource
+from pers.dataio import LearnerSequence, MaskedWindow, build_sequences, split
+from test_assemble import reference_assemble
 from test_training import toy_corpus, toy_hp
 
 
@@ -36,10 +41,6 @@ def test_export_frees_each_batch_run_before_the_next(watch_runs):
 
 
 def test_identical_learners_export_identical_rows():
-    from dataclasses import replace
-
-    from pers.dataio import LearnerSequence
-
     cp, seqs, source = trained_checkpoint()
     twin = [s for s in seqs if s.learner_id == "u0"]
     ghost_events = tuple(replace(ev, learner_id="ghost") for ev in twin[0].events)
@@ -230,3 +231,46 @@ def test_probe_counts_below_one_rejected(fn, over):
     x, labels = separable_features()
     with pytest.raises(ValueError, match="must be at least 1"):
         getattr(probe, fn)(x, labels, **over)
+
+
+@pytest.fixture(scope="module")
+def windowed_corpus():
+    """Learners of three to five windows each, under both code sources,
+    with an untrained model apiece."""
+    interactions, vectors = toy_corpus(n_learners=5, n_exercises=8, events_per=11)
+    interactions = [replace(ev, code=f"x = {ev.code_vec_ref}") for ev in interactions]
+    cases = []
+    for source, buckets in ((vectors, None), (HashedTokenSource(16, vectors.dim), 16)):
+        for sliding in (False, True):
+            seqs, vocab = build_sequences(interactions, max_len=4 if not sliding else 9, sliding=sliding)
+            hp = toy_hp(vocab.n_exercises, d_k=8)
+            model = perscell.init_model_params(np.random.default_rng(3), hp, code_buckets=buckets)
+            cp = training.Checkpoint(model, tk.AdamState(), training.TrainConfig(), vocab, [])
+            cases.append((cp, seqs, source))
+    return cases
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_export_of_any_window_subset_matches_the_per_event_history(windowed_corpus, data):
+    """Histories gathered from the event table's row ranges give, bit for
+    bit, the latents of each learner's picked windows' events written out
+    one by one, as the export built them before the table."""
+    cp, seqs, source = data.draw(st.sampled_from(windowed_corpus))
+    picked = data.draw(st.lists(st.sampled_from(seqs), min_size=1, max_size=12, unique_by=id))
+    got = probe.export_step_latents(cp, picked, source)
+
+    order = list(dict.fromkeys(s.learner_id for s in picked))
+    histories = [
+        MaskedWindow(LearnerSequence(lid, tuple(chain.from_iterable(s.events for s in picked if s.learner_id == lid))), ())
+        for lid in order
+    ]
+    arrays = reference_assemble(histories, cp.vocab, source)
+    batch = perscell.WindowBatch(**arrays, learner_ids=order, code_source=source)
+    run = perscell.run_window(cp.model.frozen(), batch)
+    want = [(lid, t, *states) for i, lid in enumerate(order) for t, states in enumerate(zip(*run.row_states(i)))]
+    assert [(lid, t) for lid, t, *_ in got] == [(lid, t) for lid, t, *_ in want]
+    for g, w in zip(got, want):
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(g[2:], w[2:]))
+    finals = probe.export_latents(cp, picked, source)
+    assert [(r.learner_id, r.length) for r in finals] == [(h.window.learner_id, len(h.window)) for h in histories]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import add, sum_all
 from pers import tensorkit as tk
 
 
@@ -42,7 +43,7 @@ def test_matmul_shape_error_names_operand():
         tk.matmul(w, x)
 
 
-@pytest.mark.parametrize("op", [tk.add, tk.sub, tk.hadamard])
+@pytest.mark.parametrize("op", [add, tk.sub, tk.hadamard])
 def test_elementwise_ops_reject_mismatched_shapes(op):
     with pytest.raises(tk.ShapeError):
         op(tk.tensor(np.zeros(3)), tk.tensor(np.zeros(4)))
@@ -76,14 +77,14 @@ def test_backward_linear_map_gradient():
     # root = sum(W @ x), x fixed: dW[i, j] = x[j]
     w = tk.parameter(rng(3).normal(size=(3, 4)), "W")
     x = tk.tensor(rng(4).normal(size=(4, 1)))
-    grads = tk.backward(tk.sum_all(tk.matmul(w, x)), {"W": w})
+    grads = tk.backward(sum_all(tk.matmul(w, x)), {"W": w})
     expected = np.tile(x.data[:, 0], (3, 1))
     np.testing.assert_array_equal(grads["W"], expected)
 
 
 def test_backward_tanh_at_zero_gives_ones():
     z = tk.parameter(np.zeros(7), "z")
-    grads = tk.backward(tk.sum_all(tk.tanh(z)), {"z": z})
+    grads = tk.backward(sum_all(tk.tanh(z)), {"z": z})
     np.testing.assert_array_equal(grads["z"], np.ones(7))
 
 
@@ -96,7 +97,7 @@ def test_backward_requires_scalar_root():
 def test_backward_zero_gradient_for_unused_parameter():
     used = tk.parameter(np.ones(3), "used")
     unused = tk.parameter(np.ones((2, 2)), "unused")
-    grads = tk.backward(tk.sum_all(used), {"used": used, "unused": unused})
+    grads = tk.backward(sum_all(used), {"used": used, "unused": unused})
     assert grads["unused"].shape == (2, 2)
     assert np.all(grads["unused"] == 0.0)
 
@@ -107,7 +108,7 @@ def _random_five_param_graph(params):
     h2 = tk.hadamard(h1, tk.tanh(tk.matmul(params["x"], params["w2"])))
     h3 = tk.concat([h2, tk.sub(h1, h2)])
     h4 = tk.affine(tk.gather_rows(h3, np.array([2, 0, 2, 1])), tk.tensor(np.eye(10)[::-1]), params["s"])
-    return tk.sum_all(tk.tanh(h4))
+    return sum_all(tk.tanh(h4))
 
 
 def test_gradients_match_finite_differences():
@@ -128,13 +129,13 @@ def test_finite_diff_exact_for_linear_graph():
     g = rng(6)
     params = {"w": tk.parameter(g.uniform(-1, 1, size=(3, 2)), "w")}
     x = tk.tensor(g.uniform(-1, 1, size=(2, 1)))
-    err = tk.finite_diff_check(lambda p: tk.sum_all(tk.matmul(p["w"], x)), params, "w", h=1e-4)
+    err = tk.finite_diff_check(lambda p: sum_all(tk.matmul(p["w"], x)), params, "w", h=1e-4)
     assert err < 1e-10
 
 
 def test_finite_diff_rejects_bad_h():
     params = {"w": tk.parameter(np.ones((1, 1)), "w")}
-    fn = lambda p: tk.sum_all(p["w"])
+    fn = lambda p: sum_all(p["w"])
     with pytest.raises(ValueError):
         tk.finite_diff_check(fn, params, "w", h=0.0)
     with pytest.raises(ValueError):
@@ -145,7 +146,7 @@ def test_gather_rows_and_scatter_gradient():
     table = tk.parameter(np.arange(12.0).reshape(4, 3), "E")
     out = tk.gather_rows(table, np.array([1, 1, 3]))
     np.testing.assert_array_equal(out.data, [[3, 4, 5], [3, 4, 5], [9, 10, 11]])
-    grads = tk.backward(tk.sum_all(out), {"E": table})
+    grads = tk.backward(sum_all(out), {"E": table})
     np.testing.assert_array_equal(grads["E"], [[0, 0, 0], [2, 2, 2], [0, 0, 0], [1, 1, 1]])
 
 
@@ -157,7 +158,7 @@ def test_backward_skips_ops_no_parameter_feeds():
         raise AssertionError("vjp of an op on constants only was called")
 
     frozen = tk.Tensor(const.data * 2.0, (const,), never)
-    grads = tk.backward(tk.sum_all(tk.hadamard(w, frozen)), {"w": w})
+    grads = tk.backward(sum_all(tk.hadamard(w, frozen)), {"w": w})
     np.testing.assert_array_equal(grads["w"], np.full((2, 2), 2.0))
 
 
@@ -170,12 +171,12 @@ def test_ops_on_constants_alone_record_nothing():
         tk.linear_scan(a, b, 3),
         tk.concat([a, a]),
         tk.gather_rows(b, np.array([0, 3])),
-        tk.sum_all(tk.hadamard(tk.sub(a, a), a)),
+        sum_all(tk.hadamard(tk.sub(a, a), a)),
     ]
     assert all(t.parents == () and t.vjp is None for t in consts)
     # A parameter anywhere upstream keeps the tape, through a constant op too.
     w = tk.parameter(g.normal(size=(4, 4)), "w")
-    taped = tk.sum_all(tk.tanh(tk.matmul(tk.tanh(a), w)))
+    taped = sum_all(tk.tanh(tk.matmul(tk.tanh(a), w)))
     assert taped.parents and taped.vjp is not None
     assert type(tk.parameter(np.zeros(2), "p")) is tk.Parameter and type(tk.tensor(np.zeros(2))) is tk.Tensor
 
@@ -183,11 +184,11 @@ def test_ops_on_constants_alone_record_nothing():
 def test_backward_rejects_non_parameters_and_untaped_roots():
     w = tk.parameter(np.ones((2, 2)), "w")
     const = tk.tensor(np.ones((2, 2)))
-    root = tk.sum_all(tk.hadamard(w, const))
+    root = sum_all(tk.hadamard(w, const))
     with pytest.raises(ValueError, match="not a Parameter"):
         tk.backward(root, {"w": w, "c": const})
     with pytest.raises(ValueError, match="no tape"):
-        tk.backward(tk.sum_all(const), {"w": w})
+        tk.backward(sum_all(const), {"w": w})
 
 
 def test_gather_rows_index_out_of_range():
@@ -207,10 +208,10 @@ def test_gather_rows_bags_match_loop_oracle_and_finite_differences():
     np.testing.assert_allclose(out.data, want, rtol=0, atol=1e-15)
     assert np.all(out.data[2] == 0.0)
     assert out.data[1].tobytes() == table.data[1].tobytes()
-    grads = tk.backward(tk.sum_all(out), {"E": table})
+    grads = tk.backward(sum_all(out), {"E": table})
     np.testing.assert_allclose(grads["E"][:, 0], [0.0, 1.75, 0.5, 0.0, 0.75], atol=1e-15)
     probe = rng(10).normal(size=(4, 3))
-    fn = lambda p: tk.sum_all(tk.hadamard(tk.tanh(tk.gather_rows(p["E"], ids, weights)), tk.tensor(probe)))
+    fn = lambda p: sum_all(tk.hadamard(tk.tanh(tk.gather_rows(p["E"], ids, weights)), tk.tensor(probe)))
     assert tk.finite_diff_check(fn, {"E": table}, "E") < 1e-8
     # A batch whose every bag is empty has K = 0 and yields zeros.
     empty = tk.gather_rows(table, np.zeros((2, 0), dtype=np.int64), np.zeros((2, 0)))
@@ -269,11 +270,11 @@ def test_affine_columns_matches_full_affine_and_finite_differences():
     full = tk.affine(x, w, b).data
     np.testing.assert_allclose(out.data, np.take_along_axis(full, cols, axis=1), rtol=1e-14, atol=1e-14)
     probe = tk.tensor(g.normal(size=cols.shape))
-    fn = lambda p: tk.sum_all(tk.hadamard(tk.tanh(tk.affine_columns(p["x"], p["W"], p["b"], cols)), probe))
+    fn = lambda p: sum_all(tk.hadamard(tk.tanh(tk.affine_columns(p["x"], p["W"], p["b"], cols)), probe))
     params = {"x": x, "W": w, "b": b}
     for name in params:
         assert tk.finite_diff_check(fn, params, name) < 1e-8, name
-    grads = tk.backward(tk.sum_all(out), params)
+    grads = tk.backward(sum_all(out), params)
     want_w = np.zeros((3, 6))
     for i, row in enumerate(cols):
         for c in row:
@@ -395,7 +396,7 @@ def test_adam_returns_parameters_that_train_again():
     state = tk.AdamState()
     seen = [params["w"].data]
     for _ in range(2):
-        grads = tk.backward(tk.sum_all(tk.hadamard(tk.hadamard(params["w"], params["w"]), x)), params)
+        grads = tk.backward(sum_all(tk.hadamard(tk.hadamard(params["w"], params["w"]), x)), params)
         params = tk.adam_step(params, grads, state, lr=0.1)
         assert isinstance(params["w"], tk.Parameter)
         seen.append(params["w"].data)
@@ -410,8 +411,8 @@ def test_adam_shape_mismatch():
 
 def test_gradient_accumulates_over_shared_subexpression():
     x = tk.parameter(np.array([2.0]), "x")
-    y = tk.add(x, x)  # dy/dx = 2
-    grads = tk.backward(tk.sum_all(y), {"x": x})
+    y = add(x, x)  # dy/dx = 2
+    grads = tk.backward(sum_all(y), {"x": x})
     np.testing.assert_array_equal(grads["x"], [2.0])
 
 
@@ -420,10 +421,10 @@ def test_add_gives_each_parent_its_own_gradient():
     a = tk.parameter(np.array([1.0, 2.0]), "a")
     b = tk.parameter(np.array([3.0, 4.0]), "b")
     c = tk.tensor(np.array([5.0, 6.0]))
-    grads = tk.backward(tk.sum_all(tk.add(tk.add(a, b), a)), {"a": a, "b": b})
+    grads = tk.backward(sum_all(add(add(a, b), a)), {"a": a, "b": b})
     np.testing.assert_array_equal(grads["a"], [2.0, 2.0])
     np.testing.assert_array_equal(grads["b"], [1.0, 1.0])
-    grads = tk.backward(tk.sum_all(tk.add(tk.add(a, b), tk.hadamard(a, c))), {"a": a, "b": b})
+    grads = tk.backward(sum_all(add(add(a, b), tk.hadamard(a, c))), {"a": a, "b": b})
     np.testing.assert_array_equal(grads["a"], [6.0, 7.0])
     np.testing.assert_array_equal(grads["b"], [1.0, 1.0])
 
@@ -432,7 +433,7 @@ def _scan_graph(carry_name):
     def fn(params):
         carry = None if carry_name is None else params[carry_name]
         h = tk.linear_scan(params["x"], carry, 4)
-        return tk.sum_all(tk.tanh(tk.hadamard(h, params["w"])))
+        return sum_all(tk.tanh(tk.hadamard(h, params["w"])))
     return fn
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import source_for, vocab_for, window_of
+from conftest import excluded_params, source_for, vocab_for, window_of
 from pers import cli, perscell, tensorkit as tk, training
 from pers.codefeat import PrecomputedSource, write_vectors
 from pers.dataio import Interaction, LearnerSequence, MaskedWindow, Vocabulary, build_sequences, split, write_log
@@ -416,7 +416,7 @@ def test_every_active_parameter_receives_gradient(variant):
     run = perscell.run_window(model, batch)
     loss = training.sequence_loss(run, batch, hp.vocab_size)
     grads = tk.backward(loss, model.tensors)
-    dead = perscell.excluded_params(variant, model.tensors.keys())
+    dead = excluded_params(variant, model.tensors.keys())
     for name, g in grads.items():
         if name in dead:
             assert np.all(g == 0.0), f"{variant}/{name} should be starved"
