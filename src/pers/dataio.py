@@ -6,12 +6,13 @@ learner_id, exercise_id, timestamp, status, exec_time_ms, exec_memory_kb,
 and optionally code and/or code_vec_ref.
 
 `build_sequences` lays a dataset's events out once, in window order, as
-one `EventTable`, and every window it cuts records its first row there,
-so a window is a row range and a learner's history a list of them. The
-table encodes the columns the model reads (exercise index, status, time
-and memory buckets, code bag numbers) for a row the first time a batch
-reads it and keeps them, so batches are assembled by index gathers and
-loading a log does no per-event encoding beyond parsing.
+one `EventTable`, and every window it cuts is a row range there, so a
+learner's history is a list of them. The table encodes the columns the
+model reads (exercise index, status, time and memory buckets, code bag
+numbers) for a row the first time a batch reads it and keeps them, so
+loading a log does no per-event encoding beyond parsing, and a later
+pass over the same rows (another eval or export round, the next variant
+of an ablation) assembles its batches by index gathers alone.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Sequence
 
@@ -156,22 +157,49 @@ def write_log(path, interactions: Iterable[Interaction]) -> None:
             fh.write(json.dumps(it.to_record(), sort_keys=True) + "\n")
 
 
-@dataclass(slots=True, frozen=True)
 class LearnerSequence:
-    """One chronological window (length <= max sequence length) of a learner.
+    """One chronological window (length <= max sequence length) of a
+    learner: rows start..stop of an `EventTable`, which holds its events.
 
-    A window cut by `build_sequences` also records the `EventTable` that
-    holds its events and the row of its first event there; a window built
-    by hand has no table.
+    `build_sequences` cuts its windows from the dataset's table; a window
+    made from a list of events, as `LearnerSequence(learner_id, events)`,
+    gets a table of its own. Two windows are equal when their learner and
+    events are.
     """
 
-    learner_id: str
-    events: tuple[Interaction, ...]
-    table: EventTable | None = field(default=None, compare=False, repr=False)
-    start: int = field(default=0, compare=False)
+    __slots__ = ("learner_id", "table", "start", "stop")
+
+    def __init__(self, learner_id: str, events: Iterable[Interaction]):
+        events = tuple(events)
+        self._place(learner_id, EventTable([events]), 0, len(events))
+
+    @classmethod
+    def from_rows(cls, learner_id: str, table: EventTable, start: int, stop: int) -> LearnerSequence:
+        """The window of rows start..stop of table."""
+        seq = cls.__new__(cls)
+        seq._place(learner_id, table, start, stop)
+        return seq
+
+    def _place(self, learner_id: str, table: EventTable, start: int, stop: int) -> None:
+        self.learner_id, self.table, self.start, self.stop = learner_id, table, start, stop
+
+    @property
+    def events(self) -> tuple[Interaction, ...]:
+        return self.table.events[self.start : self.stop]
 
     def __len__(self) -> int:
-        return len(self.events)
+        return self.stop - self.start
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, LearnerSequence):
+            return NotImplemented
+        return (self.learner_id, self.events) == (other.learner_id, other.events)
+
+    def __hash__(self) -> int:
+        return hash((self.learner_id, self.events))
+
+    def __repr__(self) -> str:
+        return f"LearnerSequence({self.learner_id!r}, rows {self.start}..{self.stop})"
 
     @property
     def parts(self) -> tuple[LearnerSequence, ...]:
@@ -336,22 +364,19 @@ def build_sequences(
         vocab_ids.append(it.exercise_id)
     vocab = Vocabulary(vocab_ids)
 
-    blocks: list[Sequence[Interaction]] = []  # the table's rows, laid end to end
-    table = EventTable(blocks)
+    # dicts keep first-seen order; the sort is stable, so ties keep file order
+    histories = {lid: sorted(events, key=lambda it: it.timestamp) for lid, events in by_learner.items()}
+    table = EventTable(list(histories.values()))
     sequences: list[LearnerSequence] = []
     base = 0
-    for lid, learner_events in by_learner.items():  # dicts keep first-seen order
-        events = sorted(learner_events, key=lambda it: it.timestamp)  # stable: ties keep file order
-        if sliding and len(events) > max_len:
-            chunks = [tuple(events[s : s + max_len]) for s in range(0, len(events) - max_len + 1)]
-            starts = range(base, base + len(chunks))
-            blocks.append(events)
+    for lid, events in histories.items():
+        n = len(events)
+        if sliding and n > max_len:
+            bounds = [(lo, lo + max_len) for lo in range(n - max_len + 1)]
         else:
-            chunks = [tuple(events[s : s + max_len]) for s in range(0, len(events), max_len)]
-            starts = range(base, base + len(events), max_len)
-            blocks.extend(chunks)  # the windows tile the learner's events
-        sequences += [LearnerSequence(lid, chunk, table, start) for chunk, start in zip(chunks, starts)]
-        base += len(events)
+            bounds = [(lo, min(lo + max_len, n)) for lo in range(0, n, max_len)]
+        sequences += [LearnerSequence.from_rows(lid, table, base + lo, base + hi) for lo, hi in bounds]
+        base += n
     return sequences, vocab
 
 

@@ -19,8 +19,9 @@ zeros in the prediction concat.
 
 A batch's arrays are index gathers from the columns of the
 `dataio.EventTable` that holds its windows' events, which encodes each
-row once; `assemble_batch` builds a table for windows that have none, so
-every batch takes the same path.
+row once and keeps it for later passes; `assemble_batch` builds one
+table for windows that do not share one, so every batch takes the same
+path.
 """
 
 from __future__ import annotations
@@ -324,14 +325,14 @@ def _event_rows(windows: list[MaskedWindow]) -> tuple[EventTable, np.ndarray, np
 
     A window's events are those of its parts (one for a window, several
     for a history), each a row range of its table. Parts that do not all
-    share one table, such as windows built by hand, which have none, get
-    a new table of their events in batch order.
+    share one table, such as windows made from their own events, get a
+    new table of their events in batch order.
     """
     parts = [part for mw in windows for part in mw.window.parts]
     sizes = np.fromiter((len(part) for part in parts), dtype=np.int64, count=len(parts))
     ends = np.cumsum(sizes)
     table = parts[0].table
-    if table is not None and all(part.table is table for part in parts):
+    if all(part.table is table for part in parts):
         starts = np.fromiter((part.start for part in parts), dtype=np.int64, count=len(parts))
     else:
         table = EventTable([part.events for part in parts])

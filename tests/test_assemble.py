@@ -211,11 +211,22 @@ def test_loaded_windows_are_row_ranges_of_one_table():
         assert [(ev.learner_id, ev.timestamp) for ev in table.events] == [
             ("b", 1), ("b", 1), ("b", 5), ("a", 0), ("a", 2), ("a", 2)]
         assert table.events[2] is log[0] and table.events[0] is log[2]
-        for seq in sequences:
-            assert seq.table is table
-            assert seq.events == table.events[seq.start : seq.start + len(seq)]
-        starts = [seq.start for seq in sequences]
-        assert starts == ([0, 1, 3, 4] if sliding else [0, 2, 3, 5])
+        assert all(seq.table is table for seq in sequences)
+        assert [(seq.start, seq.stop) for seq in sequences] == (
+            [(0, 2), (1, 3), (3, 5), (4, 6)] if sliding else [(0, 2), (2, 3), (3, 5), (5, 6)])
+        assert [seq.events for seq in sequences] == [table.events[seq.start : seq.stop] for seq in sequences]
+
+
+def test_a_window_made_from_events_gets_a_table_of_its_own():
+    log = [Interaction("a", f"p{t % 3}", t, "accepted", 1, 1) for t in range(5)]
+    sequences, _ = build_sequences(log, max_len=2)
+    for seq in sequences:
+        own = LearnerSequence(seq.learner_id, list(seq.events))
+        assert own.table is not seq.table and (own.start, own.stop) == (0, len(seq))
+        assert own.events == seq.events and own.table.events == seq.events
+        assert own == seq and hash(own) == hash(seq)
+    assert sequences[0] != sequences[1]
+    assert LearnerSequence("b", sequences[0].events) != sequences[0]
 
 
 def test_assemble_asks_a_source_once_per_table_row():
