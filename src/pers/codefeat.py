@@ -8,8 +8,8 @@ of one table, and `table_for` returns that table, so the model has a
 single code path. Each source numbers the bags it has seen
 (`bag_numbers`) and keeps them in one CSR `store`: flat table rows,
 flat weights, and offsets with bag n at [offsets[n], offsets[n+1]).
-The hashed source tokenizes a submission the first time a batch asks
-for it and never again. Token hashing is pinned to 64-bit FNV-1a so
+A batch carries bag numbers only; `tk.gather_bags` sums the bags from
+the store. The hashed source tokenizes a submission once per source. Token hashing is pinned to 64-bit FNV-1a so
 stored tables stay portable.
 """
 
@@ -168,26 +168,47 @@ def write_vectors(path, table: dict[str, np.ndarray], dim: int) -> None:
 
 
 def read_vectors(path) -> PrecomputedSource:
-    """Load a vectors file: header 'PERSVEC1 d_c=<int>', then ref + floats."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        parts = header.split()
-        if len(parts) != 2 or parts[0] != VECTORS_MAGIC or not parts[1].startswith("d_c="):
-            raise CodeFeatureError(f"bad vectors header: {header!r}")
-        try:
-            dim = int(parts[1][4:])
-        except ValueError:
-            raise CodeFeatureError(f"bad d_c in header: {header!r}") from None
-        table: dict[str, np.ndarray] = {}
-        for lineno, line in enumerate(fh, start=2):
-            fields = line.split()
-            if not fields:
-                continue
-            if len(fields) != dim + 1:
-                raise CodeFeatureError(f"line {lineno}: expected {dim} floats after ref")
-            table[fields[0]] = np.array([float(x) for x in fields[1:]])
+    """Load a vectors file: header 'PERSVEC1 d_c=<int>' with d_c >= 1, then
+    a ref and d_c floats per line."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            header = fh.readline().rstrip("\n")
+            parts = header.split()
+            if len(parts) != 2 or parts[0] != VECTORS_MAGIC or not parts[1].startswith("d_c="):
+                raise CodeFeatureError(f"{path}: bad vectors header: {header!r}")
+            try:
+                dim = int(parts[1][4:])
+            except ValueError:
+                dim = 0  # refused below
+            if dim < 1:
+                raise CodeFeatureError(f"{path}: bad d_c in header: {header!r}; need an integer >= 1")
+            table: dict[str, np.ndarray] = {}
+            for lineno, line in enumerate(fh, start=2):
+                fields = line.split()
+                if not fields:
+                    continue
+                if len(fields) != dim + 1:
+                    raise CodeFeatureError(f"{path}: line {lineno}: expected {dim} floats after ref")
+                try:
+                    table[fields[0]] = np.array([float(x) for x in fields[1:]])
+                except ValueError as exc:
+                    raise CodeFeatureError(f"{path}: line {lineno}: {exc}") from None
+    except UnicodeDecodeError:
+        raise CodeFeatureError(f"{path}: line {_undecodable_line(path)} is not UTF-8 text") from None
     source = PrecomputedSource(table, dim)
     bad = ~np.isfinite(source.matrix).all(axis=1)
     if bad.any():
         raise CodeFeatureError(f"{path}: vector of '{list(table)[int(np.argmax(bad))]}' is not finite")
     return source
+
+
+def _undecodable_line(path) -> int | str:
+    """The number of the first line of a file that is not UTF-8. A newline
+    byte never occurs inside a multi-byte character, so lines decode alone."""
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError:
+                return lineno
+    return "?"  # the file changed after it failed to decode

@@ -209,10 +209,9 @@ class WindowBatch:
 
     exercise_idx uses 0 for padding steps; valid marks real events;
     targets holds the next exercise index where loss_mask is 1 and 0
-    elsewhere. Each step's code is a weighted bag of rows of
-    code_source's table: code_ids and code_weights hold the bags padded
-    to the largest, K, with weight 0 in unused slots. The three are None
-    when the variant ignores code entirely.
+    elsewhere. code_bags holds each step's code as a bag number of
+    code_source (-1 at padding steps); both are None when the variant
+    ignores code entirely.
     """
 
     exercise_idx: np.ndarray  # (B, L) int
@@ -223,8 +222,7 @@ class WindowBatch:
     targets: np.ndarray  # (B, L) int
     loss_mask: np.ndarray  # (B, L) float 0/1
     learner_ids: list[str]
-    code_ids: np.ndarray | None = None  # (B, L, K) int rows of the code table
-    code_weights: np.ndarray | None = None  # (B, L, K) float
+    code_bags: np.ndarray | None = None  # (B, L) int bag numbers of code_source
     code_source: PrecomputedSource | HashedTokenSource | None = None
 
     @property
@@ -281,9 +279,8 @@ def assemble_batch(
 
     Every array is a gather from the columns of the event table that
     holds the windows' events (`_event_rows`), which encodes each row
-    once. Each event's code becomes a bag number of code_source, and one
-    gather from the source's CSR store fills the code arrays; None skips
-    them, which is only legal for the code-ablated variants.
+    once. Each event's code becomes a bag number of code_source; None
+    skips the code, which is only legal for the code-ablated variants.
     """
     if not windows:
         raise ValueError("assemble_batch: no windows")
@@ -309,13 +306,13 @@ def assemble_batch(
     loss_mask = np.zeros((b, length))
     loss_mask[target_rows, target_steps] = 1.0
 
-    code_ids = code_weights = None
+    code_bags = None
     if code_source is not None:
-        numbers = table.bag_numbers(code_source, rows)  # interns first: the store may grow
-        code_ids, code_weights = _pack_bags(code_source.store, numbers, cells, valid.shape)
+        code_bags = np.full((b, length), -1, dtype=np.int64)
+        code_bags[cells] = table.bag_numbers(code_source, rows)
     return WindowBatch(
         exercise_idx, status_idx, time_idx, mem_idx, valid, targets, loss_mask,
-        [mw.window.learner_id for mw in windows], code_ids, code_weights, code_source,
+        [mw.window.learner_id for mw in windows], code_bags, code_source,
     )
 
 
@@ -340,34 +337,6 @@ def _event_rows(windows: list[MaskedWindow]) -> tuple[EventTable, np.ndarray, np
     rows = np.arange(ends[-1]) + np.repeat(starts - (ends - sizes), sizes)
     lengths = np.fromiter((len(mw.window) for mw in windows), dtype=np.int64, count=len(windows))
     return table, rows, lengths
-
-
-def _pack_bags(store, numbers: np.ndarray, cells, shape) -> tuple[np.ndarray, np.ndarray]:
-    """Gather the CSR store's bags `numbers`, one per cell of `cells`, into
-    (B, L, K) arrays; K is the largest bag."""
-    ids, weights, offsets = store
-    starts = offsets[numbers]
-    sizes = offsets[numbers + 1] - starts
-    k = int(sizes.max(initial=0))
-    code_ids = np.zeros(shape + (k,), dtype=np.int64)
-    code_weights = np.zeros(shape + (k,))
-    cell = np.repeat(np.arange(numbers.size), sizes)
-    slot = np.arange(cell.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    at = (cells[0][cell], cells[1][cell], slot)
-    flat = starts[cell] + slot
-    code_ids[at] = ids[flat]
-    code_weights[at] = weights[flat]
-    return code_ids, code_weights
-
-
-def _code_inputs(params: ModelParams, batch: WindowBatch) -> tk.Tensor:
-    """The initial code embedding of every step, (B*L, d_c): each bag's
-    weighted sum of its source's table rows."""
-    if batch.code_source is None:
-        raise ValueError("windows carry no code features but the variant needs them")
-    n = batch.batch * batch.length
-    table = batch.code_source.table_for(params.tensors)
-    return tk.gather_rows(table, batch.code_ids.reshape(n, -1), batch.code_weights.reshape(n, -1))
 
 
 def run_window(
@@ -408,10 +377,13 @@ def run_window(
     prev_idx = np.roll(batch.exercise_idx, 1, axis=1).reshape(n)
     prev_at_t = enhance_exercise(tensors, hp, prev_idx, positions, use_pos, layers)
     if uses_code(params.variant):
+        source = batch.code_source
+        if source is None:
+            raise ValueError("windows carry no code features but the variant needs them")
         enh_c = enhance_code(
             tensors,
             hp,
-            _code_inputs(params, batch),
+            tk.gather_bags(source.table_for(tensors), source.store, batch.code_bags.reshape(n)),
             batch.status_idx.reshape(n),
             batch.time_idx.reshape(n),
             batch.memory_idx.reshape(n),

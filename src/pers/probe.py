@@ -17,7 +17,7 @@ import numpy as np
 from .codefeat import HashedTokenSource, PrecomputedSource
 from .dataio import LearnerHistory, LearnerSequence, MaskedWindow
 from .perscell import assemble_batch, run_window, uses_code
-from .training import Checkpoint
+from .training import Checkpoint, DivergenceError
 
 DIMENSIONS = ("processing", "understanding")
 EXPORT_BATCH = 64  # learners per export unroll
@@ -46,7 +46,8 @@ def _history_states(
     assemble gathers them from their row ranges of the event table.
     Batches are small because full histories can be an order of
     magnitude longer than a training window. The model's tensors are
-    constants here, so the unroll records no tape.
+    constants here, so the unroll records no tape. Raises DivergenceError
+    if a real step's latents are not finite.
     """
     model = checkpoint.model.frozen()
     source = code_source if uses_code(model.variant) else None
@@ -59,7 +60,10 @@ def _history_states(
         windows = [MaskedWindow(history, ()) for history in chunk]
         run = run_window(model, assemble_batch(windows, checkpoint.vocab, model.hyper, source))
         for i, history in enumerate(chunk):
-            yield history, run.row_states(i)
+            states = run.row_states(i)
+            if not all(np.isfinite(s).all() for s in states):
+                raise DivergenceError(f"non-finite latents in the history of {history.learner_id}")
+            yield history, states
         del run  # free this batch's states before the next batch builds its own
 
 
@@ -159,6 +163,8 @@ def _fit_stack(
 
     L2 keeps the probe from memorising noise, which pins permuted-label
     accuracy near chance without hurting genuinely separable latents.
+    Raises DivergenceError if standardised features are not finite, as
+    finite latents near the largest float make them.
     """
     if not label_vectors or not seeds:
         raise ValueError("probe splits and trials must be at least 1")
@@ -177,7 +183,9 @@ def _fit_stack(
             y_test.append(positive[test_idx])
     n_train, n_test = len(y_train[0]), len(y_test[0])
     assert all(len(y) == n_train for y in y_train), "probe splits differ in train size"
-    x, y = np.stack(x_train), np.stack(y_train)
+    x, y, x_test = np.stack(x_train), np.stack(y_train), np.stack(x_test)
+    if not (np.isfinite(x).all() and np.isfinite(x_test).all()):
+        raise DivergenceError("non-finite probe features after standardisation")
 
     t, n, d = x.shape
     w = np.zeros((t, d))
@@ -189,7 +197,7 @@ def _fit_stack(
         w -= lr * (np.matmul(err[:, None, :], x)[:, 0, :] / n + l2 * w)
         b -= lr * err.mean(axis=1)
 
-    pred = (np.matmul(np.stack(x_test), w[:, :, None])[:, :, 0] + b[:, None]) > 0.0
+    pred = (np.matmul(x_test, w[:, :, None])[:, :, 0] + b[:, None]) > 0.0
     accuracy = (pred == np.stack(y_test)).mean(axis=1)
     shape = (len(label_vectors), len(seeds))
     return _Fits(w.reshape(*shape, d), b.reshape(shape), accuracy.reshape(shape), n_train, n_test)

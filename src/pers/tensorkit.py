@@ -34,6 +34,7 @@ __all__ = [
     "linear_scan",
     "concat",
     "gather_rows",
+    "gather_bags",
     "cross_entropy",
     "bce_with_negatives",
     "backward",
@@ -184,9 +185,7 @@ def affine_columns(x: Tensor, w: Tensor, b: Tensor, cols: np.ndarray) -> Tensor:
 
     def vjp(g: np.ndarray) -> tuple[np.ndarray, ...]:
         g_x = np.einsum("mc,mck->mk", g, w_cols)
-        # Row c*k + i of the flat scatter target is w[i, c].
-        flat = (cols[:, :, None] * k + np.arange(k)).reshape(-1)
-        g_w = np.bincount(flat, (g[:, :, None] * x.data[:, None, :]).reshape(-1), n * k).reshape(n, k).T
+        g_w = _scatter_rows((n, k), cols.reshape(-1), g[:, :, None] * x.data[:, None, :]).T
         g_b = np.bincount(cols.reshape(-1), g.reshape(-1), n)
         return g_x, g_w, g_b
 
@@ -277,45 +276,71 @@ def concat(parts: Iterable[Tensor]) -> Tensor:
     return Tensor(np.concatenate([p.data for p in parts], axis=axis), parts, vjp)
 
 
-def gather_rows(table: Tensor, indices: np.ndarray, weights: np.ndarray | None = None) -> Tensor:
-    """Select rows of a (V,d) table, or sum weighted bags of them.
+def gather_rows(table: Tensor, indices: np.ndarray) -> Tensor:
+    """Select rows of a (V,d) table: result[i] = table[indices[i]].
 
-    With (n,) indices, result[i] = table[indices[i]]. With (n,K) indices
-    and (n,K) weights, result[i] = sum_k weights[i,k] * table[indices[i,k]];
-    a slot of weight 0 adds nothing, so bags of different sizes pad to K.
-    Indices and weights are constant arrays, not graph nodes; the
+    Indices are a constant array, not a graph node; the
     gradient scatter-adds back into the table rows.
     """
     _require(table.data.ndim == 2, "gather_rows", "table must be rank 2", table)
     idx = np.asarray(indices)
-    if not np.issubdtype(idx.dtype, np.integer) or idx.ndim != (1 if weights is None else 2):
-        want = "1-D" if weights is None else "(n,K)"
-        raise ShapeError(f"gather_rows: indices must be a {want} integer array")
-    if weights is not None and np.shape(weights) != idx.shape:
-        raise ShapeError(f"gather_rows: weights {list(np.shape(weights))} do not match indices {list(idx.shape)}")
+    if not np.issubdtype(idx.dtype, np.integer) or idx.ndim != 1:
+        raise ShapeError("gather_rows: indices must be a 1-D integer array")
     if idx.size and (idx.min() < 0 or idx.max() >= table.data.shape[0]):
         raise ShapeError(
             f"gather_rows({_label(table)}): index out of range 0..{table.data.shape[0] - 1}"
         )
-    if weights is None:
-        out = table.data[idx]
-    else:
-        w = np.asarray(weights, dtype=np.float64)
-        n, k = idx.shape
-        # Slot 0 starts the sum, so a one-row bag of weight 1 is that row bitwise.
-        out = table.data[idx[:, 0]] * w[:, :1] if k else np.zeros((n, table.data.shape[1]))
-        for j in range(1, k):
-            out += table.data[idx[:, j]] * w[:, j, None]
+    return Tensor(table.data[idx], (table,), lambda g: (_scatter_rows(table.data.shape, idx, g),))
+
+
+def gather_bags(table: Tensor, store: tuple[np.ndarray, np.ndarray, np.ndarray], numbers: np.ndarray) -> Tensor:
+    """result[i] = sum of weights[e] * table[ids[e]] over the entries e of
+    bag numbers[i] of the CSR store (ids, weights, offsets), whose bag n is
+    entries offsets[n] to offsets[n+1]; bag -1 is empty, a zero row. Each
+    row adds its entries in store order, the first as an assignment, so a
+    one-entry bag of weight 1 is that table row bitwise.
+    """
+    _require(table.data.ndim == 2, "gather_bags", "table must be rank 2", table)
+    ids, weights, offsets = store
+    numbers = np.asarray(numbers)
+    n_bags = len(offsets) - 1
+    in_range = not numbers.size or -1 <= numbers.min() <= numbers.max() < n_bags
+    if numbers.dtype.kind != "i" or numbers.ndim != 1 or not in_range:
+        raise ShapeError(f"gather_bags: numbers must be a 1-D integer array of bags -1..{n_bags - 1}")
+    starts = offsets[numbers]
+    sizes = np.where(numbers < 0, 0, offsets[numbers + 1] - starts)
+    # Rows by decreasing bag size, so slot j adds to a prefix: the rows with more than j entries.
+    order = np.argsort(-sizes, kind="stable")
+    first = starts[order]
+    acc = np.zeros((len(numbers), table.data.shape[1]))
+    for j, count in enumerate(len(sizes) - np.cumsum(np.bincount(sizes))[:-1]):
+        at = first[:count] + j
+        term = np.take(table.data, ids[at], axis=0)
+        term *= weights[at][:, None]
+        if j:
+            term += acc[:count]
+        acc[:count] = term
+    out = np.empty_like(acc)
+    out[order] = acc
 
     def vjp(g: np.ndarray) -> tuple[np.ndarray, ...]:
-        v, d = table.data.shape
-        rows, vals = (idx, g) if weights is None else (idx.reshape(-1), g[:, None, :] * w[:, :, None])
-        # Bin r*d + c is table[r, c]; each bin sums its values in input
-        # order from 0.0, as np.add.at would, so the bits are the same.
-        flat = (rows[:, None] * d + np.arange(d)).reshape(-1)
-        return (np.bincount(flat, vals.reshape(-1), v * d).reshape(v, d),)
+        # Every entry, row after row, each row's in store order.
+        rows = np.repeat(np.arange(len(numbers)), sizes)
+        entries = np.arange(len(rows)) + np.repeat(starts - (np.cumsum(sizes) - sizes), sizes)
+        vals = np.take(g, rows, axis=0)
+        vals *= weights[entries][:, None]
+        return (_scatter_rows(table.data.shape, ids[entries], vals),)
 
     return Tensor(out, (table,), vjp)
+
+
+def _scatter_rows(shape: tuple[int, int], rows: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """The (V,d) sum of the (n,d) vals into rows `rows`. Bin r*d + c is
+    [r, c]; each bin sums its values in input order from 0.0, as np.add.at
+    would, so the bits are the same."""
+    v, d = shape
+    flat = (rows[:, None] * d + np.arange(d)).reshape(-1)
+    return np.bincount(flat, vals.reshape(-1), v * d).reshape(v, d)
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray, class_mask: np.ndarray) -> Tensor:

@@ -40,6 +40,46 @@ def excluded_params(variant: str, names) -> set[str]:
     return dead & set(names)
 
 
+def padded_bags(store, numbers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The store's bags `numbers` padded to the largest, K, as (n, K) ids
+    and weights, with weight 0 in the unused slots and in every slot of a
+    number -1: the layout `padded_gather` reads."""
+    ids, weights, offsets = store
+    real = numbers >= 0
+    starts = np.where(real, offsets[numbers], 0)
+    sizes = np.where(real, offsets[numbers + 1] - starts, 0)
+    slot = np.arange(sizes.max(initial=0))
+    used = slot < sizes[:, None]
+    at = np.where(used, starts[:, None] + slot, 0)
+    return np.where(used, ids[at], 0), np.where(used, weights[at], 0.0)
+
+
+def padded_gather(table: tk.Tensor, idx: np.ndarray, w: np.ndarray) -> tk.Tensor:
+    """result[i] = sum_k w[i, k] * table[idx[i, k]] over (n, K) padded bags,
+    slot by slot from slot 0: the oracle for the bits of `tk.gather_bags`
+    and of its gradient."""
+    n, k = idx.shape
+    out = table.data[idx[:, 0]] * w[:, :1] if k else np.zeros((n, table.data.shape[1]))
+    for j in range(1, k):
+        out += table.data[idx[:, j]] * w[:, j, None]
+
+    def vjp(g):
+        v, d = table.data.shape
+        flat = (idx.reshape(-1)[:, None] * d + np.arange(d)).reshape(-1)
+        return (np.bincount(flat, (g[:, None, :] * w[:, :, None]).reshape(-1), v * d).reshape(v, d),)
+
+    return tk.Tensor(out, (table,), vjp)
+
+
+def store_of(bags) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A CSR store (ids, weights, offsets) holding the (rows, weights) bags
+    in order."""
+    sizes = [len(rows) for rows, _ in bags]
+    ids = np.array([i for rows, _ in bags for i in rows], dtype=np.int64)
+    weights = np.array([w for _, ws in bags for w in ws], dtype=np.float64)
+    return ids, weights, np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)])
+
+
 def precomputed_bag(source: PrecomputedSource, ev: Interaction):
     """A precomputed source's bag of one event: its vector's row, weight 1."""
     return (int(source.bag_numbers([ev])[0]),), (1.0,)

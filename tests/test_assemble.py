@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import padded_bags, store_of
 from pers import codefeat, perscell
 from pers.codefeat import CodeFeatureError, HashedTokenSource, PrecomputedSource
 from pers.dataio import STATUSES, Interaction, LearnerSequence, MaskedWindow, Vocabulary, build_sequences, split
@@ -24,7 +25,8 @@ EDGE_COUNTS = [0, 10**30] + [2**k + d for k in (1, 5, 30, 31, 32, 62, 63, 64) fo
 
 def reference_assemble(windows, vocab: Vocabulary, code_source=None) -> dict:
     """The per-event loop assemble_batch once ran, with the bucket rules
-    written out on Python ints: the oracle for every WindowBatch array."""
+    written out on Python ints: the oracle for every WindowBatch array.
+    Step k's bag is bag k of the oracle's own store, "code_store"."""
     index = {eid: i + 2 for i, eid in enumerate(vocab.ids())}
     b = len(windows)
     length = max(len(mw.window) for mw in windows)
@@ -48,18 +50,20 @@ def reference_assemble(windows, vocab: Vocabulary, code_source=None) -> dict:
             arrays["targets"][row, t] = index.get(events[t + 1].exercise_id, 1)
             arrays["loss_mask"][row, t] = 1.0
     if code_source is not None:
-        k = max((len(ids) for ids, _ in bags), default=0)
-        arrays["code_ids"] = np.zeros((b, length, k), dtype=np.int64)
-        arrays["code_weights"] = np.zeros((b, length, k))
-        cells = zip(*np.nonzero(arrays["valid"]))
-        for (row, t), (ids, weights) in zip(cells, bags):
-            arrays["code_ids"][row, t, : len(ids)] = ids
-            arrays["code_weights"][row, t, : len(ids)] = weights
+        arrays["code_bags"] = np.full((b, length), -1, dtype=np.int64)
+        arrays["code_bags"][np.nonzero(arrays["valid"])] = np.arange(len(bags))
+        arrays["code_store"] = store_of(bags)
     return arrays
 
 
 def assert_bytes_equal(batch, want: dict, windows) -> None:
     got = {name: a for name, a in vars(batch).items() if isinstance(a, np.ndarray)}
+    want = dict(want)
+    if "code_store" in want:
+        # Bag numbers are each store's own: compare the bags they name.
+        assert np.array_equal(got["code_bags"] < 0, want["code_bags"] < 0)
+        for arrays, store in ((got, batch.code_source.store), (want, want.pop("code_store"))):
+            arrays["code_ids"], arrays["code_weights"] = padded_bags(store, arrays.pop("code_bags").reshape(-1))
     assert got.keys() == want.keys()
     for name, a in want.items():
         assert (got[name].dtype, got[name].shape) == (a.dtype, a.shape), name
@@ -240,3 +244,15 @@ def test_assemble_asks_a_source_once_per_table_row():
     for batch in ([windows[0]], windows, windows[::-1]):
         perscell.assemble_batch(batch, vocab, HP, source)
     assert asked == [3, 3]  # the second window's rows only; then nothing new
+
+
+def test_one_long_submission_costs_its_entries_not_a_padded_batch():
+    # 20,000 distinct tokens fill nearly all 2,048 buckets; padding every step's
+    # bag to that size would take 64 * 50 * 2,048 * 16 bytes, about 100 MB.
+    text = " ".join(f"t{i}" for i in range(20000))
+    windows = [_window([text if w == t == 0 else f"x = {t % 3}" for t in range(50)], lid=f"u{w}") for w in range(64)]
+    source = HashedTokenSource(2048, D_C)
+    batch = perscell.assemble_batch(windows, Vocabulary(["p0"]), HP, source)
+    assert batch.code_bags.shape == (64, 50)
+    assert sum(a.nbytes for a in vars(batch).values() if isinstance(a, np.ndarray)) < 2**20
+    assert np.diff(source.store[2]).max() > 2000

@@ -292,6 +292,33 @@ def test_eval_with_nan_logits_exits_3(tmp_path, capsys):
     assert not os.path.exists(os.path.join(os.path.dirname(model), "report.tsv"))
 
 
+@pytest.mark.parametrize("overflow, fragment", [
+    # Finite latents near the largest float, too large to standardise.
+    ({"W_10": lambda w: np.where(np.arange(w.shape[1]) == 0, 1e308, w)}, "non-finite probe features"),
+    # Understanding-style latents that overflow outright.
+    ({"W_10": lambda w: np.full_like(w, np.finfo(np.float64).max), "b_1": lambda b: np.full_like(b, 1e3)},
+     "non-finite latents in the history of"),
+], ids=["huge-latents", "overflowing-latents"])
+def test_probe_on_overflowing_latents_exits_3(tmp_path, capsys, overflow, fragment):
+    config_path, cfg = base_config(tmp_path, n_learners=48, steps=30, epochs=1)
+    assert run(["simulate", "--config", config_path]) == 0
+    out = cfg["out_dir"]
+    data, vectors, labels = (os.path.join(out, name) for name in ("data.jsonl", "vectors.txt", "labels.tsv"))
+    assert run(["train", "--config", config_path, "--data", data, "--vectors", vectors]) == 0
+    model = os.path.join(out, "model.pers")
+    cp = training.load_checkpoint(model)
+    for name, edit in overflow.items():
+        cp.model.tensors[name] = tk.parameter(edit(cp.model.tensors[name].data), name)
+    training.save_checkpoint(model, cp)
+    capsys.readouterr()
+    argv = ["probe", "--config", config_path, "--data", data, "--vectors", vectors,
+            "--checkpoint", model, "--labels", labels, "--probe-trials", "2"]
+    with np.errstate(all="ignore"):
+        assert run(argv) == 3
+    assert_one_line_error(capsys, fragment)
+    assert not os.path.exists(os.path.join(out, "probe.json"))
+
+
 @pytest.mark.parametrize("entry", ["W_12", "m:W_12"])
 def test_eval_checkpoint_non_finite_value_exits_2(tmp_path, capsys, entry):
     model, eval_argv = trained_checkpoint(tmp_path)
@@ -496,6 +523,33 @@ def test_eval_truncated_checkpoint_exits_2_with_one_error_line(saved_model, data
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
+def test_eval_bit_flipped_checkpoint_exits_0_2_or_3_with_one_error_line(saved_model, data):
+    """A checkpoint with one bit flipped either still evaluates, or exits 2
+    (a damaged file) or 3 (values that overflow) with one error line; never
+    a traceback. A flipped mantissa bit cannot be told from a trained value."""
+    tmp_path, blob, eval_argv = saved_model
+    magic = len(training.CHECKPOINT_MAGIC)
+    header_end = magic + 8 + int.from_bytes(blob[magic : magic + 8], "little")
+    # The payload outnumbers the magic, length and header, so half the flips land there.
+    at = data.draw(st.one_of(st.integers(0, header_end - 1), st.integers(0, len(blob) - 1)))
+    flipped = bytearray(blob)
+    flipped[at] ^= 1 << data.draw(st.integers(0, 7))
+    path = tmp_path / "flipped.pers"
+    path.write_bytes(flipped)
+    argv = list(eval_argv)
+    argv[argv.index("--checkpoint") + 1] = str(path)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run(argv)
+    lines = err.getvalue().strip().splitlines()
+    if code == 0:
+        assert not lines
+    else:
+        assert code in (2, 3) and len(lines) == 1 and lines[0].startswith("error:"), (code, lines)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
 def test_eval_on_truncated_or_bit_flipped_vectors_exits_2_with_one_error_line(saved_model, data):
     """A damaged vectors file either still parses, and then evaluates, or
     exits 2 with one error line; never a traceback."""
@@ -579,6 +633,25 @@ def test_train_on_non_finite_vector_exits_2(simulated, tmp_path, capsys):
     argv = ["train", "--config", config_path, "--data", paths["data"], "--vectors", str(vectors), "--out-dir", str(tmp_path)]
     assert run(argv) == 2
     assert_one_line_error(capsys, f"vector of '{ref}' is not finite")
+
+
+@pytest.mark.parametrize("line, edit, fragment", [
+    (0, lambda text: b"PERSVEC1 d_c=-1", "bad d_c in header: 'PERSVEC1 d_c=-1'"),
+    (0, lambda text: b"PERSVEC1 d_c=0", "bad d_c in header: 'PERSVEC1 d_c=0'"),
+    (1, lambda text: b" ".join([text.split()[0], b"1x5", *text.split()[2:]]),
+     "line 2: could not convert string to float: '1x5'"),
+    (2, lambda text: text + b"\xb6", "line 3 is not UTF-8 text"),
+], ids=["negative-d_c", "zero-d_c", "bad-float", "bad-byte"])
+def test_train_on_malformed_vectors_file_names_it_and_exits_2(simulated, tmp_path, capsys, line, edit, fragment):
+    config_path, _, paths = simulated
+    lines = open(paths["vectors"], "rb").read().split(b"\n")
+    lines[line] = edit(lines[line])
+    vectors = tmp_path / "vectors.txt"
+    vectors.write_bytes(b"\n".join(lines))
+    capsys.readouterr()
+    argv = ["train", "--config", config_path, "--data", paths["data"], "--vectors", str(vectors), "--out-dir", str(tmp_path)]
+    assert run(argv) == 2
+    assert_one_line_error(capsys, f"{vectors}: {fragment}")
 
 
 def test_checkpoint_with_earlier_header_fields_evaluates_the_same(tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import precomputed_bag
+from conftest import precomputed_bag, store_of
 from pers import codefeat, tensorkit as tk
 from pers.dataio import Interaction
 
@@ -50,7 +50,7 @@ def test_precomputed_lookup_is_bit_exact():
     assert rows == (1,) and weights == (1.0,)
     table = src.table_for({})
     assert table.data[1].tobytes() == vec.tobytes()
-    out = tk.gather_rows(table, np.array([rows]), np.array([weights]))
+    out = tk.gather_bags(table, store_of([(rows, weights)]), np.array([0]))
     assert out.data[0].tobytes() == vec.tobytes()
 
 
@@ -66,7 +66,7 @@ def test_hashed_empty_code_gives_zero_vector():
     src = codefeat.HashedTokenSource(buckets=8, dim=4)
     assert src.weights(interaction(code="  !! ")) == ((), ())
     table = tk.tensor(np.ones((8, 4)))
-    out = tk.gather_rows(table, np.zeros((1, 0), dtype=np.int64), np.zeros((1, 0)))
+    out = tk.gather_bags(table, store_of([((), ())]), np.array([0]))
     assert out.data.shape == (1, 4) and np.all(out.data == 0.0)
 
 
@@ -80,7 +80,7 @@ def test_hashed_mean_matches_hand_evaluation():
     expected = (2.0 * table[h_a] + table[h_b]) / 3.0
     rows, weights = src.weights(interaction(code="a a b"))
     assert dict(zip(rows, weights)) == {h_a: pytest.approx(2.0 / 3.0), h_b: pytest.approx(1.0 / 3.0)}
-    out = tk.gather_rows(tk.tensor(table), np.array([rows]), np.array([weights]))
+    out = tk.gather_bags(tk.tensor(table), store_of([(rows, weights)]), np.array([0]))
     np.testing.assert_allclose(out.data[0], expected, atol=1e-15)
 
 
@@ -108,7 +108,7 @@ def test_hashed_output_norm_bounded_by_max_bucket_norm():
         rows, weights = src.weights(interaction(code=code))
         assert len(set(rows)) == len(rows) and all(w > 0.0 for w in weights)
         assert sum(weights) == pytest.approx(1.0, abs=1e-15)
-        out = tk.gather_rows(tk.tensor(table), np.array([rows]), np.array([weights]))
+        out = tk.gather_bags(tk.tensor(table), store_of([(rows, weights)]), np.array([0]))
         assert np.linalg.norm(out.data[0]) <= max_norm + 1e-12
 
 
@@ -125,8 +125,7 @@ def test_bag_matches_dense_histogram_times_table(code, buckets, seed):
     np.testing.assert_array_equal(dense(bag, buckets), oracle)
     assert sum(bag[1]) == pytest.approx(1.0 if codefeat.tokenize(code) else 0.0, abs=1e-12)
     table = np.random.default_rng(seed).normal(size=(buckets, 5))
-    ids = np.array(bag[0], dtype=np.int64).reshape(1, -1)
-    got = tk.gather_rows(tk.tensor(table), ids, np.array(bag[1]).reshape(1, -1)).data[0]
+    got = tk.gather_bags(tk.tensor(table), store_of([bag]), np.array([0])).data[0]
     want = oracle @ table
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
@@ -156,6 +155,20 @@ def test_vectors_file_bad_header(tmp_path):
     path.write_text("WRONG 6\nref0 1 2 3 4 5 6\n")
     with pytest.raises(codefeat.CodeFeatureError, match="header"):
         codefeat.read_vectors(path)
+    # A width below 1, a bad float or a byte that is not UTF-8: one line
+    # naming the file and the line.
+    for content, fragment in (
+        (b"PERSVEC1 d_c=-1\nref0\n", "vecs.txt: bad d_c in header: 'PERSVEC1 d_c=-1'; need an integer >= 1"),
+        (b"PERSVEC1 d_c=0\nref0\n", "bad d_c in header: 'PERSVEC1 d_c=0'"),
+        (b"PERSVEC1 d_c=x\nref0 1\n", "bad d_c in header"),
+        (b"PERSVEC1 d_c=2\nref0 1 2\n\nref1 1x5 2\n", "vecs.txt: line 4: could not convert string to float: '1x5'"),
+        (b"PERSVEC1 d_c=2\nref0 1 2\nref1 1.\xb6 2\n", "vecs.txt: line 3 is not UTF-8 text"),
+        (b"PERSVEC1 d_c=2\xb6\nref0 1 2\n", "vecs.txt: line 1 is not UTF-8 text"),
+    ):
+        path.write_bytes(content)
+        with pytest.raises(codefeat.CodeFeatureError) as info:
+            codefeat.read_vectors(path)
+        assert fragment in str(info.value) and "\n" not in str(info.value)
 
 
 def test_vectors_file_wrong_width(tmp_path):

@@ -145,7 +145,9 @@ def step_oracle(model, batch):
                 # The bag as a dense row over the whole table, times the table.
                 table = batch.code_source.table_for(T)
                 bag = np.zeros((1, table.data.shape[0]))
-                np.add.at(bag[0], batch.code_ids[row, t], batch.code_weights[row, t])
+                ids, weights, offsets = batch.code_source.store
+                at = slice(offsets[batch.code_bags[row, t]], offsets[batch.code_bags[row, t] + 1])
+                np.add.at(bag[0], ids[at], weights[at])
                 code = tk.matmul(tk.tensor(bag), table)
                 ec = encoder.enhance_code(
                     T, hp, code, batch.status_idx[row, t : t + 1], batch.time_idx[row, t : t + 1],
@@ -508,8 +510,8 @@ def test_all_padding_row_keeps_exact_zero_state():
     batch = perscell.WindowBatch(
         exercise_idx=z.copy(), status_idx=z.copy(), time_idx=z.copy(), memory_idx=z.copy(),
         valid=valid, targets=z.copy(), loss_mask=np.zeros((2, length)),
-        learner_ids=["real", "ghost"], code_ids=np.zeros((2, length, 1), dtype=np.int64),
-        code_weights=valid[:, :, None].copy(), code_source=PrecomputedSource({"v": np.zeros(hp.d_c)}, hp.d_c),
+        learner_ids=["real", "ghost"], code_bags=np.where(valid > 0, 0, -1),
+        code_source=PrecomputedSource({"v": np.zeros(hp.d_c)}, hp.d_c),
     )
     run = perscell.run_window(model, batch)
     assert run.logits == []  # no target steps, no logits

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 from dataclasses import replace
 from itertools import chain
 
@@ -266,7 +267,9 @@ def test_export_of_any_window_subset_matches_the_per_event_history(windowed_corp
         for lid in order
     ]
     arrays = reference_assemble(histories, cp.vocab, source)
-    batch = perscell.WindowBatch(**arrays, learner_ids=order, code_source=source)
+    oracle_source = copy.copy(source)  # the source's table, the oracle's bags
+    oracle_source.store = arrays.pop("code_store")
+    batch = perscell.WindowBatch(**arrays, learner_ids=order, code_source=oracle_source)
     run = perscell.run_window(cp.model.frozen(), batch)
     want = [(lid, t, *states) for i, lid in enumerate(order) for t, states in enumerate(zip(*run.row_states(i)))]
     assert [(lid, t) for lid, t, *_ in got] == [(lid, t) for lid, t, *_ in want]

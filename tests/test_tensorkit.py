@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import add, sum_all
+from conftest import add, padded_bags, padded_gather, store_of, sum_all
 from pers import tensorkit as tk
 
 
@@ -198,38 +198,44 @@ def test_gather_rows_index_out_of_range():
 
 
 def test_gather_rows_bags_match_loop_oracle_and_finite_differences():
-    # Ids repeat within a bag (row 0) and across bags (rows 0, 1, 3); the
-    # zero-weight slots are padding; row 2 is an empty bag.
+    # Ids repeat within a bag (bag 0) and across bags (0, 1, 3); bag 2 is
+    # empty, and number -1 is an empty bag outside the store.
     table = tk.parameter(rng(9).normal(size=(5, 3)), "E")
-    ids = np.array([[1, 1, 4], [1, 0, 0], [3, 3, 0], [4, 2, 0]])
-    weights = np.array([[0.25, 0.5, 0.25], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.5, 0.5, 0.0]])
-    out = tk.gather_rows(table, ids, weights)
-    want = np.array([sum(w * table.data[i] for i, w in zip(r, ws)) for r, ws in zip(ids, weights)])
+    bags = [((1, 1, 4), (0.25, 0.5, 0.25)), ((1,), (1.0,)), ((), ()), ((4, 2), (0.5, 0.5))]
+    store = store_of(bags)
+    numbers = np.array([0, 1, 2, 3, -1, 3])
+    out = tk.gather_bags(table, store, numbers)
+    want = np.array([sum((w * table.data[i] for i, w in zip(*bags[n])), np.zeros(3)) if n >= 0 else np.zeros(3)
+                     for n in numbers])
     np.testing.assert_allclose(out.data, want, rtol=0, atol=1e-15)
-    assert np.all(out.data[2] == 0.0)
+    assert np.all(out.data[[2, 4]] == 0.0)
     assert out.data[1].tobytes() == table.data[1].tobytes()
+    # The first entry is assigned, not added to 0.0, so a -0.0 survives.
+    signed = tk.gather_bags(tk.tensor([[-0.0, 1.0]]), store_of([((0,), (1.0,)), ((0, 0), (-1.0, 0.0))]), np.array([0, 1]))
+    assert np.signbit(signed.data[:, 0]).tolist() == [True, False]
     grads = tk.backward(sum_all(out), {"E": table})
-    np.testing.assert_allclose(grads["E"][:, 0], [0.0, 1.75, 0.5, 0.0, 0.75], atol=1e-15)
-    probe = rng(10).normal(size=(4, 3))
-    fn = lambda p: sum_all(tk.hadamard(tk.tanh(tk.gather_rows(p["E"], ids, weights)), tk.tensor(probe)))
+    np.testing.assert_allclose(grads["E"][:, 0], [0.0, 1.75, 1.0, 0.0, 1.25], atol=1e-15)
+    probe = rng(10).normal(size=(6, 3))
+    fn = lambda p: sum_all(tk.hadamard(tk.tanh(tk.gather_bags(p["E"], store, numbers)), tk.tensor(probe)))
     assert tk.finite_diff_check(fn, {"E": table}, "E") < 1e-8
-    # A batch whose every bag is empty has K = 0 and yields zeros.
-    empty = tk.gather_rows(table, np.zeros((2, 0), dtype=np.int64), np.zeros((2, 0)))
-    assert empty.data.shape == (2, 3) and np.all(empty.data == 0.0)
+    # A batch whose every bag is empty yields zeros, with or without a store.
+    for empty, numbers in ((store_of([]), [-1, -1]), (store_of([((), ())]), [0, -1])):
+        out = tk.gather_bags(table, empty, np.array(numbers))
+        assert out.data.shape == (2, 3) and np.all(out.data == 0.0)
 
 
 def test_gather_rows_bag_shape_errors():
     table = tk.parameter(np.zeros((4, 3)), "E")
-    with pytest.raises(tk.ShapeError, match="weights"):
-        tk.gather_rows(table, np.zeros((2, 3), dtype=np.int64), np.zeros((2, 2)))
-    with pytest.raises(tk.ShapeError, match=r"\(n,K\)"):
-        tk.gather_rows(table, np.zeros(3, dtype=np.int64), np.zeros(3))
+    store = store_of([((0, 1), (0.5, 0.5)), ((3,), (1.0,))])
     with pytest.raises(tk.ShapeError, match="1-D"):
         tk.gather_rows(table, np.zeros((2, 3), dtype=np.int64))
-    with pytest.raises(tk.ShapeError, match="integer"):
-        tk.gather_rows(table, np.zeros((2, 3)), np.zeros((2, 3)))
+    with pytest.raises(tk.ShapeError, match="1-D integer array of bags -1..1"):
+        tk.gather_bags(table, store, np.zeros((2, 3), dtype=np.int64))
+    for numbers in (np.zeros(3), np.array([0, 2]), np.array([-2, 0])):
+        with pytest.raises(tk.ShapeError, match="integer array of bags"):
+            tk.gather_bags(table, store, numbers)
     with pytest.raises(tk.ShapeError, match="out of range"):
-        tk.gather_rows(table, np.array([[0, 4]]), np.ones((1, 2)))
+        tk.gather_rows(table, np.array([0, 4]))
 
 
 @settings(max_examples=150, deadline=None)
@@ -243,20 +249,53 @@ def test_gather_rows_bag_shape_errors():
 def test_gather_rows_gradient_bytes_match_add_at_oracle(v, d, n, k, seed):
     # Few table rows, so indices repeat within and across bags; the
     # upstream gradient and weights span magnitudes, so a different
-    # summation order would show in the bits.
+    # summation order would show in the bits. k bounds the bag size.
     g = rng(seed)
     table = tk.parameter(g.normal(size=(v, d)), "E")
-    idx = g.integers(0, v, size=(n,) if k is None else (n, k))
-    weights = None if k is None else g.normal(size=(n, k)) * 10.0 ** g.integers(-8, 8, size=(n, k))
     upstream = g.normal(size=(n, d)) * 10.0 ** g.integers(-8, 8, size=(n, d))
-    out = tk.gather_rows(table, idx, weights)
-    (got,) = out.vjp(upstream)
     want = np.zeros((v, d))
-    if weights is None:
+    if k is None:
+        idx = g.integers(0, v, size=n)
+        (got,) = tk.gather_rows(table, idx).vjp(upstream)
         np.add.at(want, idx, upstream)
     else:
-        np.add.at(want, idx.reshape(-1), (upstream[:, None, :] * weights[:, :, None]).reshape(-1, d))
+        bags = [(g.integers(0, v, size=s), g.normal(size=s) * 10.0 ** g.integers(-8, 8, size=s))
+                for s in g.integers(0, k + 1, size=4)]
+        numbers = g.integers(-1, len(bags), size=n)
+        (got,) = tk.gather_bags(table, store_of(bags), numbers).vjp(upstream)
+        for row, number in enumerate(numbers):
+            if number >= 0:
+                ids, weights = bags[number]
+                np.add.at(want, ids, upstream[row] * weights[:, None])
     assert got.shape == (v, d) and got.tobytes() == want.tobytes()
+
+
+@st.composite
+def bag_stores(draw):
+    """A store of bags of 0 to 25 entries over a few table rows, so ids
+    repeat within and across bags, with weights spanning magnitudes."""
+    g = rng(draw(st.integers(0, 2**16)))
+    v = draw(st.integers(1, 8))
+    sizes = draw(st.lists(st.sampled_from([0, 1, 2, 3, 7, 20, 21, 22, 25]), min_size=1, max_size=8))
+    bags = [(g.integers(0, v, size=s), g.normal(size=s) * 10.0 ** g.integers(-6, 6, size=s)) for s in sizes]
+    numbers = np.array(draw(st.lists(st.integers(-1, len(bags) - 1), max_size=40)), dtype=np.int64)
+    return g, v, store_of(bags), numbers
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=bag_stores(), d=st.integers(1, 5))
+def test_gather_bags_matches_padded_oracle_bitwise(case, d):
+    g, v, store, numbers = case
+    table = tk.parameter(g.normal(size=(v, d)) * 10.0 ** g.integers(-6, 6, size=(v, d)), "E")
+    out = tk.gather_bags(table, store, numbers)
+    want = padded_gather(table, *padded_bags(store, numbers))
+    sizes = np.where(numbers < 0, 0, store[2][numbers + 1] - store[2][numbers])
+    real = sizes > 0
+    assert out.data.shape == (len(numbers), d)
+    assert out.data[real].tobytes() == want.data[real].tobytes()
+    assert np.all(out.data[~real] == 0.0)
+    upstream = g.normal(size=(len(numbers), d)) * 10.0 ** g.integers(-6, 6, size=(len(numbers), d))
+    assert out.vjp(upstream)[0].tobytes() == want.vjp(upstream)[0].tobytes()
 
 
 def test_affine_columns_matches_full_affine_and_finite_differences():
