@@ -4,6 +4,12 @@ HR@k / MRR@k / NDCG@k metrics, plus the variant-ablation harness.
 Candidates are never filtered: resubmitting the current exercise is part
 of the behaviour under study, so repeats stay in the candidate set. Ties
 break toward the smaller index so reports are reproducible everywhere.
+
+Targets are ranked a block of rows at a time: each block's logits are
+computed from the model's head rows into one reused buffer, so no
+(targets x catalog) array exists. BLAS may round a row of a small block
+differently from the same row of one large product, so a logit can
+differ from the unblocked one in its last bits.
 """
 
 from __future__ import annotations
@@ -29,20 +35,6 @@ class VocabularyMismatch(ValueError):
 class RankResult:
     learner_id: str
     rank: int
-
-
-def rank_event(scores: np.ndarray, target: int) -> int:
-    """1-based rank of the target among all candidates.
-
-    scores must already carry -inf at the masked indices 0 and 1; equal
-    scores rank the smaller index first.
-    """
-    if target < 2:
-        raise ValueError(f"target {target} is a masked index")
-    s_t = scores[target]
-    greater = int((scores > s_t).sum())
-    tied_before = int((scores[:target] == s_t).sum())
-    return 1 + greater + tied_before
 
 
 def contributions(rank: int, k: int = 10) -> tuple[float, float, float]:
@@ -97,36 +89,45 @@ def evaluate(
         batch_size = checkpoint.config.eval_batch_size
     needs_code = perscell.uses_code(model.variant)
     results: list[RankResult] = []
-    for lo in range(0, len(test_windows), batch_size):
-        chunk = test_windows[lo : lo + batch_size]
-        results.extend(_rank_batch(model, assemble_batch(chunk, vocab, hp, code_source if needs_code else None)))
+    # An overflow surfaces as a non-finite logit, which _target_ranks turns
+    # into DivergenceError; numpy's warnings would only repeat it.
+    with np.errstate(all="ignore"):
+        for lo in range(0, len(test_windows), batch_size):
+            chunk = test_windows[lo : lo + batch_size]
+            results.extend(_rank_batch(model, assemble_batch(chunk, vocab, hp, code_source if needs_code else None)))
     return metrics_at_k([r.rank for r in results]), results
 
 
-# Target rows per vectorised rank count: a block of logit rows and its
-# boolean temporaries stay in cache while they are read four times.
+# Target rows per block: a block's logits and its boolean temporaries
+# stay in cache while they are read four times.
 RANK_BLOCK = 64
 
 
 def _rank_batch(model: perscell.ModelParams, batch: perscell.WindowBatch) -> list[RankResult]:
     """Rank a batch's targets in target_cells order. The model's tensors
-    are constants, so the run records no tape; it and its logits die on
-    return, before the next batch is built."""
-    run = run_window(model, batch)
-    if not run.logits:
+    are constants, so the run records no tape; it dies on return, before
+    the next batch is built."""
+    run = run_window(model, batch, logits=False)
+    if run.head is None:
         return []
     rows, steps = batch.target_cells()
-    ranks = _target_ranks(run.logits[0].data, batch.targets[rows, steps])
+    tensors = model.tensors
+    ranks = _target_ranks(run.head.data, tensors["W_12"].data, tensors["b_12"].data, batch.targets[rows, steps])
     return [RankResult(batch.learner_ids[row], int(rank)) for row, rank in zip(rows, ranks)]
 
 
-def _target_ranks(logits: np.ndarray, targets: np.ndarray, block: int = RANK_BLOCK) -> np.ndarray:
-    """`rank_event` of every row of (N, M) logits at its target, counted
-    `block` rows at a time: 1 + the columns >= 2 that score above the
-    target + the columns 2..target-1 that score equal to it. Columns 0
-    and 1 are left out of the count instead of masked to -inf. The target
-    is one of the equal columns, so only a row with another equal one
-    needs its ties before the target counted.
+def _target_ranks(
+    pre: np.ndarray, w: np.ndarray, b: np.ndarray, targets: np.ndarray, block: int = RANK_BLOCK
+) -> np.ndarray:
+    """The 1-based rank of each target among the logits `pre @ w + b` of
+    its row, for (N, d) head rows, the (d, M) output weights and the (M,)
+    bias. Each `block` rows' logits are computed into one reused buffer,
+    in `tk.affine`'s order (product, then bias), and counted there: 1 +
+    the columns >= 2 that score above the target + the columns
+    2..target-1 that score equal to it, so ties go to the smaller index.
+    Columns 0 and 1 are left out of the count instead of masked to -inf.
+    The target is one of the equal columns, so only a row with another
+    equal one needs its ties before the target counted.
 
     Raises DivergenceError if a block holds a non-finite logit: a NaN
     target would otherwise rank first.
@@ -134,8 +135,12 @@ def _target_ranks(logits: np.ndarray, targets: np.ndarray, block: int = RANK_BLO
     if targets.min() < 2:
         raise ValueError(f"target {int(targets.min())} is a masked index")
     ranks = np.empty(targets.size, dtype=np.int64)
+    buf = np.empty((min(block, targets.size), w.shape[1]))
     for lo in range(0, targets.size, block):
-        scores = logits[lo : lo + block]
+        rows = pre[lo : lo + block]
+        scores = buf[: len(rows)]
+        np.matmul(rows, w, out=scores)
+        scores += b
         # min/max propagate NaN and expose +-inf without a boolean temporary.
         if not (np.isfinite(scores.min()) and np.isfinite(scores.max())):
             raise DivergenceError("non-finite logits at an evaluation target")

@@ -11,7 +11,8 @@ therefore computes those over all B*L steps of a batch at once and
 leaves three linear scans as the only sequential work. Padding is
 trailing, so it never reaches a real step's state; logits are computed
 only at the steps that have a target, and under sampled training only
-at the columns the loss reads.
+at the columns the loss reads. Evaluation stops the run at the head and
+applies the output layer itself, one block of targets at a time.
 
 Ablation variants share this single code path and only flip inputs:
 position or code inputs collapse to zeros, or one latent is replaced by
@@ -178,26 +179,29 @@ def output_class_mask(vocab_size: int) -> np.ndarray:
     return mask
 
 
-def predict(
+def head(
     params: dict[str, tk.Tensor],
     pa: tk.Tensor,
     ps: tk.Tensor,
     us: tk.Tensor,
     variant: str = "PERS",
     layers: int = 1,
-    columns: np.ndarray | None = None,
 ) -> tk.Tensor:
-    """Project (R, d_k) latent rows to next-exercise logits (R, M), or,
-    given (R, C) exercise indices, to the logits of those columns only.
-
-    The variant's ablated latent enters the concat as zeros; downstream
-    consumers mask classes 0 and 1 before softmax or ranking.
-    """
+    """The W_11 MLP over the concat of (R, d_k) latent rows: the (R, d_k)
+    input of the output layer. The variant's ablated latent enters the
+    concat as zeros."""
     slots = {"pa": pa, "ps": ps, "us": us}
     dropped = ablated_latent(variant)
     if dropped is not None:
         slots[dropped] = tk.tensor(np.zeros_like(slots[dropped].data))
-    pre = apply_mlp(params, "11", tk.concat([slots["pa"], slots["ps"], slots["us"]]), layers)
+    return apply_mlp(params, "11", tk.concat([slots["pa"], slots["ps"], slots["us"]]), layers)
+
+
+def predict(params: dict[str, tk.Tensor], pre: tk.Tensor, columns: np.ndarray | None = None) -> tk.Tensor:
+    """The output layer W_12: (R, d_k) head rows to next-exercise logits
+    (R, M), or, given (R, C) exercise indices, to the logits of those
+    columns only. Consumers mask classes 0 and 1 before softmax or
+    ranking."""
     if columns is not None:
         return tk.affine_columns(pre, params["W_12"], params["b_12"], columns)
     return _affine(params, "12", pre)
@@ -252,6 +256,7 @@ class WindowRun:
     nothing, and no real step reads them."""
 
     logits: list[tk.Tensor]  # [(N_targets, M) or (N_targets, C)] in target_cells order; [] without targets
+    head: tk.Tensor | None  # (N_targets, d_k) input of the output layer in target_cells order; None without targets
     pa: tk.Tensor  # (B*L, d_k) state after each step
     ps: tk.Tensor
     us: tk.Tensor
@@ -345,6 +350,7 @@ def run_window(
     dropout: float = 0.0,
     rng: np.random.Generator | None = None,
     columns: np.ndarray | None = None,
+    logits: bool = True,
 ) -> WindowRun:
     """Unroll the cell over a window batch in one pass over all steps.
 
@@ -355,7 +361,9 @@ def run_window(
 
     columns, (N_targets, C) exercise indices in target_cells order,
     restricts each target's logits to those C columns; without it every
-    target gets its full row of M.
+    target gets its full row of M. With logits=False the run stops at the
+    head and its logits list is empty, for a caller that applies the
+    output layer itself.
     """
     hp = params.hyper
     tensors = params.tensors
@@ -422,9 +430,10 @@ def run_window(
     us = tk.linear_scan(tk.matmul(tk.hadamard(gate_us, enh_p), tensors["W_10"]), None, length)
 
     rows, target_steps = batch.target_cells()
-    logits = []
+    pre, out = None, []
     if rows.size:
         at = rows * length + target_steps
-        latents = (tk.gather_rows(s, at) for s in (pa, ps, us))
-        logits.append(predict(tensors, *latents, params.variant, layers, columns))
-    return WindowRun(logits, pa, ps, us, delta_p, gate_ps, gate_us, batch.valid)
+        pre = head(tensors, *(tk.gather_rows(s, at) for s in (pa, ps, us)), params.variant, layers)
+        if logits:
+            out.append(predict(tensors, pre, columns))
+    return WindowRun(out, pre, pa, ps, us, delta_p, gate_ps, gate_us, batch.valid)

@@ -58,7 +58,8 @@ def _history_states(
     for lo in range(0, len(histories), batch_size):
         chunk = histories[lo : lo + batch_size]
         windows = [MaskedWindow(history, ()) for history in chunk]
-        run = run_window(model, assemble_batch(windows, checkpoint.vocab, model.hyper, source))
+        with np.errstate(all="ignore"):  # an overflow shows as non-finite latents, checked below
+            run = run_window(model, assemble_batch(windows, checkpoint.vocab, model.hyper, source))
         for i, history in enumerate(chunk):
             states = run.row_states(i)
             if not all(np.isfinite(s).all() for s in states):
@@ -170,17 +171,21 @@ def _fit_stack(
         raise ValueError("probe splits and trials must be at least 1")
     features = np.asarray(features, dtype=np.float64)
     x_train, x_test, y_train, y_test = [], [], [], []
-    for labels in label_vectors:
-        positive = labels == np.unique(labels)[1]
-        for seed in seeds:
-            train_idx, test_idx = _stratified_split(labels, np.random.default_rng(seed))
-            mu = features[train_idx].mean(axis=0)
-            sd = features[train_idx].std(axis=0)
-            sd[sd < 1e-8] = 1.0
-            x_train.append((features[train_idx] - mu) / sd)
-            x_test.append((features[test_idx] - mu) / sd)
-            y_train.append(positive[train_idx].astype(np.float64))
-            y_test.append(positive[test_idx])
+    # An overflow in the mean or std leaves a non-finite feature, which the
+    # check below turns into DivergenceError; numpy's warnings would only
+    # repeat it.
+    with np.errstate(all="ignore"):
+        for labels in label_vectors:
+            positive = labels == np.unique(labels)[1]
+            for seed in seeds:
+                train_idx, test_idx = _stratified_split(labels, np.random.default_rng(seed))
+                mu = features[train_idx].mean(axis=0)
+                sd = features[train_idx].std(axis=0)
+                sd[sd < 1e-8] = 1.0
+                x_train.append((features[train_idx] - mu) / sd)
+                x_test.append((features[test_idx] - mu) / sd)
+                y_train.append(positive[train_idx].astype(np.float64))
+                y_test.append(positive[test_idx])
     n_train, n_test = len(y_train[0]), len(y_test[0])
     assert all(len(y) == n_train for y in y_train), "probe splits differ in train size"
     x, y, x_test = np.stack(x_train), np.stack(y_train), np.stack(x_test)

@@ -25,6 +25,21 @@ def sum_all(a: tk.Tensor) -> tk.Tensor:
     return tk.Tensor(np.asarray(a.data.sum()), (a,), lambda g: (np.full(shape, float(g)),))
 
 
+def rank_event(scores: np.ndarray, target: int) -> int:
+    """1-based rank of the target among all candidates, one row at a time:
+    the oracle for `evalrank._target_ranks`.
+
+    scores must already carry -inf at the masked indices 0 and 1; equal
+    scores rank the smaller index first.
+    """
+    if target < 2:
+        raise ValueError(f"target {target} is a masked index")
+    s_t = scores[target]
+    greater = int((scores > s_t).sum())
+    tied_before = int((scores[:target] == s_t).sum())
+    return 1 + greater + tied_before
+
+
 def excluded_params(variant: str, names) -> set[str]:
     """Parameter names the variant starves of gradient by construction."""
     dead: set[str] = set()

@@ -4,12 +4,16 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pers import cli, codefeat, tensorkit as tk, training
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
 
 
 def run(argv):
@@ -275,6 +279,17 @@ def assert_one_line_error(capsys, fragment):
     assert len(err) == 1 and err[0].startswith("error:") and fragment in err[0], err
 
 
+def assert_fresh_process_exits_3_with_one_line(argv, fragment):
+    """`python -m pers.cli argv` in a new process: pytest's warning capture
+    hides numpy's RuntimeWarnings in this one, a shell run shows them."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-m", "pers.cli", *argv], capture_output=True, text=True, env=env)
+    err = proc.stderr.strip().splitlines()
+    assert proc.returncode == 3, proc.stderr
+    assert len(err) == 1 and err[0].startswith("error:") and fragment in err[0], err
+
+
 def test_eval_with_nan_logits_exits_3(tmp_path, capsys):
     # A checkpoint may not store a non-finite value, but finite ones can
     # still overflow: output weights and biases at the largest float push
@@ -286,9 +301,9 @@ def test_eval_with_nan_logits_exits_3(tmp_path, capsys):
         cp.model.tensors[name] = tk.parameter(huge, name)
     training.save_checkpoint(model, cp)
     capsys.readouterr()
-    with np.errstate(over="ignore"):
-        assert run(eval_argv) == 3
+    assert run(eval_argv) == 3
     assert_one_line_error(capsys, "non-finite logits")
+    assert_fresh_process_exits_3_with_one_line(eval_argv, "non-finite logits")
     assert not os.path.exists(os.path.join(os.path.dirname(model), "report.tsv"))
 
 
@@ -313,9 +328,9 @@ def test_probe_on_overflowing_latents_exits_3(tmp_path, capsys, overflow, fragme
     capsys.readouterr()
     argv = ["probe", "--config", config_path, "--data", data, "--vectors", vectors,
             "--checkpoint", model, "--labels", labels, "--probe-trials", "2"]
-    with np.errstate(all="ignore"):
-        assert run(argv) == 3
+    assert run(argv) == 3
     assert_one_line_error(capsys, fragment)
+    assert_fresh_process_exits_3_with_one_line(argv, fragment)
     assert not os.path.exists(os.path.join(out, "probe.json"))
 
 

@@ -1,13 +1,15 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from conftest import source_for, vocab_for, window_of
-from pers import evalrank, perscell, probe, training
+from conftest import rank_event, source_for, vocab_for, window_of
+from pers import evalrank, perscell, probe, tensorkit as tk, training
 from pers.dataio import build_sequences, split
 from pers.encoder import HyperParams
 from test_training import toy_corpus, toy_hp
@@ -21,19 +23,19 @@ def masked(scores):
 
 def test_rank_unique_max_is_one():
     scores = masked([0, 0, 1.0, 5.0, 2.0])
-    assert evalrank.rank_event(scores, 3) == 1
+    assert rank_event(scores, 3) == 1
 
 
 def test_rank_all_equal_smallest_index_wins():
     scores = masked([0, 0, 3.0, 3.0, 3.0])
-    assert evalrank.rank_event(scores, 2) == 1
-    assert evalrank.rank_event(scores, 3) == 2
-    assert evalrank.rank_event(scores, 4) == 3
+    assert rank_event(scores, 2) == 1
+    assert rank_event(scores, 3) == 2
+    assert rank_event(scores, 4) == 3
 
 
 def test_rank_rejects_masked_target():
     with pytest.raises(ValueError):
-        evalrank.rank_event(masked([0, 0, 1.0]), 1)
+        rank_event(masked([0, 0, 1.0]), 1)
 
 
 def test_rank_matches_full_sort_oracle():
@@ -43,7 +45,7 @@ def test_rank_matches_full_sort_oracle():
         # Oracle: stable sort by (-score, index); rank = position of target.
         order = sorted(range(2, 12), key=lambda j: (-scores[j], j))
         for target in range(2, 12):
-            assert evalrank.rank_event(scores, target) == order.index(target) + 1
+            assert rank_event(scores, target) == order.index(target) + 1
 
 
 def test_rank_invariant_under_constant_shift():
@@ -52,7 +54,7 @@ def test_rank_invariant_under_constant_shift():
     shifted = scores + 7.5
     shifted[:2] = -np.inf
     for target in range(2, 10):
-        assert evalrank.rank_event(scores, target) == evalrank.rank_event(shifted, target)
+        assert rank_event(scores, target) == rank_event(shifted, target)
 
 
 @st.composite
@@ -71,13 +73,51 @@ def score_rows(draw):
 @given(score_rows(), st.integers(1, 5) | st.just(evalrank.RANK_BLOCK))
 def test_block_ranks_equal_rank_event_row_by_row(rows, block):
     logits, targets = rows
-    got = evalrank._target_ranks(logits, targets, block)
-    assert got.tolist() == [evalrank.rank_event(masked(row), int(t)) for row, t in zip(logits, targets)]
+    m = logits.shape[1]
+    # Head rows equal to the logits under an identity output layer.
+    got = evalrank._target_ranks(logits, np.eye(m), np.zeros(m), targets, block)
+    assert got.tolist() == [rank_event(masked(row), int(t)) for row, t in zip(logits, targets)]
 
 
 def test_block_ranks_reject_masked_target():
     with pytest.raises(ValueError, match="masked"):
-        evalrank._target_ranks(np.zeros((2, 4)), np.array([2, 1]))
+        evalrank._target_ranks(np.zeros((2, 3)), np.zeros((3, 4)), np.zeros(4), np.array([2, 1]))
+
+
+@st.composite
+def output_layers(draw):
+    # Small integers: every product and sum is exact, so each blocking of
+    # the rows gives the logits of the one full product bit for bit. Most
+    # entries are 0 or 1, so rows tie their target often.
+    n = draw(st.sampled_from([1, 63, 64, 65, 130]))
+    d = draw(st.integers(1, 3))
+    m = draw(st.integers(3, 9))
+    levels = st.sampled_from([0.0, 0.0, 0.0, 1.0, 1.0, -1.0, 2.0])
+    pre = draw(arrays(np.float64, (n, d), elements=levels))
+    w = draw(arrays(np.float64, (d, m), elements=levels))
+    b = draw(arrays(np.float64, (m,), elements=levels))
+    targets = draw(arrays(np.int64, (n,), elements=st.sampled_from([2, m - 1]) | st.integers(2, m - 1)))
+    return pre, w, b, targets
+
+
+@settings(max_examples=150, deadline=None)
+@given(output_layers())
+def test_blocked_logit_ranks_equal_rank_event_on_the_full_product(layer):
+    pre, w, b, targets = layer
+    logits = pre @ w + b
+    got = evalrank._target_ranks(pre, w, b, targets)
+    assert got.tolist() == [rank_event(masked(row), int(t)) for row, t in zip(logits, targets)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(output_layers(), st.data(), st.sampled_from([np.inf, -np.inf, np.nan]))
+def test_blocked_ranks_raise_on_a_non_finite_logit_in_any_block(layer, data, bad):
+    pre, w, b, targets = layer
+    row, col = data.draw(st.integers(0, len(pre) - 1)), data.draw(st.integers(0, pre.shape[1] - 1))
+    pre[row, col] = bad
+    w[col, 0] = 1.0  # so at least that row's logit 0 is non-finite
+    with np.errstate(invalid="ignore"), pytest.raises(training.DivergenceError, match="non-finite logits"):
+        evalrank._target_ranks(pre, w, b, targets)
 
 
 def test_metrics_single_event_rank_three():
@@ -144,6 +184,28 @@ def test_evaluate_frees_each_batch_run_before_the_next(watch_runs):
     runs = watch_runs(evalrank)
     evalrank.evaluate(cp, test_w, vocab, source, batch_size=1)
     assert len(runs) == len(test_w) > 1
+
+
+def test_evaluate_peak_memory_stays_below_a_quarter_of_the_logit_block():
+    # A catalog of 5,000 and 2,940 targets in one eval batch: the whole
+    # (N, M) float64 logit block would be about 118 MB.
+    catalog = [f"p{i}" for i in range(5000)]
+    vocab = vocab_for(catalog)
+    rng = np.random.default_rng(3)
+    windows = [window_of(rng.choice(catalog, size=50).tolist(), lid=f"u{i}") for i in range(60)]
+    hp = HyperParams(d_p=8, d_c=4, d_k=8, d_ct=2, d_cm=2, d_cs=2, max_len=50, n_exercises=vocab.n_exercises)
+    model = perscell.init_model_params(np.random.default_rng(4), hp, variant="ERS")
+    cp = training.Checkpoint(model, tk.AdamState(), training.TrainConfig(variant="ERS"), vocab, [])
+    n_targets = sum(len(w.target_steps) for w in windows)
+    block_bytes = n_targets * hp.vocab_size * 8
+    tracemalloc.start()
+    try:
+        metrics, _ = evalrank.evaluate(cp, windows, vocab)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert metrics.events == n_targets and n_targets * hp.vocab_size > 14_000_000
+    assert peak < block_bytes / 4, f"peak {peak / 2**20:.1f} MB for a {block_bytes / 2**20:.1f} MB logit block"
 
 
 def test_inference_builds_no_tape(watch_tensors):

@@ -352,7 +352,7 @@ def test_predict_zero_state_zero_params_uniform_over_real_exercises(rng):
     model = make_params(14)
     model = with_tensors(model, **{n: np.zeros_like(model.tensors[n].data) for n in ("W_11", "b_11", "W_12", "b_12")})
     zeros = tk.tensor(np.zeros((1, 8)))
-    logits = perscell.predict(model.tensors, zeros, zeros, zeros)
+    logits = perscell.predict(model.tensors, perscell.head(model.tensors, zeros, zeros, zeros))
     probs = softmax_masked(logits.data[0], model.hyper.vocab_size)
     np.testing.assert_allclose(probs[2:], np.full(10, 1.0 / 10.0), atol=1e-12)
     assert probs[0] == 0.0 and probs[1] == 0.0
@@ -360,7 +360,7 @@ def test_predict_zero_state_zero_params_uniform_over_real_exercises(rng):
 
 def test_predict_masked_indices_never_in_topk(rng):
     model = make_params(15)
-    logits = perscell.predict(model.tensors, *(rand_node(rng, (3, 8)) for _ in range(3)))
+    logits = perscell.predict(model.tensors, perscell.head(model.tensors, *(rand_node(rng, (3, 8)) for _ in range(3))))
     mask = perscell.output_class_mask(model.hyper.vocab_size)
     z = np.where(mask, logits.data, -np.inf)
     top = np.argsort(-z, axis=1)[:, :10]
@@ -371,7 +371,7 @@ def test_predict_softmax_sums_to_one_and_matches_oracle(rng):
     model = make_params(16)
     params = model.tensors
     pa, ps, us = (rng.normal(size=(2, 8)) for _ in range(3))
-    logits = perscell.predict(params, tk.tensor(pa), tk.tensor(ps), tk.tensor(us))
+    logits = perscell.predict(params, perscell.head(params, tk.tensor(pa), tk.tensor(ps), tk.tensor(us)))
     for row in range(2):
         pre = params["W_11"].data.T @ np.concatenate([pa[row], ps[row], us[row]]) + params["b_11"].data
         expected = params["W_12"].data.T @ pre + params["b_12"].data
@@ -383,8 +383,8 @@ def test_predict_softmax_sums_to_one_and_matches_oracle(rng):
 def test_predict_ablated_latent_is_ignored(rng):
     model = make_params(17, variant="PERS-pa")
     ps, us = rand_node(rng, (1, 8)), rand_node(rng, (1, 8))
-    la = perscell.predict(model.tensors, rand_node(rng, (1, 8)), ps, us, variant="PERS-pa")
-    lb = perscell.predict(model.tensors, rand_node(rng, (1, 8)), ps, us, variant="PERS-pa")
+    la = perscell.predict(model.tensors, perscell.head(model.tensors, rand_node(rng, (1, 8)), ps, us, variant="PERS-pa"))
+    lb = perscell.predict(model.tensors, perscell.head(model.tensors, rand_node(rng, (1, 8)), ps, us, variant="PERS-pa"))
     np.testing.assert_array_equal(la.data, lb.data)
 
 

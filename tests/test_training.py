@@ -182,7 +182,7 @@ def test_loss_two_step_matches_hand_computed_cross_entropy():
     def nll(row, t):
         at = row * batch.length + t
         latents = (tk.tensor(s.data[at : at + 1]) for s in (run.pa, run.ps, run.us))
-        z = perscell.predict(T, *latents).data[0]
+        z = perscell.predict(T, perscell.head(T, *latents)).data[0]
         target = batch.targets[row, t]
         return -np.log(np.exp(z[target]) / np.exp(z[2:]).sum())
 
