@@ -6,13 +6,14 @@ learner_id, exercise_id, timestamp, status, exec_time_ms, exec_memory_kb,
 and optionally code and/or code_vec_ref.
 
 `build_sequences` lays a dataset's events out once, in window order, as
-one `EventTable`, and every window it cuts is a row range there, so a
-learner's history is a list of them. The table encodes the columns the
+one `EventTable` under the dataset's vocabulary, and every window it cuts
+is a row range there, so a learner's history is a list of them and a
+batch reads rows of that one table. The table encodes the columns the
 model reads (exercise index, status, time and memory buckets, code bag
 numbers) for a row the first time a batch reads it and keeps them, so
-loading a log does no per-event encoding beyond parsing, and a later
-pass over the same rows (another eval or export round, the next variant
-of an ablation) assembles its batches by index gathers alone.
+loading a log does no per-event encoding beyond parsing, and a later pass
+over the same rows (another eval or export round, the next variant of an
+ablation) assembles its batches by index gathers alone.
 """
 
 from __future__ import annotations
@@ -157,31 +158,16 @@ def write_log(path, interactions: Iterable[Interaction]) -> None:
             fh.write(json.dumps(it.to_record(), sort_keys=True) + "\n")
 
 
+@dataclass(slots=True, frozen=True)
 class LearnerSequence:
     """One chronological window (length <= max sequence length) of a
-    learner: rows start..stop of an `EventTable`, which holds its events.
+    learner: rows start..stop of the dataset's `EventTable`. Two windows
+    are equal when they are the same rows of the same table."""
 
-    `build_sequences` cuts its windows from the dataset's table; a window
-    made from a list of events, as `LearnerSequence(learner_id, events)`,
-    gets a table of its own. Two windows are equal when their learner and
-    events are.
-    """
-
-    __slots__ = ("learner_id", "table", "start", "stop")
-
-    def __init__(self, learner_id: str, events: Iterable[Interaction]):
-        events = tuple(events)
-        self._place(learner_id, EventTable([events]), 0, len(events))
-
-    @classmethod
-    def from_rows(cls, learner_id: str, table: EventTable, start: int, stop: int) -> LearnerSequence:
-        """The window of rows start..stop of table."""
-        seq = cls.__new__(cls)
-        seq._place(learner_id, table, start, stop)
-        return seq
-
-    def _place(self, learner_id: str, table: EventTable, start: int, stop: int) -> None:
-        self.learner_id, self.table, self.start, self.stop = learner_id, table, start, stop
+    learner_id: str
+    table: EventTable
+    start: int
+    stop: int
 
     @property
     def events(self) -> tuple[Interaction, ...]:
@@ -189,17 +175,6 @@ class LearnerSequence:
 
     def __len__(self) -> int:
         return self.stop - self.start
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LearnerSequence):
-            return NotImplemented
-        return (self.learner_id, self.events) == (other.learner_id, other.events)
-
-    def __hash__(self) -> int:
-        return hash((self.learner_id, self.events))
-
-    def __repr__(self) -> str:
-        return f"LearnerSequence({self.learner_id!r}, rows {self.start}..{self.stop})"
 
     @property
     def parts(self) -> tuple[LearnerSequence, ...]:
@@ -283,42 +258,31 @@ def memory_bucket(exec_memory_kb) -> np.ndarray:
 
 
 class EventTable:
-    """Events in window order, each column the model reads encoded once.
+    """A dataset's events in window order, each column the model reads
+    encoded once.
 
-    The rows are the given blocks of events laid end to end; row r is
-    `events[r]`. Nothing is joined or encoded until a batch asks: then the
-    rows it reads that are not encoded yet get their exercise index (for
-    that vocabulary), status index and time and memory buckets, and their
-    bag numbers under its code source, and keep them for the next batch.
+    Row r is `events[r]`. Nothing is encoded until a batch asks: then the
+    rows it reads that are not encoded yet get their exercise index under
+    `vocab`, status index and time and memory buckets, and their bag
+    numbers under its code source, and keep them for the next batch.
     """
 
-    def __init__(self, blocks: list[Sequence[Interaction]]):
-        self._blocks: list[Sequence[Interaction]] | None = blocks
-        self._events: tuple[Interaction, ...] = ()
-        self._vocab: Vocabulary | None = None
-        self._columns = np.zeros((4, 0), dtype=np.int64)  # -1 where a row is not encoded yet
+    def __init__(self, events: Iterable[Interaction], vocab: Vocabulary):
+        self.events: tuple[Interaction, ...] = tuple(events)
+        self.vocab = vocab
+        self._columns = np.full((4, len(self.events)), -1, dtype=np.int64)  # -1 where a row is not encoded yet
         self._bags = weakref.WeakKeyDictionary()  # code source -> bag number of each row, -1 if not asked yet
 
-    @property
-    def events(self) -> tuple[Interaction, ...]:
-        if self._blocks is not None:  # joined on first use: a load touches each event once
-            self._events, self._blocks = tuple(chain.from_iterable(self._blocks)), None
-        return self._events
-
-    def columns(self, vocab: Vocabulary, rows: np.ndarray) -> np.ndarray:
+    def columns(self, rows: np.ndarray) -> np.ndarray:
         """The (exercise index, status index, time bucket, memory bucket)
-        of each of `rows`, as a (4, len(rows)) array. Another vocabulary
-        than the last one starts the encoding afresh."""
-        if self._vocab is not vocab and self._vocab != vocab:
-            self._vocab = vocab
-            self._columns = np.full((4, len(self.events)), -1, dtype=np.int64)
+        of each of `rows`, as a (4, len(rows)) array."""
         todo = rows[self._columns[0, rows] < 0]
         if todo.size:
             events = self.events
             batch = [events[r] for r in todo.tolist()]
             # One list per field: faster than one pass that builds a tuple per event.
             self._columns[:, todo] = (
-                vocab.encode_all([ev.exercise_id for ev in batch]),
+                self.vocab.encode_all([ev.exercise_id for ev in batch]),
                 status_index([ev.status for ev in batch]),
                 time_bucket([ev.exec_time_ms for ev in batch]),
                 memory_bucket([ev.exec_memory_kb for ev in batch]),
@@ -350,8 +314,9 @@ def build_sequences(
     stride-1 windows of exactly max_len (plus the short head), which only
     makes sense for small data. Ties in timestamp keep input file order.
     Learners are emitted in first-appearance order so downstream batching
-    is deterministic. The sorted events form one `EventTable`, learner
-    after learner, and each window records its first row in it.
+    is deterministic. The sorted events form one `EventTable` under the
+    returned vocabulary, learner after learner, and each window is a row
+    range of it.
     """
     if max_len < 2:
         raise ValueError(f"max_len must be >= 2, got {max_len}")
@@ -366,7 +331,7 @@ def build_sequences(
 
     # dicts keep first-seen order; the sort is stable, so ties keep file order
     histories = {lid: sorted(events, key=lambda it: it.timestamp) for lid, events in by_learner.items()}
-    table = EventTable(list(histories.values()))
+    table = EventTable(chain.from_iterable(histories.values()), vocab)
     sequences: list[LearnerSequence] = []
     base = 0
     for lid, events in histories.items():
@@ -375,7 +340,7 @@ def build_sequences(
             bounds = [(lo, lo + max_len) for lo in range(n - max_len + 1)]
         else:
             bounds = [(lo, min(lo + max_len, n)) for lo in range(0, n, max_len)]
-        sequences += [LearnerSequence.from_rows(lid, table, base + lo, base + hi) for lo, hi in bounds]
+        sequences += [LearnerSequence(lid, table, base + lo, base + hi) for lo, hi in bounds]
         base += n
     return sequences, vocab
 

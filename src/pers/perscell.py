@@ -18,11 +18,10 @@ Ablation variants share this single code path and only flip inputs:
 position or code inputs collapse to zeros, or one latent is replaced by
 zeros in the prediction concat.
 
-A batch's arrays are index gathers from the columns of the
+A batch's arrays are index gathers from the columns of the one
 `dataio.EventTable` that holds its windows' events, which encodes each
-row once and keeps it for later passes; `assemble_batch` builds one
-table for windows that do not share one, so every batch takes the same
-path.
+row once and keeps it for later passes. `assemble_batch` refuses windows
+from more than one table and a vocabulary other than the table's.
 """
 
 from __future__ import annotations
@@ -284,8 +283,9 @@ def assemble_batch(
 
     Every array is a gather from the columns of the event table that
     holds the windows' events (`_event_rows`), which encodes each row
-    once. Each event's code becomes a bag number of code_source; None
-    skips the code, which is only legal for the code-ablated variants.
+    once under its own vocabulary: `vocab` must equal it. Each event's
+    code becomes a bag number of code_source; None skips the code, which
+    is only legal for the code-ablated variants.
     """
     if not windows:
         raise ValueError("assemble_batch: no windows")
@@ -293,11 +293,13 @@ def assemble_batch(
         raise ValueError(f"code source width {code_source.dim} != d_c {hp.d_c}")
     b = len(windows)
     table, rows, lengths = _event_rows(windows)
+    if vocab is not table.vocab and vocab != table.vocab:
+        raise ValueError("assemble_batch: vocabulary differs from the event table's")
     length = int(lengths.max())
     valid = (np.arange(length) < lengths[:, None]).astype(np.float64)
     cells = np.nonzero(valid)  # (rows, steps) of every event, row-major like `rows`
     exercise_idx, status_idx, time_idx, mem_idx, targets = (np.zeros((b, length), dtype=np.int64) for _ in range(5))
-    for out, column in zip((exercise_idx, status_idx, time_idx, mem_idx), table.columns(vocab, rows)):
+    for out, column in zip((exercise_idx, status_idx, time_idx, mem_idx), table.columns(rows)):
         out[cells] = column
 
     counts = [len(mw.target_steps) for mw in windows]
@@ -326,19 +328,16 @@ def _event_rows(windows: list[MaskedWindow]) -> tuple[EventTable, np.ndarray, np
     events, window after window, and each window's length.
 
     A window's events are those of its parts (one for a window, several
-    for a history), each a row range of its table. Parts that do not all
-    share one table, such as windows made from their own events, get a
-    new table of their events in batch order.
+    for a history), each a row range of the table; parts of more than one
+    table raise ValueError.
     """
     parts = [part for mw in windows for part in mw.window.parts]
-    sizes = np.fromiter((len(part) for part in parts), dtype=np.int64, count=len(parts))
-    ends = np.cumsum(sizes)
     table = parts[0].table
-    if all(part.table is table for part in parts):
-        starts = np.fromiter((part.start for part in parts), dtype=np.int64, count=len(parts))
-    else:
-        table = EventTable([part.events for part in parts])
-        starts = ends - sizes
+    if any(part.table is not table for part in parts):
+        raise ValueError("assemble_batch: windows from more than one event table")
+    sizes = np.fromiter((len(part) for part in parts), dtype=np.int64, count=len(parts))
+    starts = np.fromiter((part.start for part in parts), dtype=np.int64, count=len(parts))
+    ends = np.cumsum(sizes)
     rows = np.arange(ends[-1]) + np.repeat(starts - (ends - sizes), sizes)
     lengths = np.fromiter((len(mw.window) for mw in windows), dtype=np.int64, count=len(windows))
     return table, rows, lengths

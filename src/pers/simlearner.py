@@ -142,10 +142,6 @@ def simulate_learner(
     return interactions, vectors
 
 
-def uniform_mix() -> dict[tuple[str, str], float]:
-    return {(p, u): 0.25 for p in PROCESSING for u in UNDERSTANDING}
-
-
 @dataclass
 class Population:
     interactions: list[Interaction]

@@ -250,30 +250,22 @@ def linear_scan(x: Tensor, carry: Tensor | None, length: int) -> Tensor:
 
 
 def concat(parts: Iterable[Tensor]) -> Tensor:
-    """Concatenate vectors end to end, or matrices column-wise.
+    """Concatenate matrices column-wise.
 
-    All parts must share rank; rank-2 parts must share their row count,
-    so every row of the output is the concatenation of the input rows.
+    All parts must be rank 2 and share their row count, so every row of
+    the output is the concatenation of the input rows.
     """
     parts = tuple(parts)
     _require(len(parts) >= 1, "concat", "needs at least one part")
-    ndim = parts[0].data.ndim
-    _require(all(p.data.ndim == ndim for p in parts), "concat", "mixed ranks", *parts)
-    if ndim == 1:
-        axis = 0
-    elif ndim == 2:
-        rows = parts[0].data.shape[0]
-        _require(all(p.data.shape[0] == rows for p in parts), "concat", "row counts differ", *parts)
-        axis = 1
-    else:
-        raise ShapeError("concat: only rank 1 or 2 supported")
-    widths = [p.data.shape[axis] for p in parts]
-    splits = np.cumsum(widths)[:-1]
+    _require(all(p.data.ndim == 2 for p in parts), "concat", "every part must be rank 2", *parts)
+    rows = parts[0].data.shape[0]
+    _require(all(p.data.shape[0] == rows for p in parts), "concat", "row counts differ", *parts)
+    splits = np.cumsum([p.data.shape[1] for p in parts])[:-1]
 
     def vjp(g: np.ndarray) -> tuple[np.ndarray, ...]:
-        return tuple(np.split(g, splits, axis=axis))
+        return tuple(np.split(g, splits, axis=1))
 
-    return Tensor(np.concatenate([p.data for p in parts], axis=axis), parts, vjp)
+    return Tensor(np.concatenate([p.data for p in parts], axis=1), parts, vjp)
 
 
 def gather_rows(table: Tensor, indices: np.ndarray) -> Tensor:

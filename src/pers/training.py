@@ -18,7 +18,7 @@ import numpy as np
 
 from . import perscell, tensorkit as tk
 from .codefeat import HashedTokenSource, PrecomputedSource
-from .dataio import Interaction, LearnerSequence, MaskedWindow, Vocabulary
+from .dataio import EventTable, Interaction, LearnerSequence, MaskedWindow, Vocabulary
 from .encoder import HyperParams
 from .perscell import ModelParams, WindowBatch, assemble_batch, output_class_mask, run_window
 
@@ -436,7 +436,7 @@ def run_gradcheck(d_k: int = 8, n_exercises: int = 10, steps: int = 3, seed: int
         )
         for t, eid in enumerate(ids[:steps])
     )
-    window = MaskedWindow(LearnerSequence("probe", events), tuple(range(steps - 1)))
+    window = MaskedWindow(LearnerSequence("probe", EventTable(events, vocab), 0, len(events)), tuple(range(steps - 1)))
     source = PrecomputedSource({f"probe:{t}": gen.normal(size=hp.d_c) for t in range(steps)}, hp.d_c)
     batch = assemble_batch([window], vocab, hp, source)
 

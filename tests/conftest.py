@@ -8,7 +8,8 @@ import pytest
 
 from pers import perscell, tensorkit as tk
 from pers.codefeat import PrecomputedSource
-from pers.dataio import Interaction, LearnerSequence, MaskedWindow, Vocabulary
+from pers.dataio import EventTable, Interaction, LearnerSequence, MaskedWindow, Vocabulary
+from pers.simlearner import PROCESSING, UNDERSTANDING
 
 
 def add(a: tk.Tensor, b: tk.Tensor) -> tk.Tensor:
@@ -113,16 +114,33 @@ def interaction(
     return Interaction(lid, eid, ts, status, t_ms, m_kb, code=code, code_vec_ref=ref)
 
 
-def window_of(exercise_ids, lid="u1", statuses=None, with_refs=False, target_steps=None):
-    """A MaskedWindow over the given exercise ids, one event per second."""
+def window_spec(exercise_ids, lid="u1", statuses=None, with_refs=False):
+    """(learner_id, events, target_steps) of a window over the given
+    exercise ids, one event per second, with a target at every step that
+    has a following event: an entry for `table_windows`."""
     events = []
     for t, eid in enumerate(exercise_ids):
         status = statuses[t] if statuses else "accepted"
         ref = f"{lid}:{t}" if with_refs else None
         events.append(interaction(lid, eid, ts=t, status=status, ref=ref))
-    if target_steps is None:
-        target_steps = tuple(range(len(events) - 1))
-    return MaskedWindow(LearnerSequence(lid, tuple(events)), tuple(target_steps))
+    return lid, tuple(events), tuple(range(len(events) - 1))
+
+
+def table_windows(vocab, specs) -> list[MaskedWindow]:
+    """The (learner_id, events, target_steps) specs laid out end to end as
+    one `EventTable` under vocab, as `build_sequences` lays out a dataset:
+    one masked window per spec, over its own rows, in the order given."""
+    table = EventTable([ev for _, events, _ in specs for ev in events], vocab)
+    windows, start = [], 0
+    for lid, events, target_steps in specs:
+        windows.append(MaskedWindow(LearnerSequence(lid, table, start, start + len(events)), tuple(target_steps)))
+        start += len(events)
+    return windows
+
+
+def uniform_mix() -> dict[tuple[str, str], float]:
+    """An even share of learners in each of the four style pairs."""
+    return {(p, u): 0.25 for p in PROCESSING for u in UNDERSTANDING}
 
 
 def vocab_for(exercise_ids):

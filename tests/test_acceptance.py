@@ -14,9 +14,10 @@ import time
 import numpy as np
 import pytest
 
+from conftest import table_windows, uniform_mix
 from pers import dataio, evalrank, perscell, probe, simlearner, training
 from pers.codefeat import PrecomputedSource
-from pers.dataio import Interaction, LearnerSequence, MaskedWindow
+from pers.dataio import Interaction
 from pers.encoder import HyperParams, positional_encoding
 
 
@@ -171,7 +172,7 @@ def test_c5_overfit_sanity():
 @pytest.fixture(scope="module")
 def style_population():
     catalog = simlearner.ExerciseCatalog.random(600, np.random.default_rng([11, 99]))
-    return simlearner.simulate_population(200, simlearner.uniform_mix(), catalog, 500, seed=11, d_c=8)
+    return simlearner.simulate_population(200, uniform_mix(), catalog, 500, seed=11, d_c=8)
 
 
 def style_hyper(max_len, n_exercises):
@@ -235,7 +236,7 @@ def test_c7_ablation_direction(style_population):
 
 def small_population(tmp_path, seed=23):
     catalog = simlearner.ExerciseCatalog.random(80, np.random.default_rng([seed, 99]))
-    pop = simlearner.simulate_population(24, simlearner.uniform_mix(), catalog, 60, seed=seed, d_c=8)
+    pop = simlearner.simulate_population(24, uniform_mix(), catalog, 60, seed=seed, d_c=8)
     seqs, vocab = dataio.build_sequences(pop.interactions, max_len=50)
     train_w, test_w = dataio.split(seqs, ratio=0.2)
     hp = HyperParams(d_p=12, d_c=8, d_k=12, d_pos=12, d_ct=4, d_cm=4, d_cs=4, max_len=50, n_exercises=vocab.n_exercises)
@@ -280,9 +281,9 @@ def test_c9_intra_exercise_zero_delta():
             Interaction("u", eid, t, "accepted" if gen.random() < 0.5 else "wrong_answer", 5, 64, code_vec_ref=f"{trial}:{t}")
             for t, eid in enumerate(ids)
         )
-        window = MaskedWindow(LearnerSequence("u", events), ())
+        vocab = dataio.Vocabulary([f"p{i}" for i in range(8)])
         table = {f"{trial}:{t}": gen.normal(size=hp.d_c) for t in range(len(ids))}
-        batch = perscell.assemble_batch([window], dataio.Vocabulary([f"p{i}" for i in range(8)]), hp, PrecomputedSource(table, hp.d_c))
+        batch = perscell.assemble_batch(table_windows(vocab, [("u", events, ())]), vocab, hp, PrecomputedSource(table, hp.d_c))
         deltas = perscell.run_window(model, batch).delta_exercise.data
         for t in range(1, len(ids)):
             if ids[t] == ids[t - 1]:

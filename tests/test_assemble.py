@@ -9,10 +9,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import padded_bags, store_of
+from conftest import padded_bags, store_of, table_windows
 from pers import codefeat, perscell
 from pers.codefeat import CodeFeatureError, HashedTokenSource, PrecomputedSource
-from pers.dataio import STATUSES, Interaction, LearnerSequence, MaskedWindow, Vocabulary, build_sequences, split
+from pers.dataio import (
+    STATUSES, Interaction, LearnerHistory, LearnerSequence, MaskedWindow, Vocabulary, build_sequences, split,
+)
 from pers.encoder import HyperParams
 
 D_C = 3
@@ -20,6 +22,8 @@ HP = HyperParams(d_p=4, d_c=D_C, d_k=4, d_pos=4, d_ct=2, d_cm=2, d_cs=2, max_len
 CODES = ["!!!", "", "a a b", "for i in range(9)", "X = y + Y; x", "while while 7"]
 REFS = [f"r{i}" for i in range(5)]
 EXERCISES = ["p0", "p1", "p2", "never-seen"]
+VOCAB = Vocabulary(EXERCISES[:3])
+P0 = Vocabulary(["p0"])
 EDGE_COUNTS = [0, 10**30] + [2**k + d for k in (1, 5, 30, 31, 32, 62, 63, 64) for d in (-1, 0, 1)]
 
 
@@ -81,21 +85,22 @@ events = st.builds(
 
 @st.composite
 def window_lists(draw):
-    windows = []
+    """One to four windows of drawn events, laid out as one table under VOCAB."""
+    specs = []
     for w in range(draw(st.integers(1, 4))):
         fields = draw(st.lists(events, min_size=1, max_size=6))
         evs = tuple(Interaction(f"u{w}", eid, t, status, t_ms, m_kb, code=code, code_vec_ref=ref)
                     for t, (eid, status, t_ms, m_kb, code, ref) in enumerate(fields))
         steps = draw(st.lists(st.integers(0, len(evs) - 2), unique=True)) if len(evs) > 1 else []
-        windows.append(MaskedWindow(LearnerSequence(f"u{w}", evs), tuple(steps)))
-    return windows
+        specs.append((f"u{w}", evs, steps))
+    return table_windows(VOCAB, specs)
 
 
 @settings(max_examples=150, deadline=None)
 @given(first=window_lists(), second=window_lists(), kind=st.sampled_from(["hashed", "precomputed", None]),
        buckets=st.sampled_from([1, 7, 64]))
 def test_assemble_matches_per_event_loop_bitwise(first, second, kind, buckets):
-    vocab = Vocabulary(EXERCISES[:3])
+    vocab = VOCAB
     if kind == "hashed":
         source = HashedTokenSource(buckets, D_C)
     elif kind == "precomputed":
@@ -109,9 +114,14 @@ def test_assemble_matches_per_event_loop_bitwise(first, second, kind, buckets):
         assert_bytes_equal(batch, reference_assemble(windows, vocab, source), windows)
 
 
-def _window(codes, lid="u1"):
-    evs = tuple(Interaction(lid, "p0", t, "accepted", 1, 1, code=c) for t, c in enumerate(codes))
-    return MaskedWindow(LearnerSequence(lid, evs), tuple(range(len(evs) - 1)))
+def _windows(*codes_of_windows):
+    """Windows u1, u2, ... of exercise p0 over the given code texts, one
+    table under P0."""
+    specs = []
+    for w, codes in enumerate(codes_of_windows, start=1):
+        evs = tuple(Interaction(f"u{w}", "p0", t, "accepted", 1, 1, code=c) for t, c in enumerate(codes))
+        specs.append((f"u{w}", evs, range(len(evs) - 1)))
+    return table_windows(P0, specs)
 
 
 def test_each_distinct_text_is_tokenized_once_per_source(monkeypatch):
@@ -123,8 +133,8 @@ def test_each_distinct_text_is_tokenized_once_per_source(monkeypatch):
         return tokenize(code)
 
     monkeypatch.setattr(codefeat, "tokenize", counted)
-    windows = [_window(["x = 1", "x = 2", "x = 1", "!!!"]), _window(["!!!", "x = 2", "y"], lid="u2")]
-    vocab = Vocabulary(["p0"])
+    windows = _windows(["x = 1", "x = 2", "x = 1", "!!!"], ["!!!", "x = 2", "y"])
+    vocab = P0
     source = HashedTokenSource(16, D_C)
     for rows in ([0, 1], [1], [0, 1], [1, 0]):
         perscell.assemble_batch([windows[r] for r in rows], vocab, HP, source)
@@ -135,11 +145,11 @@ def test_each_distinct_text_is_tokenized_once_per_source(monkeypatch):
 
 def test_missing_code_raises_and_keeps_the_store_whole():
     source = HashedTokenSource(16, D_C)
-    vocab = Vocabulary(["p0"])
+    vocab = P0
     with pytest.raises(CodeFeatureError, match="no code text"):
-        perscell.assemble_batch([_window(["a b", "c", None, "d"])], vocab, HP, source)
+        perscell.assemble_batch(_windows(["a b", "c", None, "d"]), vocab, HP, source)
     # The texts interned before the raise are usable, and the rest follow.
-    windows = [_window(["c", "a b", "d", "a b e"])]
+    windows = _windows(["c", "a b", "d", "a b e"])
     batch = perscell.assemble_batch(windows, vocab, HP, source)
     assert_bytes_equal(batch, reference_assemble(windows, vocab, source), windows)
 
@@ -159,10 +169,10 @@ def test_precomputed_store_is_built_once_and_missing_refs_raise():
 
 
 def test_target_step_without_a_following_event_is_rejected():
-    window = _window(["a", "b"])
+    [window] = _windows(["a", "b"])
     bad = MaskedWindow(window.window, (1,))
     with pytest.raises(ValueError, match="no following event"):
-        perscell.assemble_batch([bad], Vocabulary(["p0"]), HP)
+        perscell.assemble_batch([bad], P0, HP)
 
 
 @st.composite
@@ -181,28 +191,44 @@ def loaded_windows(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(loaded=loaded_windows(), hand=window_lists(), mix=st.sampled_from(["table", "hand", "mixed"]),
-       kind=st.sampled_from(["hashed", "precomputed", None]), other_vocab=st.booleans())
-def test_table_gathers_match_per_event_loop_bitwise(loaded, hand, mix, kind, other_vocab):
+@given(loaded=loaded_windows(), kind=st.sampled_from(["hashed", "precomputed", None]))
+def test_table_gathers_match_per_event_loop_bitwise(loaded, kind):
     windows, vocab = loaded
-    assert all(mw.window.table is windows[0].window.table is not None for mw in windows)
-    if mix == "hand":
-        windows = hand
-    elif mix == "mixed":
-        windows = windows[:2] + hand + windows[2:]
-    vocabs = [vocab, Vocabulary(EXERCISES[1:3])] if other_vocab else [vocab]
+    assert all(mw.window.table is windows[0].window.table for mw in windows)
+    # The probe export passes the checkpoint's vocabulary: an equal copy.
+    vocabs = [vocab, Vocabulary(vocab.ids())]
     if kind == "hashed":
         source = HashedTokenSource(7, D_C)
     elif kind == "precomputed":
         source = PrecomputedSource({ref: np.full(D_C, float(i)) for i, ref in enumerate(REFS)}, D_C)
     else:
         source = None
-    # Repeats read the columns and bag numbers the table kept; switching
-    # the vocabulary must re-encode the exercise column, not reuse it.
+    # Repeats read the columns and bag numbers the table kept.
     for v in vocabs + vocabs[::-1]:
         for batch in (windows, windows[::-1]):
             got = perscell.assemble_batch(batch, v, HP, source)
             assert_bytes_equal(got, reference_assemble(batch, v, source), batch)
+
+
+LOG = [Interaction("a", f"p{t % 3}", t, "accepted", 1, 1) for t in range(5)]
+
+
+def test_windows_of_two_tables_are_refused():
+    (first, *_), vocab = build_sequences(LOG, max_len=2)
+    (second, *_), _ = build_sequences(LOG, max_len=2)
+    for windows in ([MaskedWindow(first, ()), MaskedWindow(second, ())],
+                    [MaskedWindow(LearnerHistory("a", (first, second)), ())]):
+        with pytest.raises(ValueError, match="more than one event table"):
+            perscell.assemble_batch(windows, vocab, HP)
+
+
+def test_a_vocabulary_other_than_the_tables_is_refused():
+    sequences, vocab = build_sequences(LOG, max_len=2)
+    windows = [MaskedWindow(seq, ()) for seq in sequences]
+    for other in (Vocabulary(["p1", "p0", "p2"]), Vocabulary(["p0", "p1"]), Vocabulary(["p0", "p1", "p2", "p3"])):
+        assert other != vocab
+        with pytest.raises(ValueError, match="vocabulary differs"):
+            perscell.assemble_batch(windows, other, HP)
 
 
 def test_loaded_windows_are_row_ranges_of_one_table():
@@ -221,16 +247,19 @@ def test_loaded_windows_are_row_ranges_of_one_table():
         assert [seq.events for seq in sequences] == [table.events[seq.start : seq.stop] for seq in sequences]
 
 
-def test_a_window_made_from_events_gets_a_table_of_its_own():
-    log = [Interaction("a", f"p{t % 3}", t, "accepted", 1, 1) for t in range(5)]
-    sequences, _ = build_sequences(log, max_len=2)
-    for seq in sequences:
-        own = LearnerSequence(seq.learner_id, list(seq.events))
-        assert own.table is not seq.table and (own.start, own.stop) == (0, len(seq))
-        assert own.events == seq.events and own.table.events == seq.events
-        assert own == seq and hash(own) == hash(seq)
+def test_windows_are_equal_when_they_are_the_same_rows_of_one_table():
+    sequences, vocab = build_sequences(LOG, max_len=2)
+    again, _ = build_sequences(LOG, max_len=2)
+    table = sequences[0].table
+    assert table.vocab is vocab
+    for seq, twin in zip(sequences, again):
+        same = LearnerSequence(seq.learner_id, table, seq.start, seq.stop)
+        assert same == seq and hash(same) == hash(seq)
+        assert twin.events == seq.events and twin != seq  # the same events in another table
     assert sequences[0] != sequences[1]
-    assert LearnerSequence("b", sequences[0].events) != sequences[0]
+    assert LearnerSequence("b", table, 0, 2) != sequences[0]
+    with pytest.raises(AttributeError):
+        sequences[0].start = 1
 
 
 def test_assemble_asks_a_source_once_per_table_row():
@@ -250,9 +279,9 @@ def test_one_long_submission_costs_its_entries_not_a_padded_batch():
     # 20,000 distinct tokens fill nearly all 2,048 buckets; padding every step's
     # bag to that size would take 64 * 50 * 2,048 * 16 bytes, about 100 MB.
     text = " ".join(f"t{i}" for i in range(20000))
-    windows = [_window([text if w == t == 0 else f"x = {t % 3}" for t in range(50)], lid=f"u{w}") for w in range(64)]
+    windows = _windows(*([text if w == t == 0 else f"x = {t % 3}" for t in range(50)] for w in range(64)))
     source = HashedTokenSource(2048, D_C)
-    batch = perscell.assemble_batch(windows, Vocabulary(["p0"]), HP, source)
+    batch = perscell.assemble_batch(windows, P0, HP, source)
     assert batch.code_bags.shape == (64, 50)
     assert sum(a.nbytes for a in vars(batch).values() if isinstance(a, np.ndarray)) < 2**20
     assert np.diff(source.store[2]).max() > 2000

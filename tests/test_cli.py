@@ -146,9 +146,9 @@ def test_divergent_training_exits_3(tmp_path, capsys):
         "train", "--config", config_path, "--data", paths["data"],
         "--vectors", paths["vectors"], "--lr", "1e150",
     ]
-    with np.errstate(all="ignore"):
-        assert run(argv) == 3
+    assert run(argv) == 3
     assert "non-finite loss" in capsys.readouterr().err
+    assert_fresh_process_exits_3_with_one_line(argv, "non-finite loss")
 
 
 def test_stats_command_prints_table(tmp_path, capsys):

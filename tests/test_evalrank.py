@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import rank_event, source_for, vocab_for, window_of
+from conftest import rank_event, source_for, table_windows, vocab_for, window_spec
 from pers import evalrank, perscell, probe, tensorkit as tk, training
 from pers.dataio import build_sequences, split
 from pers.encoder import HyperParams
@@ -192,7 +192,7 @@ def test_evaluate_peak_memory_stays_below_a_quarter_of_the_logit_block():
     catalog = [f"p{i}" for i in range(5000)]
     vocab = vocab_for(catalog)
     rng = np.random.default_rng(3)
-    windows = [window_of(rng.choice(catalog, size=50).tolist(), lid=f"u{i}") for i in range(60)]
+    windows = table_windows(vocab, [window_spec(rng.choice(catalog, size=50).tolist(), lid=f"u{i}") for i in range(60)])
     hp = HyperParams(d_p=8, d_c=4, d_k=8, d_ct=2, d_cm=2, d_cs=2, max_len=50, n_exercises=vocab.n_exercises)
     model = perscell.init_model_params(np.random.default_rng(4), hp, variant="ERS")
     cp = training.Checkpoint(model, tk.AdamState(), training.TrainConfig(variant="ERS"), vocab, [])

@@ -5,10 +5,10 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from conftest import add, excluded_params, source_for, sum_all, vocab_for, window_of
+from conftest import add, excluded_params, source_for, sum_all, table_windows, vocab_for, window_spec
 from pers import encoder, perscell, tensorkit as tk, training
 from pers.codefeat import HashedTokenSource, PrecomputedSource
-from pers.dataio import Interaction, LearnerSequence, MaskedWindow
+from pers.dataio import Interaction
 from pers.encoder import HyperParams
 
 
@@ -92,11 +92,10 @@ def test_diff_code_matches_oracle(rng):
 def run_tiny(model, ids_by_row, statuses=None, code_seed=0):
     """Unroll windows u0, u1, ... over the given ids; the events' code
     vectors are drawn from code_seed."""
-    windows = [
-        window_of(ids, lid=f"u{i}", with_refs=True, statuses=statuses)
-        for i, ids in enumerate(ids_by_row)
-    ]
     vocab = vocab_for([f"p{i}" for i in range(model.hyper.n_exercises)])
+    windows = table_windows(
+        vocab, [window_spec(ids, lid=f"u{i}", with_refs=True, statuses=statuses) for i, ids in enumerate(ids_by_row)]
+    )
     source = source_for(windows, model.hyper.d_c, seed=code_seed)
     batch = perscell.assemble_batch(windows, vocab, model.hyper, source)
     run = perscell.run_window(model, batch)
@@ -193,7 +192,7 @@ def ragged_batch(model, lengths, ids_seed, code_source):
     about 40% repeats, carrying both code text and vector refs."""
     gen = np.random.default_rng(ids_seed)
     n_ex = model.hyper.n_exercises
-    windows = []
+    specs = []
     for i, n in enumerate(lengths):
         ids = [f"p{gen.integers(0, n_ex)}"]
         while len(ids) < n:
@@ -206,8 +205,9 @@ def ragged_batch(model, lengths, ids_seed, code_source):
             )
             for t, eid in enumerate(ids)
         )
-        windows.append(MaskedWindow(LearnerSequence(f"u{i}", events), tuple(range(n - 1))))
+        specs.append((f"u{i}", events, range(n - 1)))
     vocab = vocab_for([f"p{i}" for i in range(n_ex)])
+    windows = table_windows(vocab, specs)
     if code_source == "hashed":
         source = HashedTokenSource(model.code_buckets, model.hyper.d_c)
     else:
@@ -396,7 +396,7 @@ def test_all_padding_rows_keep_zero_state():
     # Row 1 has a single event against row 0's four: its trailing padding
     # must not reach its one real state, which equals the row unrolled alone.
     run, batch, vocab = run_tiny(model, [["p0", "p1", "p2", "p3"], ["p5"]])
-    alone = [window_of(["p5"], lid="u1", with_refs=True)]
+    alone = table_windows(vocab, [window_spec(["p5"], lid="u1", with_refs=True)])
     solo = perscell.run_window(model, perscell.assemble_batch(alone, vocab, model.hyper, batch.code_source))
     assert batch.valid[1, 1:].sum() == 0
     for got, want in zip(run.row_states(1), solo.row_states(0)):
@@ -582,8 +582,8 @@ def variant_loss_fn(model, batch):
 @pytest.mark.parametrize("variant", ["PERS", "ERS", "PERS-us"])
 def test_cell_gradients_match_finite_differences(variant):
     model = make_params(23, variant=variant, n_exercises=6)
-    windows = [window_of(["p0", "p1", "p1"], with_refs=True)]
     vocab = vocab_for([f"p{i}" for i in range(6)])
+    windows = table_windows(vocab, [window_spec(["p0", "p1", "p1"], with_refs=True)])
     batch = perscell.assemble_batch(windows, vocab, model.hyper, source_for(windows, model.hyper.d_c))
     fn = variant_loss_fn(model, batch)
     dead = excluded_params(variant, model.tensors.keys())

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import table_windows
 from pers import perscell, probe, tensorkit as tk, training
 from pers.codefeat import HashedTokenSource
-from pers.dataio import LearnerSequence, MaskedWindow, build_sequences, split
+from pers.dataio import build_sequences, split
 from test_assemble import reference_assemble
 from test_training import toy_corpus, toy_hp
 
@@ -43,9 +44,10 @@ def test_export_frees_each_batch_run_before_the_next(watch_runs):
 
 def test_identical_learners_export_identical_rows():
     cp, seqs, source = trained_checkpoint()
-    twin = [s for s in seqs if s.learner_id == "u0"]
-    ghost_events = tuple(replace(ev, learner_id="ghost") for ev in twin[0].events)
-    rows = probe.export_latents(cp, twin + [LearnerSequence("ghost", ghost_events)], source)
+    events = tuple(ev for s in seqs if s.learner_id == "u0" for ev in s.events)
+    ghost_events = tuple(replace(ev, learner_id="ghost") for ev in events)
+    windows = table_windows(cp.vocab, [("u0", events, ()), ("ghost", ghost_events, ())])
+    rows = probe.export_latents(cp, [mw.window for mw in windows], source)
     a, b = rows[0], rows[1]
     assert a.learner_id == "u0" and b.learner_id == "ghost"
     assert a.pa.tobytes() == b.pa.tobytes()
@@ -262,10 +264,9 @@ def test_export_of_any_window_subset_matches_the_per_event_history(windowed_corp
     got = probe.export_step_latents(cp, picked, source)
 
     order = list(dict.fromkeys(s.learner_id for s in picked))
-    histories = [
-        MaskedWindow(LearnerSequence(lid, tuple(chain.from_iterable(s.events for s in picked if s.learner_id == lid))), ())
-        for lid in order
-    ]
+    histories = table_windows(
+        cp.vocab, [(lid, tuple(chain.from_iterable(s.events for s in picked if s.learner_id == lid)), ()) for lid in order]
+    )
     arrays = reference_assemble(histories, cp.vocab, source)
     oracle_source = copy.copy(source)  # the source's table, the oracle's bags
     oracle_source.store = arrays.pop("code_store")

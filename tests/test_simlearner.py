@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from conftest import uniform_mix
 from pers import dataio, simlearner
 from pers.codefeat import write_vectors
 
@@ -102,7 +103,7 @@ def test_population_rejects_bad_mix():
 
 
 def test_population_label_counts_within_binomial_bounds():
-    pop = simlearner.simulate_population(100, simlearner.uniform_mix(), catalog(), 5, seed=42)
+    pop = simlearner.simulate_population(100, uniform_mix(), catalog(), 5, seed=42)
     counts = {}
     for cell in pop.labels.values():
         counts[cell] = counts.get(cell, 0) + 1
@@ -120,14 +121,14 @@ def write_population(pop, log_path, vectors_path, labels_path):
 
 def test_population_same_seed_identical_files(tmp_path):
     for tag in ("a", "b"):
-        pop = simlearner.simulate_population(6, simlearner.uniform_mix(), catalog(), 30, seed=9)
+        pop = simlearner.simulate_population(6, uniform_mix(), catalog(), 30, seed=9)
         write_population(pop, tmp_path / f"{tag}.jsonl", tmp_path / f"{tag}.vec", tmp_path / f"{tag}.tsv")
     for ext in (".jsonl", ".vec", ".tsv"):
         assert (tmp_path / f"a{ext}").read_bytes() == (tmp_path / f"b{ext}").read_bytes()
 
 
 def test_population_files_validate_against_schema(tmp_path):
-    pop = simlearner.simulate_population(5, simlearner.uniform_mix(), catalog(), 20, seed=7)
+    pop = simlearner.simulate_population(5, uniform_mix(), catalog(), 20, seed=7)
     write_population(pop, tmp_path / "d.jsonl", tmp_path / "d.vec", tmp_path / "d.tsv")
     interactions, issues = dataio.parse_log(tmp_path / "d.jsonl")
     assert issues == []

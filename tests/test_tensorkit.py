@@ -24,11 +24,6 @@ def test_tanh_of_zero_is_zero():
     assert np.all(tk.tanh(z).data == 0.0)
 
 
-def test_concat_vectors():
-    out = tk.concat([tk.tensor([1.0, 2.0]), tk.tensor([3.0])])
-    assert out.data.tolist() == [1.0, 2.0, 3.0]
-
-
 def test_concat_matrices_columnwise():
     a = tk.tensor([[1.0, 2.0], [3.0, 4.0]])
     b = tk.tensor([[5.0], [6.0]])

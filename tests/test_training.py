@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import excluded_params, source_for, vocab_for, window_of
+from conftest import excluded_params, source_for, table_windows, vocab_for, window_spec
 from pers import cli, perscell, tensorkit as tk, training
 from pers.codefeat import PrecomputedSource, write_vectors
-from pers.dataio import Interaction, LearnerSequence, MaskedWindow, Vocabulary, build_sequences, split, write_log
+from pers.dataio import Interaction, MaskedWindow, build_sequences, split, write_log
 from pers.encoder import HyperParams
 
 
@@ -153,8 +153,8 @@ def test_batch_negatives_are_uniform_over_non_targets():
 def loss_setup(ids_by_row, **zeroed):
     """A tiny model run over windows whose steps all carry a target; the
     named tensors are replaced by the given arrays."""
-    windows = [window_of(ids, lid=f"u{i}", with_refs=True) for i, ids in enumerate(ids_by_row)]
     vocab = vocab_for([f"p{i}" for i in range(5)])
+    windows = table_windows(vocab, [window_spec(ids, lid=f"u{i}", with_refs=True) for i, ids in enumerate(ids_by_row)])
     hp = toy_hp(5, d_k=8).with_exercises(5)
     model = perscell.init_model_params(np.random.default_rng(3), hp)
     tensors = dict(model.tensors)
@@ -403,8 +403,8 @@ def test_every_active_parameter_receives_gradient(variant):
     # One batch holding a repeat attempt and an exercise switch. Probed at
     # a random parameter point: zero-initialised biases would make some
     # structurally-live inputs vanish coincidentally.
-    windows = [window_of(["p0", "p0", "p1", "p2"], with_refs=True)]
     vocab = vocab_for([f"p{i}" for i in range(8)])
+    windows = table_windows(vocab, [window_spec(["p0", "p0", "p1", "p2"], with_refs=True)])
     hp = toy_hp(8, d_k=8).with_exercises(8)
     source = source_for(windows, hp.d_c)
     model = perscell.init_model_params(np.random.default_rng(0), hp, variant=variant)
