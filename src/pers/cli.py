@@ -53,7 +53,6 @@ SCHEMA: dict[str, tuple[type, object, str]] = {
     "d_cm": (int, 16, "execution-memory embedding width"),
     "d_cs": (int, 16, "status embedding width"),
     "max_len": (int, 50, "window length"),
-    "sliding": (bool, False, "stride-1 windows instead of chunks"),
     # training
     "lr": (float, 0.01, "learning rate (reference grid: 0.1, 0.01, 0.001)"),
     "layers": (int, 1, "MLP depth for the embedding/prediction projections (grid: 1, 2, 3)"),
@@ -159,7 +158,10 @@ def write_manifest(out_dir, command: str, config: dict, outputs: list[str], t0: 
 
 def make_hyper(config: dict, n_exercises: int) -> HyperParams:
     widths = {key: config[key] for key in ("d_p", "d_c", "d_k", "d_ct", "d_cm", "d_cs", "max_len")}
-    return HyperParams(d_pos=config["d_pos"] or None, n_exercises=n_exercises, **widths)
+    try:
+        return HyperParams(d_pos=config["d_pos"] or None, n_exercises=n_exercises, **widths)
+    except ValueError as exc:  # the message names the width
+        raise ConfigError(str(exc)) from exc
 
 
 def make_train_config(config: dict) -> TrainConfig:
@@ -168,6 +170,14 @@ def make_train_config(config: dict) -> TrainConfig:
         return TrainConfig(**{f.name: config[f.name] for f in dataclasses.fields(TrainConfig)})
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def hashed_source(buckets: int, dim: int) -> HashedTokenSource:
+    """The hashed token source; a bucket count it refuses is a config error."""
+    try:
+        return HashedTokenSource(buckets, dim)
+    except ValueError as exc:
+        raise ConfigError(f"hash_buckets: {exc}") from exc
 
 
 def load_code_source(config: Config, checkpoint: training.Checkpoint | None = None):
@@ -179,11 +189,11 @@ def load_code_source(config: Config, checkpoint: training.Checkpoint | None = No
         return None
     if kind == "hashed":
         if checkpoint is None or not perscell.uses_code(checkpoint.model.variant):
-            return HashedTokenSource(config["hash_buckets"], config["d_c"])
+            return hashed_source(config["hash_buckets"], config["d_c"])
         model = checkpoint.model
         trained = {"hash_buckets": model.code_buckets or config["hash_buckets"], "d_c": model.hyper.d_c}
         buckets, dim = (config[key] if key in config.given else trained[key] for key in ("hash_buckets", "d_c"))
-        source = HashedTokenSource(buckets, dim)
+        source = hashed_source(buckets, dim)
         source.table_for(model.tensors)  # names both widths if they differ, or the vectors it was trained on
         return source
     if kind == "precomputed":
@@ -199,8 +209,14 @@ def load_dataset(config: dict):
         print(f"warning: line {issue.line}: {issue.message}", file=sys.stderr)
     if not interactions:
         raise DataError(f"no usable records in {config['data']}")
-    sequences, vocab = dataio.build_sequences(interactions, config["max_len"], config["sliding"])
-    train_w, test_w = dataio.split(sequences, config["split_ratio"])
+    try:
+        sequences, vocab = dataio.build_sequences(interactions, config["max_len"])
+    except ValueError as exc:  # the message names max_len
+        raise ConfigError(str(exc)) from exc
+    try:
+        train_w, test_w = dataio.split(sequences, config["split_ratio"])
+    except ValueError as exc:
+        raise ConfigError(f"split_ratio: {exc}") from exc
     return interactions, sequences, vocab, train_w, test_w
 
 
@@ -384,8 +400,17 @@ COMMANDS = {
 }
 
 
+class Parser(argparse.ArgumentParser):
+    """argparse with its usage errors exiting 1, the usage-error code,
+    rather than 2, which this program keeps for data errors."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="pers", description=__doc__)
+    parser = Parser(prog="pers", description=__doc__)
     parser.add_argument("--version", action="version", version=f"pers {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     for command in COMMANDS:

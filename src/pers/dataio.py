@@ -5,9 +5,10 @@ Input is JSONL, one record per line, UTF-8, with keys exactly:
 learner_id, exercise_id, timestamp, status, exec_time_ms, exec_memory_kb,
 and optionally code and/or code_vec_ref.
 
-`build_sequences` lays a dataset's events out once, in window order, as
-one `EventTable` under the dataset's vocabulary, and every window it cuts
-is a row range there, so a learner's history is a list of them and a
+`build_sequences` lays a dataset's events out once, learner after
+learner in time order, as one `EventTable` under the dataset's
+vocabulary. Every window it cuts is a row range there; a learner's
+windows tile its rows, so its whole history is one row range too. A
 batch reads rows of that one table. The table encodes the columns the
 model reads (exercise index, status, time and memory buckets, code bag
 numbers) for a row the first time a batch reads it and keeps them, so
@@ -160,9 +161,10 @@ def write_log(path, interactions: Iterable[Interaction]) -> None:
 
 @dataclass(slots=True, frozen=True)
 class LearnerSequence:
-    """One chronological window (length <= max sequence length) of a
-    learner: rows start..stop of the dataset's `EventTable`. Two windows
-    are equal when they are the same rows of the same table."""
+    """A row range of one learner: rows start..stop of the dataset's
+    `EventTable`, in time order. It is either a window (length <= max
+    sequence length) or the whole history that the latent export reads.
+    Two ranges are equal when they are the same rows of the same table."""
 
     learner_id: str
     table: EventTable
@@ -175,23 +177,6 @@ class LearnerSequence:
 
     def __len__(self) -> int:
         return self.stop - self.start
-
-    @property
-    def parts(self) -> tuple[LearnerSequence, ...]:
-        return (self,)
-
-
-@dataclass(slots=True, frozen=True)
-class LearnerHistory:
-    """Some of a learner's windows laid end to end, in the order given:
-    the sequence the latent export unrolls. An assemble reads it as one
-    window whose events are those of its parts."""
-
-    learner_id: str
-    parts: tuple[LearnerSequence, ...]
-
-    def __len__(self) -> int:
-        return sum(len(part) for part in self.parts)
 
 
 class Vocabulary:
@@ -306,17 +291,14 @@ class EventTable:
 def build_sequences(
     interactions: Iterable[Interaction],
     max_len: int = 50,
-    sliding: bool = False,
 ) -> tuple[list[LearnerSequence], Vocabulary]:
-    """Sort each learner's events by time and chunk into windows.
+    """Sort each learner's events by time and cut them into consecutive
+    windows of max_len, the last one shorter.
 
-    Windows are non-overlapping by default; sliding=True instead emits
-    stride-1 windows of exactly max_len (plus the short head), which only
-    makes sense for small data. Ties in timestamp keep input file order.
-    Learners are emitted in first-appearance order so downstream batching
-    is deterministic. The sorted events form one `EventTable` under the
-    returned vocabulary, learner after learner, and each window is a row
-    range of it.
+    Ties in timestamp keep input file order. Learners are emitted in
+    first-appearance order so downstream batching is deterministic. The
+    sorted events form one `EventTable` under the returned vocabulary,
+    learner after learner, and each window is a row range of it.
     """
     if max_len < 2:
         raise ValueError(f"max_len must be >= 2, got {max_len}")
@@ -335,13 +317,9 @@ def build_sequences(
     sequences: list[LearnerSequence] = []
     base = 0
     for lid, events in histories.items():
-        n = len(events)
-        if sliding and n > max_len:
-            bounds = [(lo, lo + max_len) for lo in range(n - max_len + 1)]
-        else:
-            bounds = [(lo, min(lo + max_len, n)) for lo in range(0, n, max_len)]
-        sequences += [LearnerSequence(lid, table, base + lo, base + hi) for lo, hi in bounds]
-        base += n
+        stop = base + len(events)
+        sequences += [LearnerSequence(lid, table, lo, min(lo + max_len, stop)) for lo in range(base, stop, max_len)]
+        base = stop
     return sequences, vocab
 
 
@@ -351,10 +329,10 @@ class MaskedWindow:
 
     Step t's target is the exercise of event t+1 in the same window, so
     the last step never carries a target. The latent export wraps a
-    `LearnerHistory` with no targets.
+    learner's history with no targets.
     """
 
-    window: LearnerSequence | LearnerHistory
+    window: LearnerSequence
     target_steps: tuple[int, ...]
 
 

@@ -327,19 +327,16 @@ def _event_rows(windows: list[MaskedWindow]) -> tuple[EventTable, np.ndarray, np
     """The event table of the windows, the table row of each of their
     events, window after window, and each window's length.
 
-    A window's events are those of its parts (one for a window, several
-    for a history), each a row range of the table; parts of more than one
+    Each window is one row range of the table; windows of more than one
     table raise ValueError.
     """
-    parts = [part for mw in windows for part in mw.window.parts]
-    table = parts[0].table
-    if any(part.table is not table for part in parts):
+    table = windows[0].window.table
+    if any(mw.window.table is not table for mw in windows):
         raise ValueError("assemble_batch: windows from more than one event table")
-    sizes = np.fromiter((len(part) for part in parts), dtype=np.int64, count=len(parts))
-    starts = np.fromiter((part.start for part in parts), dtype=np.int64, count=len(parts))
-    ends = np.cumsum(sizes)
-    rows = np.arange(ends[-1]) + np.repeat(starts - (ends - sizes), sizes)
+    starts = np.fromiter((mw.window.start for mw in windows), dtype=np.int64, count=len(windows))
     lengths = np.fromiter((len(mw.window) for mw in windows), dtype=np.int64, count=len(windows))
+    ends = np.cumsum(lengths)
+    rows = np.arange(ends[-1]) + np.repeat(starts - (ends - lengths), lengths)
     return table, rows, lengths
 
 

@@ -1,8 +1,9 @@
 """Latent-state export and linear style probes.
 
-After training, each learner's final-step latent vectors are exported
-and a logistic probe is fit per style dimension: the processing probe
-reads the processing-style vector, the understanding probe the
+After training, each learner's history (one row range of the event
+table) is unrolled and its final-step latent vectors are exported; a
+logistic probe is fit per style dimension: the processing probe reads
+the processing-style vector, the understanding probe the
 understanding-style vector. Held-out probe accuracy far above the
 permuted-label baseline is the quantitative stand-in for the qualitative
 latent-trajectory claims.
@@ -10,12 +11,13 @@ latent-trajectory claims.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
 
 from .codefeat import HashedTokenSource, PrecomputedSource
-from .dataio import LearnerHistory, LearnerSequence, MaskedWindow
+from .dataio import LearnerSequence, MaskedWindow
 from .perscell import assemble_batch, run_window, uses_code
 from .training import Checkpoint, DivergenceError
 
@@ -42,19 +44,22 @@ def _history_states(
 
     Training chunks histories into windows, but the style vectors are a
     property of the learner, so the export unrolls the recurrence over
-    the learner's windows laid end to end in one stateful pass; the
-    assemble gathers them from their row ranges of the event table.
-    Batches are small because full histories can be an order of
-    magnitude longer than a training window. The model's tensors are
-    constants here, so the unroll records no tape. Raises DivergenceError
-    if a real step's latents are not finite.
+    its history, the rows from the first start to the last stop of its
+    windows in any order, in one stateful pass; windows of more than one
+    table raise ValueError. Batches are small because full histories can
+    be an order of magnitude longer than a training window. The model's
+    tensors are constants here, so the unroll records no tape. Raises
+    DivergenceError if a real step's latents are not finite.
     """
     model = checkpoint.model.frozen()
     source = code_source if uses_code(model.variant) else None
-    parts: dict[str, list[LearnerSequence]] = {}
+    spans: dict[str, LearnerSequence] = {}
     for seq in sequences:
-        parts.setdefault(seq.learner_id, []).append(seq)
-    histories = [LearnerHistory(lid, tuple(seqs)) for lid, seqs in parts.items()]
+        if seq.table is not sequences[0].table:
+            raise ValueError("export: windows from more than one event table")
+        span = spans.setdefault(seq.learner_id, seq)
+        spans[seq.learner_id] = replace(span, start=min(span.start, seq.start), stop=max(span.stop, seq.stop))
+    histories = list(spans.values())
     for lo in range(0, len(histories), batch_size):
         chunk = histories[lo : lo + batch_size]
         windows = [MaskedWindow(history, ()) for history in chunk]

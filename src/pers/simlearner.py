@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codefeat import PrecomputedSource
-from .dataio import Interaction
+from .dataio import DataError, Interaction
 
 PROCESSING = ("active", "reflective")
 UNDERSTANDING = ("sequential", "global")
@@ -205,13 +205,33 @@ def write_labels(path, labels: dict[str, tuple[str, str]]) -> None:
 
 
 def read_labels(path) -> dict[str, tuple[str, str]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
+    """Read a labels file: LABELS_HEADER, then per line a learner id and
+    its processing and understanding labels, tab-separated. Blank lines
+    are skipped. A bad header, a line without exactly three fields, a
+    learner listed twice or a byte that is not UTF-8 raises DataError
+    naming the file and the line."""
+
+    def numbered(fh):
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                yield lineno, raw.decode("utf-8").rstrip("\n")
+            except UnicodeDecodeError:
+                raise DataError(f"{path}: line {lineno} is not UTF-8 text") from None
+
+    labels: dict[str, tuple[str, str]] = {}
+    with open(path, "rb") as fh:
+        lines = numbered(fh)
+        _, header = next(lines, (1, ""))
         if header != LABELS_HEADER:
-            raise ValueError(f"bad labels header: {header!r}")
-        labels = {}
-        for line in fh:
-            lid, processing, understanding = line.rstrip("\n").split("\t")
-            labels[lid] = (processing, understanding)
+            raise DataError(f"{path}: bad labels header: {header!r}")
+        for lineno, line in lines:
+            if not line.strip():
+                continue
+            fields = line.split("\t")
+            if len(fields) != 3:
+                raise DataError(f"{path}: line {lineno}: expected 3 tab-separated fields, got {len(fields)}")
+            if fields[0] in labels:
+                raise DataError(f"{path}: line {lineno}: learner {fields[0]!r} is listed twice")
+            labels[fields[0]] = (fields[1], fields[2])
     return labels
 

@@ -10,10 +10,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import padded_bags, store_of, table_windows
-from pers import codefeat, perscell
+from pers import codefeat, perscell, probe, tensorkit as tk, training
 from pers.codefeat import CodeFeatureError, HashedTokenSource, PrecomputedSource
 from pers.dataio import (
-    STATUSES, Interaction, LearnerHistory, LearnerSequence, MaskedWindow, Vocabulary, build_sequences, split,
+    STATUSES, Interaction, LearnerSequence, MaskedWindow, Vocabulary, build_sequences, split,
 )
 from pers.encoder import HyperParams
 
@@ -183,7 +183,7 @@ def loaded_windows(draw):
                            min_size=1, max_size=30))
     log = [Interaction(lid, eid, ts, status, t_ms, m_kb, code=code, code_vec_ref=ref)
            for lid, ts, (eid, status, t_ms, m_kb, code, ref) in fields]
-    sequences, vocab = build_sequences(log, draw(st.integers(2, 5)), draw(st.booleans()))
+    sequences, vocab = build_sequences(log, draw(st.integers(2, 5)))
     train, test = split(sequences, draw(st.sampled_from([0.2, 0.5])))
     pool = train + test + [MaskedWindow(seq, ()) for seq in sequences]
     picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=8))
@@ -216,10 +216,12 @@ LOG = [Interaction("a", f"p{t % 3}", t, "accepted", 1, 1) for t in range(5)]
 def test_windows_of_two_tables_are_refused():
     (first, *_), vocab = build_sequences(LOG, max_len=2)
     (second, *_), _ = build_sequences(LOG, max_len=2)
-    for windows in ([MaskedWindow(first, ()), MaskedWindow(second, ())],
-                    [MaskedWindow(LearnerHistory("a", (first, second)), ())]):
-        with pytest.raises(ValueError, match="more than one event table"):
-            perscell.assemble_batch(windows, vocab, HP)
+    with pytest.raises(ValueError, match="more than one event table"):
+        perscell.assemble_batch([MaskedWindow(first, ()), MaskedWindow(second, ())], vocab, HP)
+    model = perscell.init_model_params(np.random.default_rng(0), HP)
+    cp = training.Checkpoint(model, tk.AdamState(), training.TrainConfig(), vocab, [])
+    with pytest.raises(ValueError, match="more than one event table"):
+        probe.export_latents(cp, [first, second])
 
 
 def test_a_vocabulary_other_than_the_tables_is_refused():
@@ -234,17 +236,20 @@ def test_a_vocabulary_other_than_the_tables_is_refused():
 def test_loaded_windows_are_row_ranges_of_one_table():
     log = [Interaction(lid, f"p{t % 3}", ts, "accepted", 1, 1) for t, (lid, ts) in
            enumerate([("b", 5), ("a", 2), ("b", 1), ("a", 2), ("a", 0), ("b", 1)])]
-    for sliding in (False, True):
-        sequences, _ = build_sequences(log, max_len=2, sliding=sliding)
-        table = sequences[0].table
-        # Learners in first-seen order, then timestamp, then file order.
-        assert [(ev.learner_id, ev.timestamp) for ev in table.events] == [
-            ("b", 1), ("b", 1), ("b", 5), ("a", 0), ("a", 2), ("a", 2)]
-        assert table.events[2] is log[0] and table.events[0] is log[2]
-        assert all(seq.table is table for seq in sequences)
-        assert [(seq.start, seq.stop) for seq in sequences] == (
-            [(0, 2), (1, 3), (3, 5), (4, 6)] if sliding else [(0, 2), (2, 3), (3, 5), (5, 6)])
-        assert [seq.events for seq in sequences] == [table.events[seq.start : seq.stop] for seq in sequences]
+    sequences, _ = build_sequences(log, max_len=2)
+    table = sequences[0].table
+    # Learners in first-seen order, then timestamp, then file order.
+    assert [(ev.learner_id, ev.timestamp) for ev in table.events] == [
+        ("b", 1), ("b", 1), ("b", 5), ("a", 0), ("a", 2), ("a", 2)]
+    assert table.events[2] is log[0] and table.events[0] is log[2]
+    assert all(seq.table is table for seq in sequences)
+    assert [(seq.start, seq.stop) for seq in sequences] == [(0, 2), (2, 3), (3, 5), (5, 6)]
+    assert [seq.events for seq in sequences] == [table.events[seq.start : seq.stop] for seq in sequences]
+    # Each learner's windows tile its rows: one after another, no gap, no overlap.
+    for lid in ("b", "a"):
+        mine = [seq for seq in sequences if seq.learner_id == lid]
+        rows = [r for seq in mine for r in range(seq.start, seq.stop)]
+        assert rows == [r for r, ev in enumerate(table.events) if ev.learner_id == lid]
 
 
 def test_windows_are_equal_when_they_are_the_same_rows_of_one_table():

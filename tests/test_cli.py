@@ -76,6 +76,22 @@ def test_wrongly_typed_config_value_exits_1(tmp_path, capsys):
     assert "epochs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, code, fragment", [
+    (["train", "--bogus"], 1, "error: unrecognized arguments: --bogus"),
+    (["train", "--epochs", "x"], 1, "error: argument --epochs: invalid int value: 'x'"),
+    ([], 1, "error: the following arguments are required: command"),
+    (["train", "--help"], 0, ""),
+    (["--version"], 0, ""),
+], ids=["unknown-flag", "bad-int", "no-command", "help", "version"])
+def test_usage_errors_exit_1_with_argparses_message(argv, code, fragment):
+    """Usage errors exit 1, as the documented codes say; 2 means a data error."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "pers.cli", *argv], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == code, proc.stderr
+    assert fragment in proc.stderr and (code == 1) == bool(proc.stderr), proc.stderr
+
+
 def test_missing_data_file_exits_2(tmp_path):
     config_path, _ = base_config(tmp_path, data=str(tmp_path / "nope.jsonl"))
     assert run(["stats", "--config", config_path]) == 2
@@ -189,6 +205,8 @@ def test_probe_command_reports_accuracies(tmp_path, capsys):
     )
     assert run(["train", "--config", config_path, "--data", data, "--vectors", vectors]) == 0
     model = os.path.join(out, "model.pers")
+    with open(labels, "a", encoding="utf-8") as fh:
+        fh.write("\n")  # a blank line at the end is skipped
     argv = [
         "probe", "--config", config_path, "--data", data, "--vectors", vectors,
         "--checkpoint", model, "--labels", labels, "--probe-trials", "2", "--probe-splits", "2",
@@ -595,6 +613,9 @@ def simulated(tmp_path_factory):
     return simulate(tmp_path_factory.mktemp("sim"))
 
 
+LOADS_LOG = ("preprocess", "train", "eval", "ablate", "probe")  # the commands that window and split the log
+
+
 @pytest.mark.parametrize(
     "command, flags, key",
     [
@@ -607,13 +628,19 @@ def simulated(tmp_path_factory):
         ("train", ["--grad-clip", "0"], "grad_clip"),
         ("train", ["--layers", "0"], "layers"),
         ("train", ["--loss-mode", "sampled_bce", "--negatives-per-positive", "0"], "negatives_per_positive"),
+        *((command, ["--max-len", "1"], "max_len") for command in LOADS_LOG),
+        *((command, ["--split-ratio", "1.5"], "split_ratio") for command in LOADS_LOG),
+        *((command, flags, key) for command in ("train", "ablate")
+          for flags, key in ((["--d-p", "0"], "d_p"), (["--d-pos", "3"], "d_pos"))),
+        ("train", ["--code-source", "hashed", "--hash-buckets", "0"], "hash_buckets"),
     ],
 )
 def test_invalid_trainer_setting_exits_1(simulated, tmp_path, capsys, command, flags, key):
     config_path, _, paths = simulated
     argv = [
         command, "--config", config_path, "--data", paths["data"], "--vectors", paths["vectors"],
-        "--checkpoint", str(tmp_path / "absent.pers"), "--out-dir", str(tmp_path / "out"), *flags,
+        "--labels", paths["labels"], "--checkpoint", str(tmp_path / "absent.pers"),
+        "--out-dir", str(tmp_path / "out"), *flags,
     ]
     capsys.readouterr()
     assert run(argv) == 1
@@ -667,6 +694,24 @@ def test_train_on_malformed_vectors_file_names_it_and_exits_2(simulated, tmp_pat
     argv = ["train", "--config", config_path, "--data", paths["data"], "--vectors", str(vectors), "--out-dir", str(tmp_path)]
     assert run(argv) == 2
     assert_one_line_error(capsys, f"{vectors}: {fragment}")
+
+
+@pytest.mark.parametrize("line, edit, fragment", [
+    (1, lambda lines: lines[1].rsplit(b"\t", 1)[0], "line 2: expected 3 tab-separated fields, got 2"),
+    (2, lambda lines: lines[1], "line 3: learner '{learner}' is listed twice"),
+    (2, lambda lines: lines[2] + b"\xb6", "line 3 is not UTF-8 text"),
+], ids=["two-fields", "twice", "bad-byte"])
+def test_probe_on_malformed_labels_names_the_line_and_exits_2(saved_model, capsys, line, edit, fragment):
+    tmp_path, _, eval_argv = saved_model
+    data = eval_argv[eval_argv.index("--data") + 1]
+    lines = open(os.path.join(os.path.dirname(data), "labels.tsv"), "rb").read().split(b"\n")
+    learner = lines[1].split(b"\t")[0].decode()
+    lines[line] = edit(lines)
+    labels = tmp_path / "labels.tsv"
+    labels.write_bytes(b"\n".join(lines))
+    capsys.readouterr()
+    assert run(["probe", *eval_argv[1:], "--labels", str(labels), "--out-dir", str(tmp_path / "probe")]) == 2
+    assert_one_line_error(capsys, f"{labels}: {fragment.format(learner=learner)}")
 
 
 def test_checkpoint_with_earlier_header_fields_evaluates_the_same(tmp_path):

@@ -124,16 +124,6 @@ def test_build_sequences_rejects_small_max_len():
         dataio.build_sequences([make_interaction()], max_len=1)
 
 
-def test_build_sequences_sliding_windows():
-    interactions = [make_interaction(eid=f"p{i}", ts=i) for i in range(5)]
-    seqs, _ = dataio.build_sequences(interactions, max_len=3, sliding=True)
-    assert [[e.exercise_id for e in s.events] for s in seqs] == [
-        ["p0", "p1", "p2"],
-        ["p1", "p2", "p3"],
-        ["p2", "p3", "p4"],
-    ]
-
-
 def test_vocabulary_round_trip_and_unknown():
     _, vocab = dataio.build_sequences([make_interaction(eid=f"p{i}", ts=i) for i in range(5)])
     assert vocab.n_exercises + 2 == 7

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import copy
 from dataclasses import replace
-from itertools import chain
 
 import numpy as np
 import pytest
@@ -238,35 +237,36 @@ def test_probe_counts_below_one_rejected(fn, over):
 
 @pytest.fixture(scope="module")
 def windowed_corpus():
-    """Learners of three to five windows each, under both code sources,
-    with an untrained model apiece."""
+    """Learners of 11 events in three windows each, under both code
+    sources, with an untrained model apiece."""
     interactions, vectors = toy_corpus(n_learners=5, n_exercises=8, events_per=11)
     interactions = [replace(ev, code=f"x = {ev.code_vec_ref}") for ev in interactions]
     cases = []
     for source, buckets in ((vectors, None), (HashedTokenSource(16, vectors.dim), 16)):
-        for sliding in (False, True):
-            seqs, vocab = build_sequences(interactions, max_len=4 if not sliding else 9, sliding=sliding)
-            hp = toy_hp(vocab.n_exercises, d_k=8)
-            model = perscell.init_model_params(np.random.default_rng(3), hp, code_buckets=buckets)
-            cp = training.Checkpoint(model, tk.AdamState(), training.TrainConfig(), vocab, [])
-            cases.append((cp, seqs, source))
+        seqs, vocab = build_sequences(interactions, max_len=4)
+        hp = toy_hp(vocab.n_exercises, d_k=8)
+        model = perscell.init_model_params(np.random.default_rng(3), hp, code_buckets=buckets)
+        cp = training.Checkpoint(model, tk.AdamState(), training.TrainConfig(), vocab, [])
+        cases.append((cp, seqs, source))
     return cases
 
 
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_export_of_any_window_subset_matches_the_per_event_history(windowed_corpus, data):
-    """Histories gathered from the event table's row ranges give, bit for
-    bit, the latents of each learner's picked windows' events written out
-    one by one, as the export built them before the table."""
+    """Histories read as row ranges of the event table give, bit for bit,
+    the latents of each learner's events from the first start to the last
+    stop of its picked windows, in any order, written out one by one."""
     cp, seqs, source = data.draw(st.sampled_from(windowed_corpus))
     picked = data.draw(st.lists(st.sampled_from(seqs), min_size=1, max_size=12, unique_by=id))
     got = probe.export_step_latents(cp, picked, source)
 
     order = list(dict.fromkeys(s.learner_id for s in picked))
-    histories = table_windows(
-        cp.vocab, [(lid, tuple(chain.from_iterable(s.events for s in picked if s.learner_id == lid)), ()) for lid in order]
-    )
+    events = seqs[0].table.events
+    given = {lid: [s for s in picked if s.learner_id == lid] for lid in order}
+    histories = table_windows(cp.vocab, [
+        (lid, events[min(s.start for s in mine) : max(s.stop for s in mine)], ()) for lid, mine in given.items()
+    ])
     arrays = reference_assemble(histories, cp.vocab, source)
     oracle_source = copy.copy(source)  # the source's table, the oracle's bags
     oracle_source.store = arrays.pop("code_store")
@@ -278,3 +278,18 @@ def test_export_of_any_window_subset_matches_the_per_event_history(windowed_corp
         assert all(a.tobytes() == b.tobytes() for a, b in zip(g[2:], w[2:]))
     finals = probe.export_latents(cp, picked, source)
     assert [(r.learner_id, r.length) for r in finals] == [(h.window.learner_id, len(h.window)) for h in histories]
+
+
+def test_a_learners_windows_in_reverse_order_export_the_same_bits(windowed_corpus):
+    for cp, seqs, source in windowed_corpus:
+        mine = [s for s in seqs if s.learner_id == seqs[0].learner_id]
+        assert len(mine) == 3
+        forward, backward = (probe.export_step_latents(cp, windows, source) for windows in (mine, mine[::-1]))
+        assert [(lid, t) for lid, t, *_ in backward] == [(lid, t) for lid, t, *_ in forward]
+        for f, b in zip(forward, backward):
+            assert all(x.tobytes() == y.tobytes() for x, y in zip(f[2:], b[2:]))
+        [final], [final_back] = (probe.export_latents(cp, windows, source) for windows in (mine, mine[::-1]))
+        assert final.length == final_back.length == 11
+        for name in ("pa", "ps", "us"):
+            assert getattr(final, name).tobytes() == getattr(final_back, name).tobytes()
+        assert probe.export_latents(cp, [], source) == []

@@ -142,6 +142,15 @@ def test_population_files_validate_against_schema(tmp_path):
     assert set(labels) == {it.learner_id for it in interactions}
 
 
+def test_read_labels_skips_blank_lines(tmp_path):
+    labels = {"u1": ("active", "global"), "u2": ("reflective", "sequential")}
+    simlearner.write_labels(tmp_path / "a.tsv", labels)
+    text = (tmp_path / "a.tsv").read_text(encoding="utf-8")
+    head, first, second = text.splitlines()
+    (tmp_path / "b.tsv").write_text("\n".join([head, "", first, "  ", second, "", ""]), encoding="utf-8")
+    assert simlearner.read_labels(tmp_path / "a.tsv") == simlearner.read_labels(tmp_path / "b.tsv") == labels
+
+
 def test_ape_gap_holds_at_99pct_bootstrap_confidence():
     cat = catalog(600)
     n, steps = 50, 500
