@@ -97,6 +97,8 @@ def load_config(path: str | None) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not UTF-8 text: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     unknown = set(raw) - set(SCHEMA)
@@ -203,10 +205,16 @@ def load_code_source(config: Config, checkpoint: training.Checkpoint | None = No
     raise ConfigError(f"code_source must be precomputed, hashed or none, not {kind!r}")
 
 
-def load_dataset(config: dict):
+def read_log(config: dict) -> list[dataio.Interaction]:
+    """The log's records; each malformed line is one warning on stderr."""
     interactions, issues = dataio.parse_log(config["data"], strict=config["strict"])
     for issue in issues:
         print(f"warning: line {issue.line}: {issue.message}", file=sys.stderr)
+    return interactions
+
+
+def load_dataset(config: dict):
+    interactions = read_log(config)
     if not interactions:
         raise DataError(f"no usable records in {config['data']}")
     try:
@@ -277,9 +285,7 @@ def cmd_simulate(config: dict) -> list[str]:
 
 
 def cmd_stats(config: dict) -> list[str]:
-    interactions, issues = dataio.parse_log(config["data"], strict=config["strict"])
-    for issue in issues:
-        print(f"warning: line {issue.line}: {issue.message}", file=sys.stderr)
+    interactions = read_log(config)
     table = dataio.format_stats(config["dataset_name"], dataio.stats(interactions))
     path = os.path.join(config["out_dir"], "stats.tsv")
     atomic_write(path, table)
@@ -441,9 +447,9 @@ def main(argv: list[str] | None = None) -> int:
     except (DivergenceError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (DataError, CodeFeatureError, CheckpointError, VocabularyMismatch, FileNotFoundError, ValueError) as exc:
-        # data-dependent failures: bad files, mismatched artifacts,
-        # populations too small for the requested analysis
+    except (DataError, CodeFeatureError, CheckpointError, VocabularyMismatch, OSError, ValueError) as exc:
+        # data-dependent failures: missing, unreadable or bad files,
+        # mismatched artifacts, populations too small for the analysis
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

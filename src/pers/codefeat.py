@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from . import tensorkit as tk
-from .dataio import Interaction
+from .dataio import Interaction, numbered_lines
 
 VECTORS_MAGIC = "PERSVEC1"
 
@@ -170,45 +170,36 @@ def write_vectors(path, table: dict[str, np.ndarray], dim: int) -> None:
 def read_vectors(path) -> PrecomputedSource:
     """Load a vectors file: header 'PERSVEC1 d_c=<int>' with d_c >= 1, then
     a ref and d_c floats per line."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline().rstrip("\n")
-            parts = header.split()
-            if len(parts) != 2 or parts[0] != VECTORS_MAGIC or not parts[1].startswith("d_c="):
-                raise CodeFeatureError(f"{path}: bad vectors header: {header!r}")
+    with open(path, "rb") as fh:
+        lines = numbered_lines(fh)
+        _, header = next(lines, (1, ""))
+        if header is None:
+            raise CodeFeatureError(f"{path}: line 1 is not UTF-8 text")
+        header = header.rstrip("\n")
+        parts = header.split()
+        if len(parts) != 2 or parts[0] != VECTORS_MAGIC or not parts[1].startswith("d_c="):
+            raise CodeFeatureError(f"{path}: bad vectors header: {header!r}")
+        try:
+            dim = int(parts[1][4:])
+        except ValueError:
+            dim = 0  # refused below
+        if dim < 1:
+            raise CodeFeatureError(f"{path}: bad d_c in header: {header!r}; need an integer >= 1")
+        table: dict[str, np.ndarray] = {}
+        for lineno, line in lines:
+            if line is None:
+                raise CodeFeatureError(f"{path}: line {lineno} is not UTF-8 text")
+            fields = line.split()
+            if not fields:
+                continue
+            if len(fields) != dim + 1:
+                raise CodeFeatureError(f"{path}: line {lineno}: expected {dim} floats after ref")
             try:
-                dim = int(parts[1][4:])
-            except ValueError:
-                dim = 0  # refused below
-            if dim < 1:
-                raise CodeFeatureError(f"{path}: bad d_c in header: {header!r}; need an integer >= 1")
-            table: dict[str, np.ndarray] = {}
-            for lineno, line in enumerate(fh, start=2):
-                fields = line.split()
-                if not fields:
-                    continue
-                if len(fields) != dim + 1:
-                    raise CodeFeatureError(f"{path}: line {lineno}: expected {dim} floats after ref")
-                try:
-                    table[fields[0]] = np.array([float(x) for x in fields[1:]])
-                except ValueError as exc:
-                    raise CodeFeatureError(f"{path}: line {lineno}: {exc}") from None
-    except UnicodeDecodeError:
-        raise CodeFeatureError(f"{path}: line {_undecodable_line(path)} is not UTF-8 text") from None
+                table[fields[0]] = np.array([float(x) for x in fields[1:]])
+            except ValueError as exc:
+                raise CodeFeatureError(f"{path}: line {lineno}: {exc}") from None
     source = PrecomputedSource(table, dim)
     bad = ~np.isfinite(source.matrix).all(axis=1)
     if bad.any():
         raise CodeFeatureError(f"{path}: vector of '{list(table)[int(np.argmax(bad))]}' is not finite")
     return source
-
-
-def _undecodable_line(path) -> int | str:
-    """The number of the first line of a file that is not UTF-8. A newline
-    byte never occurs inside a multi-byte character, so lines decode alone."""
-    with open(path, "rb") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            try:
-                raw.decode("utf-8")
-            except UnicodeDecodeError:
-                return lineno
-    return "?"  # the file changed after it failed to decode

@@ -7,14 +7,12 @@ and optionally code and/or code_vec_ref.
 
 `build_sequences` lays a dataset's events out once, learner after
 learner in time order, as one `EventTable` under the dataset's
-vocabulary. Every window it cuts is a row range there; a learner's
-windows tile its rows, so its whole history is one row range too. A
-batch reads rows of that one table. The table encodes the columns the
-model reads (exercise index, status, time and memory buckets, code bag
-numbers) for a row the first time a batch reads it and keeps them, so
-loading a log does no per-event encoding beyond parsing, and a later pass
-over the same rows (another eval or export round, the next variant of an
-ablation) assembles its batches by index gathers alone.
+vocabulary, and encodes there every column the model reads but the code.
+Every window it cuts is a row range of that table; a learner's windows
+tile its rows, so its whole history is one row range too. The table
+never changes after it is built, so a batch is a plain index gather from
+its columns. Code bag numbers alone are kept per code source from the
+first time a batch reads a row (see `EventTable`).
 """
 
 from __future__ import annotations
@@ -24,7 +22,7 @@ import math
 import weakref
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import BinaryIO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -127,29 +125,43 @@ def _interaction_from_record(rec: dict) -> Interaction:
     )
 
 
+def numbered_lines(fh: BinaryIO) -> Iterator[tuple[int, str | None]]:
+    """Each line of a binary file, numbered from 1, with a CR LF ending read
+    as LF as text mode reads it, decoded alone as UTF-8 (a newline byte is
+    never part of a multi-byte character); None where it is not UTF-8."""
+    for lineno, raw in enumerate(fh, start=1):
+        if raw.endswith(b"\r\n"):
+            raw = raw[:-2] + b"\n"
+        try:
+            yield lineno, raw.decode("utf-8")
+        except UnicodeDecodeError:
+            yield lineno, None
+
+
 def parse_log(path, strict: bool = False) -> tuple[list[Interaction], list[ParseIssue]]:
     """Parse a JSONL submission log, preserving file order.
 
-    Malformed lines are collected as ParseIssues with their 1-based line
-    numbers; with strict=True the first issue aborts instead.
+    Malformed lines, a line that is not UTF-8 text among them, are
+    collected as ParseIssues with their 1-based line numbers; with
+    strict=True the first issue aborts instead.
     """
     interactions: list[Interaction] = []
     issues: list[ParseIssue] = []
     try:
-        fh = open(path, "r", encoding="utf-8")
+        fh = open(path, "rb")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     with fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
+        for lineno, line in numbered_lines(fh):
             try:
-                interactions.append(_interaction_from_record(json.loads(line)))
+                if line is None:
+                    raise ValueError("not UTF-8 text")
+                if line.strip():
+                    interactions.append(_interaction_from_record(json.loads(line)))
             except ValueError as exc:
-                issue = ParseIssue(lineno, str(exc))
                 if strict:
                     raise DataError(f"line {lineno}: {exc}") from exc
-                issues.append(issue)
+                issues.append(ParseIssue(lineno, str(exc)))
     return interactions, issues
 
 
@@ -243,36 +255,30 @@ def memory_bucket(exec_memory_kb) -> np.ndarray:
 
 
 class EventTable:
-    """A dataset's events in window order, each column the model reads
-    encoded once.
+    """A dataset's events in window order. Row r is `events[r]`, and the
+    read-only (4, n) int64 `columns[:, r]`, encoded when the table is
+    built, holds its exercise index under `vocab`, its status index and
+    its time and memory buckets.
 
-    Row r is `events[r]`. Nothing is encoded until a batch asks: then the
-    rows it reads that are not encoded yet get their exercise index under
-    `vocab`, status index and time and memory buckets, and their bag
-    numbers under its code source, and keep them for the next batch.
+    Only a row's code bag number is encoded on demand, under each code
+    source from the first time a batch reads the row, and kept: the code
+    source is chosen after the dataset loads, and tokenizing code text is
+    most of a cold pass over raw code, so one eval hashes only its rows.
     """
 
     def __init__(self, events: Iterable[Interaction], vocab: Vocabulary):
         self.events: tuple[Interaction, ...] = tuple(events)
         self.vocab = vocab
-        self._columns = np.full((4, len(self.events)), -1, dtype=np.int64)  # -1 where a row is not encoded yet
+        events = self.events
+        # One list per field: faster than one pass that builds a tuple per event.
+        self.columns = np.stack((
+            vocab.encode_all([ev.exercise_id for ev in events]),
+            status_index([ev.status for ev in events]),
+            time_bucket([ev.exec_time_ms for ev in events]),
+            memory_bucket([ev.exec_memory_kb for ev in events]),
+        ))
+        self.columns.flags.writeable = False
         self._bags = weakref.WeakKeyDictionary()  # code source -> bag number of each row, -1 if not asked yet
-
-    def columns(self, rows: np.ndarray) -> np.ndarray:
-        """The (exercise index, status index, time bucket, memory bucket)
-        of each of `rows`, as a (4, len(rows)) array."""
-        todo = rows[self._columns[0, rows] < 0]
-        if todo.size:
-            events = self.events
-            batch = [events[r] for r in todo.tolist()]
-            # One list per field: faster than one pass that builds a tuple per event.
-            self._columns[:, todo] = (
-                self.vocab.encode_all([ev.exercise_id for ev in batch]),
-                status_index([ev.status for ev in batch]),
-                time_bucket([ev.exec_time_ms for ev in batch]),
-                memory_bucket([ev.exec_memory_kb for ev in batch]),
-            )
-        return self._columns[:, rows]
 
     def bag_numbers(self, source, rows: np.ndarray) -> np.ndarray:
         """source's bag number of the code of each of `rows`. Rows not yet
@@ -343,39 +349,30 @@ def split(
 
     For a learner with n events the last ceil(ratio*n) targets are test,
     the earlier ones train; learners with fewer than 3 events are
-    train-only. A boundary window can appear in both outputs with
-    disjoint target steps.
+    train-only. Windows come in the order given, grouped by learner in
+    first-seen order. A window's train steps and its test steps are two
+    contiguous runs, so a boundary window can appear in both outputs.
     """
     if not (0.0 < ratio < 1.0):
         raise ValueError(f"ratio must be in (0, 1), got {ratio}")
-    by_learner: dict[str, list[LearnerSequence]] = {}
-    order: list[str] = []
+    by_learner: dict[str, list[LearnerSequence]] = {}  # first-seen order
     for seq in sequences:
-        if seq.learner_id not in by_learner:
-            by_learner[seq.learner_id] = []
-            order.append(seq.learner_id)
-        by_learner[seq.learner_id].append(seq)
+        by_learner.setdefault(seq.learner_id, []).append(seq)
 
     train: list[MaskedWindow] = []
     test: list[MaskedWindow] = []
-    for lid in order:
-        windows = by_learner[lid]
+    for windows in by_learner.values():
         n_events = sum(len(w) for w in windows)
-        targets = [(wi, t) for wi, w in enumerate(windows) for t in range(len(w) - 1)]
-        if n_events < 3:
-            n_test = 0
-        else:
-            n_test = min(len(targets), math.ceil(ratio * n_events))
-        cut = len(targets) - n_test
-        train_steps: dict[int, list[int]] = {}
-        test_steps: dict[int, list[int]] = {}
-        for pos, (wi, t) in enumerate(targets):
-            (train_steps if pos < cut else test_steps).setdefault(wi, []).append(t)
-        for wi, w in enumerate(windows):
-            if wi in train_steps:
-                train.append(MaskedWindow(w, tuple(train_steps[wi])))
-            if wi in test_steps:
-                test.append(MaskedWindow(w, tuple(test_steps[wi])))
+        n_targets = n_events - len(windows)  # every step but each window's last
+        n_test = 0 if n_events < 3 else min(n_targets, math.ceil(ratio * n_events))
+        n_train = n_targets - n_test  # train targets not yet placed
+        for w in windows:
+            a = min(n_train, len(w) - 1)
+            n_train -= a
+            if a:
+                train.append(MaskedWindow(w, tuple(range(a))))
+            if a < len(w) - 1:
+                test.append(MaskedWindow(w, tuple(range(a, len(w) - 1))))
     return train, test
 
 

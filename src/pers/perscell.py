@@ -299,7 +299,7 @@ def assemble_batch(
     valid = (np.arange(length) < lengths[:, None]).astype(np.float64)
     cells = np.nonzero(valid)  # (rows, steps) of every event, row-major like `rows`
     exercise_idx, status_idx, time_idx, mem_idx, targets = (np.zeros((b, length), dtype=np.int64) for _ in range(5))
-    for out, column in zip((exercise_idx, status_idx, time_idx, mem_idx), table.columns(rows)):
+    for out, column in zip((exercise_idx, status_idx, time_idx, mem_idx), table.columns[:, rows]):
         out[cells] = column
 
     counts = [len(mw.target_steps) for mw in windows]

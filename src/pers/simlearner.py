@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codefeat import PrecomputedSource
-from .dataio import DataError, Interaction
+from .dataio import DataError, Interaction, numbered_lines
 
 PROCESSING = ("active", "reflective")
 UNDERSTANDING = ("sequential", "global")
@@ -210,24 +210,21 @@ def read_labels(path) -> dict[str, tuple[str, str]]:
     are skipped. A bad header, a line without exactly three fields, a
     learner listed twice or a byte that is not UTF-8 raises DataError
     naming the file and the line."""
-
-    def numbered(fh):
-        for lineno, raw in enumerate(fh, start=1):
-            try:
-                yield lineno, raw.decode("utf-8").rstrip("\n")
-            except UnicodeDecodeError:
-                raise DataError(f"{path}: line {lineno} is not UTF-8 text") from None
-
     labels: dict[str, tuple[str, str]] = {}
     with open(path, "rb") as fh:
-        lines = numbered(fh)
+        lines = numbered_lines(fh)
         _, header = next(lines, (1, ""))
+        if header is None:
+            raise DataError(f"{path}: line 1 is not UTF-8 text")
+        header = header.rstrip("\n")
         if header != LABELS_HEADER:
             raise DataError(f"{path}: bad labels header: {header!r}")
         for lineno, line in lines:
+            if line is None:
+                raise DataError(f"{path}: line {lineno} is not UTF-8 text")
             if not line.strip():
                 continue
-            fields = line.split("\t")
+            fields = line.rstrip("\n").split("\t")
             if len(fields) != 3:
                 raise DataError(f"{path}: line {lineno}: expected 3 tab-separated fields, got {len(fields)}")
             if fields[0] in labels:

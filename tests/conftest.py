@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import math
 import weakref
 
 import numpy as np
@@ -39,6 +40,31 @@ def rank_event(scores: np.ndarray, target: int) -> int:
     greater = int((scores > s_t).sum())
     tied_before = int((scores[:target] == s_t).sum())
     return 1 + greater + tied_before
+
+
+def split_by_targets(sequences, ratio: float):
+    """`dataio.split` as it once ran: every target listed as a (window,
+    step) pair in learner order, cut by position, then grouped back into
+    windows. The oracle for the split's windows, steps and order."""
+    by_learner: dict[str, list[LearnerSequence]] = {}
+    for seq in sequences:
+        by_learner.setdefault(seq.learner_id, []).append(seq)
+    train, test = [], []
+    for windows in by_learner.values():
+        n_events = sum(len(w) for w in windows)
+        targets = [(wi, t) for wi, w in enumerate(windows) for t in range(len(w) - 1)]
+        n_test = 0 if n_events < 3 else min(len(targets), math.ceil(ratio * n_events))
+        cut = len(targets) - n_test
+        train_steps: dict[int, list[int]] = {}
+        test_steps: dict[int, list[int]] = {}
+        for pos, (wi, t) in enumerate(targets):
+            (train_steps if pos < cut else test_steps).setdefault(wi, []).append(t)
+        for wi, w in enumerate(windows):
+            if wi in train_steps:
+                train.append(MaskedWindow(w, tuple(train_steps[wi])))
+            if wi in test_steps:
+                test.append(MaskedWindow(w, tuple(test_steps[wi])))
+    return train, test
 
 
 def excluded_params(variant: str, names) -> set[str]:

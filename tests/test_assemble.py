@@ -203,7 +203,7 @@ def test_table_gathers_match_per_event_loop_bitwise(loaded, kind):
         source = PrecomputedSource({ref: np.full(D_C, float(i)) for i, ref in enumerate(REFS)}, D_C)
     else:
         source = None
-    # Repeats read the columns and bag numbers the table kept.
+    # Repeats read the bag numbers the table kept.
     for v in vocabs + vocabs[::-1]:
         for batch in (windows, windows[::-1]):
             got = perscell.assemble_batch(batch, v, HP, source)

@@ -62,18 +62,16 @@ def test_missing_required_key_exits_1_and_names_it(tmp_path, capsys):
     assert "'data'" in capsys.readouterr().err
 
 
-def test_unknown_config_key_exits_1(tmp_path, capsys):
+@pytest.mark.parametrize("command, text, fragment", [
+    ("stats", json.dumps({"lern_rate": 0.1}).encode(), "lern_rate"),
+    ("train", json.dumps({"epochs": "ten"}).encode(), "epochs"),
+    ("stats", b'{"dataset_name": "caf\xb6"}', "config {path} is not UTF-8 text"),
+], ids=["unknown-key", "wrong-type", "not-utf8"])
+def test_bad_config_file_exits_1_and_names_the_fault(tmp_path, capsys, command, text, fragment):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"lern_rate": 0.1}))
-    assert run(["stats", "--config", str(path)]) == 1
-    assert "lern_rate" in capsys.readouterr().err
-
-
-def test_wrongly_typed_config_value_exits_1(tmp_path, capsys):
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"epochs": "ten"}))
-    assert run(["train", "--config", str(path)]) == 1
-    assert "epochs" in capsys.readouterr().err
+    path.write_bytes(text)
+    assert run([command, "--config", str(path)]) == 1
+    assert_one_line_error(capsys, fragment.format(path=path))
 
 
 @pytest.mark.parametrize("argv, code, fragment", [
@@ -164,7 +162,20 @@ def test_divergent_training_exits_3(tmp_path, capsys):
     ]
     assert run(argv) == 3
     assert "non-finite loss" in capsys.readouterr().err
-    assert_fresh_process_exits_3_with_one_line(argv, "non-finite loss")
+    assert_fresh_process_exits_with_one_line(argv, 3, "non-finite loss")
+
+
+def test_a_log_line_that_is_not_utf8_is_a_warning_or_under_strict_an_error(tmp_path, capsys):
+    _, _, paths = simulate(tmp_path)
+    lines = open(paths["data"], "rb").read().split(b"\n")
+    lines[3] = lines[3].replace(b'"p', b'"\xb6p', 1)
+    data = tmp_path / "data.jsonl"
+    data.write_bytes(b"\n".join(lines))
+    capsys.readouterr()
+    assert run(["stats", "--data", str(data), "--out-dir", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == "warning: line 4: not UTF-8 text\n"
+    assert run(["stats", "--data", str(data), "--out-dir", str(tmp_path / "out"), "--strict"]) == 2
+    assert_one_line_error(capsys, "line 4: not UTF-8 text")
 
 
 def test_stats_command_prints_table(tmp_path, capsys):
@@ -297,14 +308,15 @@ def assert_one_line_error(capsys, fragment):
     assert len(err) == 1 and err[0].startswith("error:") and fragment in err[0], err
 
 
-def assert_fresh_process_exits_3_with_one_line(argv, fragment):
+def assert_fresh_process_exits_with_one_line(argv, code, fragment):
     """`python -m pers.cli argv` in a new process: pytest's warning capture
-    hides numpy's RuntimeWarnings in this one, a shell run shows them."""
+    hides numpy's RuntimeWarnings in this one, a shell run shows them, and
+    a traceback shows as more than one line."""
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"}
     proc = subprocess.run([sys.executable, "-m", "pers.cli", *argv], capture_output=True, text=True, env=env)
     err = proc.stderr.strip().splitlines()
-    assert proc.returncode == 3, proc.stderr
+    assert proc.returncode == code, proc.stderr
     assert len(err) == 1 and err[0].startswith("error:") and fragment in err[0], err
 
 
@@ -321,7 +333,7 @@ def test_eval_with_nan_logits_exits_3(tmp_path, capsys):
     capsys.readouterr()
     assert run(eval_argv) == 3
     assert_one_line_error(capsys, "non-finite logits")
-    assert_fresh_process_exits_3_with_one_line(eval_argv, "non-finite logits")
+    assert_fresh_process_exits_with_one_line(eval_argv, 3, "non-finite logits")
     assert not os.path.exists(os.path.join(os.path.dirname(model), "report.tsv"))
 
 
@@ -348,7 +360,7 @@ def test_probe_on_overflowing_latents_exits_3(tmp_path, capsys, overflow, fragme
             "--checkpoint", model, "--labels", labels, "--probe-trials", "2"]
     assert run(argv) == 3
     assert_one_line_error(capsys, fragment)
-    assert_fresh_process_exits_3_with_one_line(argv, fragment)
+    assert_fresh_process_exits_with_one_line(argv, 3, fragment)
     assert not os.path.exists(os.path.join(out, "probe.json"))
 
 
@@ -606,6 +618,16 @@ def test_eval_on_truncated_or_bit_flipped_vectors_exits_2_with_one_error_line(sa
         assert not lines and codefeat.read_vectors(path).dim == 8
     else:
         assert code == 2 and len(lines) == 1 and lines[0].startswith("error:"), (code, lines)
+
+
+@pytest.mark.parametrize("key", ["data", "vectors", "labels", "checkpoint"])
+def test_a_directory_for_an_input_path_exits_2_with_one_line_naming_it(saved_model, key):
+    tmp_path, _, eval_argv = saved_model
+    data = eval_argv[eval_argv.index("--data") + 1]
+    argv = ["probe", *eval_argv[1:], "--labels", os.path.join(os.path.dirname(data), "labels.tsv"),
+            "--out-dir", str(tmp_path / "probe")]
+    argv[argv.index(f"--{key}") + 1] = str(tmp_path)
+    assert_fresh_process_exits_with_one_line(argv, 2, str(tmp_path))
 
 
 @pytest.fixture(scope="module")

@@ -2,8 +2,11 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import split_by_targets
 from pers import dataio
 
 
@@ -61,6 +64,21 @@ def test_parse_strict_raises(tmp_path):
     p = tmp_path / "log.jsonl"
     write_lines(p, [{"nope": 1}])
     with pytest.raises(dataio.DataError, match="line 1"):
+        dataio.parse_log(p, strict=True)
+
+
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n"])
+def test_parse_a_line_that_is_not_utf8_is_one_issue(tmp_path, newline):
+    good = json.dumps(valid_record()).encode()
+    p = tmp_path / "log.jsonl"
+    # A CR LF ending reads as "\n", as text mode read it, so line 2's JSON message counts one newline.
+    p.write_bytes(newline.join([good, b'{"a": ', b"", good.replace(b"p1", b"p\xb61"), b" ", good]) + newline)
+    interactions, issues = dataio.parse_log(p)
+    assert len(interactions) == 2
+    assert issues == [dataio.ParseIssue(2, "Expecting value: line 2 column 1 (char 7)"),
+                      dataio.ParseIssue(4, "not UTF-8 text")]
+    p.write_bytes(newline.join([good, good.replace(b"p1", b"p\xb61")]))
+    with pytest.raises(dataio.DataError, match="^line 2: not UTF-8 text$"):
         dataio.parse_log(p, strict=True)
 
 
@@ -134,6 +152,26 @@ def test_vocabulary_round_trip_and_unknown():
     assert vocab.encode("never-seen") == dataio.UNKNOWN_INDEX
 
 
+def test_table_columns_are_encoded_when_the_table_is_built():
+    statuses = [*dataio.STATUSES, "judge_crashed"]
+    log = [make_interaction(lid=f"u{i % 3}", eid=f"p{i % 4}", ts=-i, status=statuses[i % len(statuses)],
+                            t=[0, 1, 2**31 - 1, 2**31, 10**30][i % 5], m=[7, 0, 2**40, 3, 2**32 - 1][i % 5])
+           for i in range(20)]
+    seqs, vocab = dataio.build_sequences(log, max_len=3)
+    table = seqs[0].table
+    index = {eid: i for i, eid in enumerate(vocab.ids(), start=2)}
+    expected = [
+        (index[ev.exercise_id],
+         dataio.STATUSES.index(ev.status if ev.status in dataio.STATUSES else "other"),
+         min(31, (ev.exec_time_ms + 1).bit_length() - 1),
+         min(31, (ev.exec_memory_kb + 1).bit_length() - 1))
+        for ev in table.events
+    ]
+    assert table.columns.dtype == np.int64 and table.columns.T.tolist() == [list(row) for row in expected]
+    with pytest.raises(ValueError, match="read-only"):
+        table.columns[0, 0] = 5
+
+
 def make_learner(lid, n):
     return [make_interaction(lid=lid, eid=f"p{i}", ts=i) for i in range(n)]
 
@@ -161,6 +199,20 @@ def test_split_len5_ratio05_gives_three_test_targets():
     seqs, _ = dataio.build_sequences(make_learner("u", 5))
     train, test = dataio.split(seqs, ratio=0.5)
     assert split_counts(test) == 3
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    sizes=st.lists(st.one_of(st.integers(1, 2), st.integers(1, 40)), min_size=1, max_size=5),
+    max_len=st.integers(2, 12),
+    ratio=st.one_of(st.floats(0.001, 0.999), st.sampled_from([1e-9, 0.01, 0.99, 1 - 1e-9])),
+    data=st.data(),
+)
+def test_split_matches_the_per_target_enumeration(sizes, max_len, ratio, data):
+    log = [make_interaction(lid=f"u{u}", eid=f"p{t % 3}", ts=t) for u, n in enumerate(sizes) for t in range(n)]
+    seqs, _ = dataio.build_sequences(data.draw(st.permutations(log)), max_len)
+    seqs = data.draw(st.permutations(seqs))  # split keeps the windows' given order too
+    assert dataio.split(seqs, ratio) == split_by_targets(seqs, ratio)
 
 
 def test_split_rejects_bad_ratio():

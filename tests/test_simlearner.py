@@ -148,7 +148,10 @@ def test_read_labels_skips_blank_lines(tmp_path):
     text = (tmp_path / "a.tsv").read_text(encoding="utf-8")
     head, first, second = text.splitlines()
     (tmp_path / "b.tsv").write_text("\n".join([head, "", first, "  ", second, "", ""]), encoding="utf-8")
+    # CR LF endings read as text mode reads them.
+    (tmp_path / "c.tsv").write_bytes("\r\n".join([head, "", first, second, ""]).encode())
     assert simlearner.read_labels(tmp_path / "a.tsv") == simlearner.read_labels(tmp_path / "b.tsv") == labels
+    assert simlearner.read_labels(tmp_path / "c.tsv") == labels
 
 
 def test_ape_gap_holds_at_99pct_bootstrap_confidence():
