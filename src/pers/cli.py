@@ -4,8 +4,9 @@ probe | stats | gradcheck.
 Every command reads a flat JSON config (unknown keys rejected), lets
 command-line flags override config values, writes its outputs atomically
 (temp file + rename) and drops a run manifest echoing the resolved
-configuration, seed, package version and wall time, so a manifest alone
-reproduces the run.
+configuration, seed, package version, wall time, and the numpy version,
+BLAS and BLAS thread settings that bitwise results depend on, so a
+manifest alone reproduces the run.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric divergence.
 """
@@ -146,12 +147,28 @@ def atomic_write(path, text: str) -> None:
     atomic_call(path, lambda tmp: pathlib.Path(tmp).write_text(text, encoding="utf-8"))
 
 
+def numeric_stack() -> dict:
+    """What bitwise-equal results depend on besides config and seed: the
+    numpy version, its BLAS, and the BLAS thread settings (None when
+    unset)."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.25, or a build that names no BLAS
+        blas = {}
+    return {
+        "numpy": np.__version__,
+        "blas": {key: blas.get(key) for key in ("name", "version", "openblas configuration")},
+        "threads": {var: os.environ.get(var) for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
+    }
+
+
 def write_manifest(out_dir, command: str, config: dict, outputs: list[str], t0: float) -> None:
     manifest = {
         "command": command,
         "config": {k: config[k] for k in sorted(config)},
         "seed": config["seed"],
         "version": __version__,
+        "numeric": numeric_stack(),
         "wall_time_s": round(time.time() - t0, 3),
         "outputs": outputs,
     }

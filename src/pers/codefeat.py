@@ -169,7 +169,7 @@ def write_vectors(path, table: dict[str, np.ndarray], dim: int) -> None:
 
 def read_vectors(path) -> PrecomputedSource:
     """Load a vectors file: header 'PERSVEC1 d_c=<int>' with d_c >= 1, then
-    a ref and d_c floats per line."""
+    a ref and d_c floats per line, each ref on one line only."""
     with open(path, "rb") as fh:
         lines = numbered_lines(fh)
         _, header = next(lines, (1, ""))
@@ -194,6 +194,8 @@ def read_vectors(path) -> PrecomputedSource:
                 continue
             if len(fields) != dim + 1:
                 raise CodeFeatureError(f"{path}: line {lineno}: expected {dim} floats after ref")
+            if fields[0] in table:
+                raise CodeFeatureError(f"{path}: line {lineno}: ref {fields[0]!r} is listed twice")
             try:
                 table[fields[0]] = np.array([float(x) for x in fields[1:]])
             except ValueError as exc:

@@ -5,11 +5,12 @@ Candidates are never filtered: resubmitting the current exercise is part
 of the behaviour under study, so repeats stay in the candidate set. Ties
 break toward the smaller index so reports are reproducible everywhere.
 
-Targets are ranked a block of rows at a time: each block's logits are
-computed from the model's head rows into one reused buffer, so no
-(targets x catalog) array exists. BLAS may round a row of a small block
-differently from the same row of one large product, so a logit can
-differ from the unblocked one in its last bits.
+The unroll ends at the head, the input of the output layer W_12, and
+evaluation applies W_12 itself: targets are ranked a block of rows at a
+time, each block's logits computed from its head rows into one reused
+buffer, so no (targets x catalog) array exists. BLAS may round a row of
+a small block differently from the same row of one large product, so a
+logit can differ from the unblocked one in its last bits.
 """
 
 from __future__ import annotations
@@ -107,7 +108,7 @@ def _rank_batch(model: perscell.ModelParams, batch: perscell.WindowBatch) -> lis
     """Rank a batch's targets in target_cells order. The model's tensors
     are constants, so the run records no tape; it dies on return, before
     the next batch is built."""
-    run = run_window(model, batch, logits=False)
+    run = run_window(model, batch)
     if run.head is None:
         return []
     rows, steps = batch.target_cells()

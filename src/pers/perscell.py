@@ -2,17 +2,18 @@
 
 Each step consumes the enhanced exercise/code embeddings of the current
 and previous events, updates the three latent vectors (programming
-ability PA, processing style PS, understanding style US), and projects
-them to next-exercise logits. The cell is linear in its latent state:
+ability PA, processing style PS, understanding style US), and maps
+them through the W_11 MLP to the head, the input of the output layer
+W_12. The cell is linear in its latent state:
 PA_t = dPA_t W_6a + PA_{t-1} W_6b + b_6, PS_t = PS_{t-1} W_8a +
 (g_ps * dc_t) W_8b + b_8 and US_t = US_{t-1} + (g_us * e_p,t) W_10, where
 every gate, difference and embedding reads only the inputs. `run_window`
 therefore computes those over all B*L steps of a batch at once and
 leaves three linear scans as the only sequential work. Padding is
-trailing, so it never reaches a real step's state; logits are computed
-only at the steps that have a target, and under sampled training only
-at the columns the loss reads. Evaluation stops the run at the head and
-applies the output layer itself, one block of targets at a time.
+trailing, so it never reaches a real step's state. The unroll ends at
+the head of each step that has a target: the training loss applies W_12
+inside its one tape node (`tk.cross_entropy`, `tk.bce_with_negatives`),
+and evaluation applies it one block of targets at a time.
 
 Ablation variants share this single code path and only flip inputs:
 position or code inputs collapse to zeros, or one latent is replaced by
@@ -187,23 +188,14 @@ def head(
     layers: int = 1,
 ) -> tk.Tensor:
     """The W_11 MLP over the concat of (R, d_k) latent rows: the (R, d_k)
-    input of the output layer. The variant's ablated latent enters the
-    concat as zeros."""
+    input of the output layer W_12, whose (R, M) logits the consumers mask
+    at classes 0 and 1. The variant's ablated latent enters the concat as
+    zeros."""
     slots = {"pa": pa, "ps": ps, "us": us}
     dropped = ablated_latent(variant)
     if dropped is not None:
         slots[dropped] = tk.tensor(np.zeros_like(slots[dropped].data))
     return apply_mlp(params, "11", tk.concat([slots["pa"], slots["ps"], slots["us"]]), layers)
-
-
-def predict(params: dict[str, tk.Tensor], pre: tk.Tensor, columns: np.ndarray | None = None) -> tk.Tensor:
-    """The output layer W_12: (R, d_k) head rows to next-exercise logits
-    (R, M), or, given (R, C) exercise indices, to the logits of those
-    columns only. Consumers mask classes 0 and 1 before softmax or
-    ranking."""
-    if columns is not None:
-        return tk.affine_columns(pre, params["W_12"], params["b_12"], columns)
-    return _affine(params, "12", pre)
 
 
 @dataclass
@@ -238,7 +230,7 @@ class WindowBatch:
 
     def target_cells(self) -> tuple[np.ndarray, np.ndarray]:
         """(rows, steps) of the loss_mask cells in (step, row) order, the
-        row order of a run's target logits."""
+        row order of a run's head."""
         steps, rows = np.nonzero(self.loss_mask.T > 0.0)
         return rows, steps
 
@@ -254,7 +246,6 @@ class WindowRun:
     step t of window b; rows at padding steps are computed but mean
     nothing, and no real step reads them."""
 
-    logits: list[tk.Tensor]  # [(N_targets, M) or (N_targets, C)] in target_cells order; [] without targets
     head: tk.Tensor | None  # (N_targets, d_k) input of the output layer in target_cells order; None without targets
     pa: tk.Tensor  # (B*L, d_k) state after each step
     ps: tk.Tensor
@@ -263,6 +254,9 @@ class WindowRun:
     gate_ps: tk.Tensor  # (B*L, d_k)
     gate_us: tk.Tensor
     valid: np.ndarray  # (B, L) float 0/1
+    # Always []: no run computes logits. The benchmark's `_logits_computed`
+    # hook still reads it; ROADMAP item 3's benchmark change drops it.
+    logits: list[tk.Tensor] = field(default_factory=list)
 
     def row_states(self, row: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(PA, PS, US) after each real step of one window, each
@@ -345,8 +339,6 @@ def run_window(
     batch: WindowBatch,
     dropout: float = 0.0,
     rng: np.random.Generator | None = None,
-    columns: np.ndarray | None = None,
-    logits: bool = True,
 ) -> WindowRun:
     """Unroll the cell over a window batch in one pass over all steps.
 
@@ -355,11 +347,8 @@ def run_window(
     embedding and the position-matched previous one, so the
     intra-exercise zero-delta property survives dropout.
 
-    columns, (N_targets, C) exercise indices in target_cells order,
-    restricts each target's logits to those C columns; without it every
-    target gets its full row of M. With logits=False the run stops at the
-    head and its logits list is empty, for a caller that applies the
-    output layer itself.
+    The run ends at the head of the target cells; whoever reads the
+    logits applies the output layer W_12 to it.
     """
     hp = params.hyper
     tensors = params.tensors
@@ -426,10 +415,8 @@ def run_window(
     us = tk.linear_scan(tk.matmul(tk.hadamard(gate_us, enh_p), tensors["W_10"]), None, length)
 
     rows, target_steps = batch.target_cells()
-    pre, out = None, []
+    pre = None
     if rows.size:
         at = rows * length + target_steps
         pre = head(tensors, *(tk.gather_rows(s, at) for s in (pa, ps, us)), params.variant, layers)
-        if logits:
-            out.append(predict(tensors, pre, columns))
-    return WindowRun(out, pre, pa, ps, us, delta_p, gate_ps, gate_us, batch.valid)
+    return WindowRun(pre, pa, ps, us, delta_p, gate_ps, gate_us, batch.valid)

@@ -6,9 +6,11 @@ feeds it, directly or through recorded ops, so a computation on
 parameters is a DAG of `Tensor` nodes that `backward` walks in reverse
 topological order, and the same ops on constants alone record nothing
 and free their inputs at once. Shapes are
-explicit: the only implicit broadcast is the row-wise bias of `affine`.
-`linear_scan` runs a linear recurrence along the time axis of a batch of
-sequences in one node, so a whole unrolled window stays a short tape.
+explicit: the only implicit broadcast is the row-wise bias of `affine`
+and of the two losses, which each apply their own affine output layer in
+one node. `linear_scan` runs a linear recurrence along the time axis of
+a batch of sequences in one node, so a whole unrolled window stays a
+short tape.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ __all__ = [
     "matmul",
     "sub",
     "affine",
-    "affine_columns",
     "hadamard",
     "tanh",
     "linear_scan",
@@ -146,48 +147,24 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     return Tensor(a.data - b.data, (a, b), lambda g: (g, -g))
 
 
+def _check_affine(op: str, x: Tensor, w: Tensor, b: Tensor, min_rows: int = 0) -> None:
+    """x, w and b chain as the (m,k), (k,n) and (n,) operands of x @ w + b,
+    with m >= min_rows."""
+    _require(x.data.ndim == 2 and w.data.ndim == 2 and b.data.ndim == 1, op, "need (m,k), (k,n), (n,)", x, w, b)
+    chained = x.data.shape[1] == w.data.shape[0] and w.data.shape[1] == b.data.shape[0]
+    _require(chained, op, f"dims do not chain: {x.dims} @ {w.dims} + {b.dims}", x, w, b)
+    _require(len(x.data) >= min_rows, op, f"x needs at least {min_rows} row", x)
+
+
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b: (m,k) @ (k,n) plus a length-n bias on every row, in one
     output array."""
-    _require(x.data.ndim == 2 and w.data.ndim == 2 and b.data.ndim == 1, "affine", "need (m,k), (k,n), (n,)", x, w, b)
-    chained = x.data.shape[1] == w.data.shape[0] and w.data.shape[1] == b.data.shape[0]
-    _require(chained, "affine", f"dims do not chain: {x.dims} @ {w.dims} + {b.dims}", x, w, b)
+    _check_affine("affine", x, w, b)
     out = x.data @ w.data
     out += b.data
 
     def vjp(g: np.ndarray) -> tuple[np.ndarray, ...]:
         return g @ w.data.T, x.data.T @ g, g.sum(axis=0)
-
-    return Tensor(out, (x, w, b), vjp)
-
-
-def affine_columns(x: Tensor, w: Tensor, b: Tensor, cols: np.ndarray) -> Tensor:
-    """Chosen columns of x @ w + b: out[i, j] = x[i] . w[:, cols[i, j]] +
-    b[cols[i, j]], for (m,k) x, (k,n) w, (n,) b and (m,C) integer cols.
-
-    Only the m*C requested entries are computed; the vjp scatter-adds
-    into the chosen columns of w and b, so no (m, n) array is built.
-    A column may repeat within a row and across rows.
-    """
-    _require(x.data.ndim == 2 and w.data.ndim == 2 and b.data.ndim == 1, "affine_columns", "need (m,k), (k,n), (n,)", x, w, b)
-    chained = x.data.shape[1] == w.data.shape[0] and w.data.shape[1] == b.data.shape[0]
-    _require(chained, "affine_columns", f"dims do not chain: {x.dims} @ {w.dims} + {b.dims}", x, w, b)
-    cols = np.asarray(cols)
-    m, k = x.data.shape
-    n = w.data.shape[1]
-    if not np.issubdtype(cols.dtype, np.integer) or cols.ndim != 2 or cols.shape[0] != m:
-        raise ShapeError(f"affine_columns: cols must be an ({m},C) integer array")
-    if cols.size and (cols.min() < 0 or cols.max() >= n):
-        raise ShapeError(f"affine_columns({_label(w)}): column out of range 0..{n - 1}")
-    w_cols = w.data.T[cols]  # (m, C, k): each row's chosen columns of w
-    out = np.einsum("mk,mck->mc", x.data, w_cols)
-    out += b.data[cols]
-
-    def vjp(g: np.ndarray) -> tuple[np.ndarray, ...]:
-        g_x = np.einsum("mc,mck->mk", g, w_cols)
-        g_w = _scatter_rows((n, k), cols.reshape(-1), g[:, :, None] * x.data[:, None, :]).T
-        g_b = np.bincount(cols.reshape(-1), g.reshape(-1), n)
-        return g_x, g_w, g_b
 
     return Tensor(out, (x, w, b), vjp)
 
@@ -335,68 +312,87 @@ def _scatter_rows(shape: tuple[int, int], rows: np.ndarray, vals: np.ndarray) ->
     return np.bincount(flat, vals.reshape(-1), v * d).reshape(v, d)
 
 
-def cross_entropy(logits: Tensor, targets: np.ndarray, class_mask: np.ndarray) -> Tensor:
-    """Mean negative log softmax probability of each row's target class.
+def cross_entropy(x: Tensor, w: Tensor, b: Tensor, targets: np.ndarray, class_mask: np.ndarray) -> Tensor:
+    """Mean negative log softmax probability of each row's target class
+    under the logits x @ w + b, for (B,k) x with B >= 1, (k,M) w, (M,) b
+    and (B,) int targets.
 
-    logits: (B,M) with B >= 1. targets: (B,) ints. Classes where
-    class_mask is False are excluded from the softmax entirely (they get
-    probability 0 and no gradient), which realises the padding/unknown
-    mask without -inf arithmetic.
+    Classes where class_mask is False are excluded from the softmax
+    entirely (they get probability 0 and no gradient), which realises the
+    padding/unknown mask without -inf arithmetic. The logits are one (B,M)
+    buffer, computed as `affine` computes them and then turned into the
+    softmax in place; the vjp turns it into the gradient of the logits
+    and applies `affine`'s vjp to that.
     """
-    _require(logits.data.ndim == 2 and len(logits.data), "cross_entropy", "logits must be (B,M), B >= 1", logits)
-    b, m = logits.data.shape
+    _check_affine("cross_entropy", x, w, b, min_rows=1)
+    bsz, m = x.data.shape[0], w.data.shape[1]
     targets = np.asarray(targets)
     class_mask = np.asarray(class_mask, dtype=bool)
-    if targets.shape != (b,) or class_mask.shape != (m,):
+    if targets.shape != (bsz,) or class_mask.shape != (m,):
         raise ShapeError("cross_entropy: targets/class_mask shapes do not line up")
     if np.any(~class_mask[targets]):
         raise ValueError("cross_entropy: a masked-out class appears as a target")
 
     # One (B,M) buffer, updated in place: for the targets of a whole batch
     # a fresh temporary of this size costs more than the arithmetic on it.
-    expz = np.where(class_mask[None, :], logits.data, -np.inf)
+    expz = x.data @ w.data
+    expz += b.data
+    z_t = expz[np.arange(bsz), targets]
+    expz[:, ~class_mask] = -np.inf
     zmax = expz.max(axis=1, keepdims=True)
     np.exp(np.subtract(expz, zmax, out=expz), out=expz)
     denom = expz.sum(axis=1, keepdims=True)
     log_denom = np.log(denom) + zmax
-    nll = log_denom[:, 0] - logits.data[np.arange(b), targets]
-    value = float(nll.sum() / b)
+    nll = log_denom[:, 0] - z_t
+    value = float(nll.sum() / bsz)
 
     probs = np.divide(expz, denom, out=expz)  # rows over allowed classes only
 
     def vjp(g: np.ndarray) -> tuple[np.ndarray, ...]:
-        w = float(g) / b
-        grad = probs * w
-        grad[np.arange(b), targets] -= w
-        return (grad,)
+        scale = float(g) / bsz
+        grad = probs * scale
+        grad[np.arange(bsz), targets] -= scale
+        return grad @ w.data.T, x.data.T @ grad, grad.sum(axis=0)
 
-    return Tensor(np.asarray(value), (logits,), vjp)
+    return Tensor(np.asarray(value), (x, w, b), vjp)
 
 
-def bce_with_negatives(logits: Tensor) -> Tensor:
-    """Sampled binary objective over (B, 1+k) logits whose column 0 is each
-    row's target and columns 1..k its negatives: the mean over the B >= 1
-    rows of -log sig(z_target) - sum log(1 - sig(z_neg)).
+def bce_with_negatives(x: Tensor, w: Tensor, b: Tensor, cols: np.ndarray) -> Tensor:
+    """Sampled binary objective over the chosen logits z[i, j] = x[i] .
+    w[:, cols[i, j]] + b[cols[i, j]], for (B,k) x with B >= 1, (k,n) w,
+    (n,) b and (B, 1+K) integer cols whose column 0 is each row's target
+    and columns 1..K its negatives: the mean over the rows of
+    -log sig(z_target) - sum log(1 - sig(z_neg)).
+
+    Only the B*(1+K) chosen logits are computed; the vjp scatter-adds
+    into the chosen columns of w and b, so no (B, n) array is built. A
+    column may repeat within a row and across rows.
     """
-    _require(
-        logits.data.ndim == 2 and len(logits.data) and logits.data.shape[1] >= 1,
-        "bce_with_negatives", "logits must be (B,1+k), B >= 1", logits,
-    )
-    b = logits.data.shape[0]
-    z_t = logits.data[:, 0]
-    z_n = logits.data[:, 1:]
-    # softplus(-z_t) + sum softplus(z_n), numerically stable
-    per_row = np.logaddexp(0.0, -z_t) + np.logaddexp(0.0, z_n).sum(axis=1)
-    value = float(per_row.sum() / b)
+    _check_affine("bce_with_negatives", x, w, b, min_rows=1)
+    cols = np.asarray(cols)
+    m, k = x.data.shape
+    n = w.data.shape[1]
+    if not np.issubdtype(cols.dtype, np.integer) or cols.ndim != 2 or cols.shape[0] != m or cols.shape[1] < 1:
+        raise ShapeError(f"bce_with_negatives: cols must be an ({m},1+K) integer array")
+    if cols.min() < 0 or cols.max() >= n:
+        raise ShapeError(f"bce_with_negatives({_label(w)}): column out of range 0..{n - 1}")
+    w_cols = w.data.T[cols]  # (B, 1+K, k): each row's chosen columns of w
+    z = np.einsum("mk,mck->mc", x.data, w_cols)
+    z += b.data[cols]
+    # softplus(-z_target) + sum softplus(z_neg), numerically stable
+    per_row = np.logaddexp(0.0, -z[:, 0]) + np.logaddexp(0.0, z[:, 1:]).sum(axis=1)
+    value = float(per_row.sum() / m)
 
     def vjp(g: np.ndarray) -> tuple[np.ndarray, ...]:
-        w = float(g) / b
-        grad = 1.0 / (1.0 + np.exp(-logits.data))
+        grad = 1.0 / (1.0 + np.exp(-z))
         grad[:, 0] -= 1.0
-        grad *= w
-        return (grad,)
+        grad *= float(g) / m
+        g_x = np.einsum("mc,mck->mk", grad, w_cols)
+        g_w = _scatter_rows((n, k), cols.reshape(-1), grad[:, :, None] * x.data[:, None, :]).T
+        g_b = np.bincount(cols.reshape(-1), grad.reshape(-1), n)
+        return g_x, g_w, g_b
 
-    return Tensor(np.asarray(value), (logits,), vjp)
+    return Tensor(np.asarray(value), (x, w, b), vjp)
 
 
 def _topo_order(root: Tensor) -> list[Tensor]:

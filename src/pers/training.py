@@ -99,24 +99,20 @@ def _batch_negatives(batch: WindowBatch, vocab_size: int, k: int, rng: np.random
     return negs
 
 
-def sampled_columns(batch: WindowBatch, negatives: np.ndarray) -> np.ndarray:
-    """(N_targets, 1+k) logit columns in target_cells order: each
-    target's own exercise, then its negatives."""
-    rows, steps = batch.target_cells()
-    return np.concatenate([batch.targets[rows, steps][:, None], negatives[rows, steps]], axis=1)
-
-
 def sequence_loss(
     run: perscell.WindowRun,
     batch: WindowBatch,
     vocab_size: int,
     mode: str = "full_softmax",
     negatives: np.ndarray | None = None,
+    *,
+    tensors: dict[str, tk.Tensor],
 ) -> tk.Tensor:
-    """Scalar mean loss over every masked step of a window batch.
-
-    Under sampled_bce, negatives is (B, L, k) and the run must have been
-    scored at `sampled_columns(batch, negatives)`.
+    """Scalar mean loss over every masked step of a window batch: the
+    output layer W_12, b_12 of `tensors` applied to the run's head and
+    the loss in one node. Under sampled_bce, negatives is (B, L, k), and
+    each target's logits are those of its own exercise, then its k
+    negatives.
     """
     rows, steps = batch.target_cells()
     if rows.size == 0:
@@ -124,12 +120,10 @@ def sequence_loss(
     targets = batch.targets[rows, steps]
     if np.any(targets < 2):
         raise ValueError("loss target is a padding/unknown index")
-    (logits,) = run.logits
+    w, b = tensors["W_12"], tensors["b_12"]
     if mode == "full_softmax":
-        return tk.cross_entropy(logits, targets, output_class_mask(vocab_size))
-    if logits.data.shape != (rows.size, 1 + negatives.shape[2]):
-        raise ValueError("sampled_bce needs a run scored at the target and negative columns only")
-    return tk.bce_with_negatives(logits)
+        return tk.cross_entropy(run.head, w, b, targets, output_class_mask(vocab_size))
+    return tk.bce_with_negatives(run.head, w, b, np.concatenate([targets[:, None], negatives[rows, steps]], axis=1))
 
 
 def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> dict[str, np.ndarray]:
@@ -204,14 +198,13 @@ def train(
             batch = dataset.take(rows)
             if not (batch.loss_mask > 0).any():
                 continue
-            negatives = columns = None
+            negatives = None
             if config.loss_mode == "sampled_bce":
                 negatives = _batch_negatives(
                     batch, hp.vocab_size, config.negatives_per_positive, _rng(config.seed, 4, epoch, bi)
                 )
-                columns = sampled_columns(batch, negatives)
-            run = run_window(model, batch, config.dropout, _rng(config.seed, 2, epoch, bi), columns)
-            loss = sequence_loss(run, batch, hp.vocab_size, config.loss_mode, negatives)
+            run = run_window(model, batch, config.dropout, _rng(config.seed, 2, epoch, bi))
+            loss = sequence_loss(run, batch, hp.vocab_size, config.loss_mode, negatives, tensors=model.tensors)
             value = float(loss.data)
             if not np.isfinite(value):
                 raise DivergenceError(f"non-finite loss at epoch {epoch}, batch {bi}")
@@ -443,7 +436,7 @@ def run_gradcheck(d_k: int = 8, n_exercises: int = 10, steps: int = 3, seed: int
     def loss_fn(tensors):
         probe = model.replace_tensors(dict(tensors))
         run = run_window(probe, batch)
-        return sequence_loss(run, batch, hp.vocab_size)
+        return sequence_loss(run, batch, hp.vocab_size, tensors=probe.tensors)
 
     return {
         name: tk.finite_diff_check(loss_fn, model.tensors, name, h=1e-5)

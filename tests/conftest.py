@@ -27,6 +27,64 @@ def sum_all(a: tk.Tensor) -> tk.Tensor:
     return tk.Tensor(np.asarray(a.data.sum()), (a,), lambda g: (np.full(shape, float(g)),))
 
 
+def affine_cross_entropy(x: tk.Tensor, w: tk.Tensor, b: tk.Tensor, targets, class_mask) -> tk.Tensor:
+    """`tk.affine` then a masked softmax cross-entropy node over its (B, M)
+    logits: the unfused oracle for the bits of `tk.cross_entropy` and its
+    gradients."""
+    logits = tk.affine(x, w, b)
+    targets, class_mask = np.asarray(targets), np.asarray(class_mask, dtype=bool)
+    rows = logits.data.shape[0]
+    expz = np.where(class_mask[None, :], logits.data, -np.inf)
+    zmax = expz.max(axis=1, keepdims=True)
+    np.exp(np.subtract(expz, zmax, out=expz), out=expz)
+    denom = expz.sum(axis=1, keepdims=True)
+    log_denom = np.log(denom) + zmax
+    nll = log_denom[:, 0] - logits.data[np.arange(rows), targets]
+    value = float(nll.sum() / rows)
+    probs = np.divide(expz, denom, out=expz)
+
+    def vjp(g):
+        scale = float(g) / rows
+        grad = probs * scale
+        grad[np.arange(rows), targets] -= scale
+        return (grad,)
+
+    return tk.Tensor(np.asarray(value), (logits,), vjp)
+
+
+def affine_columns(x: tk.Tensor, w: tk.Tensor, b: tk.Tensor, cols: np.ndarray) -> tk.Tensor:
+    """The (m, C) logits x[i] . w[:, cols[i, j]] + b[cols[i, j]], with a
+    vjp that scatter-adds into the chosen columns of w and b."""
+    k, n = w.data.shape
+    w_cols = w.data.T[cols]
+    out = np.einsum("mk,mck->mc", x.data, w_cols)
+    out += b.data[cols]
+
+    def vjp(g):
+        g_x = np.einsum("mc,mck->mk", g, w_cols)
+        g_w = tk._scatter_rows((n, k), cols.reshape(-1), g[:, :, None] * x.data[:, None, :]).T
+        return g_x, g_w, np.bincount(cols.reshape(-1), g.reshape(-1), n)
+
+    return tk.Tensor(out, (x, w, b), vjp)
+
+
+def affine_columns_bce(x: tk.Tensor, w: tk.Tensor, b: tk.Tensor, cols: np.ndarray) -> tk.Tensor:
+    """`affine_columns` then a sampled binary objective node over its
+    (B, 1+K) logits, column 0 the target: the unfused oracle for the bits
+    of `tk.bce_with_negatives` and its gradients."""
+    logits = affine_columns(x, w, b, np.asarray(cols))
+    rows = logits.data.shape[0]
+    per_row = np.logaddexp(0.0, -logits.data[:, 0]) + np.logaddexp(0.0, logits.data[:, 1:]).sum(axis=1)
+
+    def vjp(g):
+        grad = 1.0 / (1.0 + np.exp(-logits.data))
+        grad[:, 0] -= 1.0
+        grad *= float(g) / rows
+        return (grad,)
+
+    return tk.Tensor(np.asarray(float(per_row.sum() / rows)), (logits,), vjp)
+
+
 def rank_event(scores: np.ndarray, target: int) -> int:
     """1-based rank of the target among all candidates, one row at a time:
     the oracle for `evalrank._target_ranks`.

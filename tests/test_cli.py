@@ -140,6 +140,24 @@ def test_train_outputs_are_deterministic(tmp_path):
     assert blobs[0] == blobs[1]
 
 
+def test_manifest_records_numpy_blas_and_thread_settings(tmp_path, monkeypatch):
+    # Bitwise results hold for one numpy, BLAS and BLAS thread count: a
+    # fresh manifest names all three, and an unset variable as null.
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setenv("OMP_NUM_THREADS", "2")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    config_path, cfg = base_config(tmp_path)
+    assert run(["simulate", "--config", config_path]) == 0
+    manifest = json.loads(open(os.path.join(cfg["out_dir"], "simulate_manifest.json")).read())
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert manifest["numeric"] == {
+        "numpy": np.__version__,
+        "blas": {"name": blas["name"], "version": blas["version"],
+                 "openblas configuration": blas.get("openblas configuration")},
+        "threads": {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2", "MKL_NUM_THREADS": None},
+    }
+
+
 def test_flag_overrides_config(tmp_path):
     config_path, cfg, paths = simulate(tmp_path)
     out = str(tmp_path / "flagged")
@@ -700,22 +718,24 @@ def test_train_on_non_finite_vector_exits_2(simulated, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("line, edit, fragment", [
-    (0, lambda text: b"PERSVEC1 d_c=-1", "bad d_c in header: 'PERSVEC1 d_c=-1'"),
-    (0, lambda text: b"PERSVEC1 d_c=0", "bad d_c in header: 'PERSVEC1 d_c=0'"),
-    (1, lambda text: b" ".join([text.split()[0], b"1x5", *text.split()[2:]]),
+    (0, lambda lines: b"PERSVEC1 d_c=-1", "bad d_c in header: 'PERSVEC1 d_c=-1'"),
+    (0, lambda lines: b"PERSVEC1 d_c=0", "bad d_c in header: 'PERSVEC1 d_c=0'"),
+    (1, lambda lines: b" ".join([lines[1].split()[0], b"1x5", *lines[1].split()[2:]]),
      "line 2: could not convert string to float: '1x5'"),
-    (2, lambda text: text + b"\xb6", "line 3 is not UTF-8 text"),
-], ids=["negative-d_c", "zero-d_c", "bad-float", "bad-byte"])
+    (2, lambda lines: lines[2] + b"\xb6", "line 3 is not UTF-8 text"),
+    (3, lambda lines: b" ".join([lines[1].split()[0], *lines[3].split()[1:]]), "line 4: ref '{ref}' is listed twice"),
+], ids=["negative-d_c", "zero-d_c", "bad-float", "bad-byte", "twice"])
 def test_train_on_malformed_vectors_file_names_it_and_exits_2(simulated, tmp_path, capsys, line, edit, fragment):
     config_path, _, paths = simulated
     lines = open(paths["vectors"], "rb").read().split(b"\n")
-    lines[line] = edit(lines[line])
+    ref = lines[1].split()[0].decode()
+    lines[line] = edit(lines)
     vectors = tmp_path / "vectors.txt"
     vectors.write_bytes(b"\n".join(lines))
     capsys.readouterr()
     argv = ["train", "--config", config_path, "--data", paths["data"], "--vectors", str(vectors), "--out-dir", str(tmp_path)]
     assert run(argv) == 2
-    assert_one_line_error(capsys, f"{vectors}: {fragment}")
+    assert_one_line_error(capsys, f"{vectors}: {fragment.format(ref=ref)}")
 
 
 @pytest.mark.parametrize("line, edit, fragment", [

@@ -155,8 +155,9 @@ def test_vectors_file_bad_header(tmp_path):
     path.write_text("WRONG 6\nref0 1 2 3 4 5 6\n")
     with pytest.raises(codefeat.CodeFeatureError, match="header"):
         codefeat.read_vectors(path)
-    # A width below 1, a bad float or a byte that is not UTF-8: one line
-    # naming the file and the line.
+    # A width below 1, a bad float, a byte that is not UTF-8 or a ref on a
+    # second line (which would silently replace the first vector): one
+    # line naming the file and the line.
     for content, fragment in (
         (b"PERSVEC1 d_c=-1\nref0\n", "vecs.txt: bad d_c in header: 'PERSVEC1 d_c=-1'; need an integer >= 1"),
         (b"PERSVEC1 d_c=0\nref0\n", "bad d_c in header: 'PERSVEC1 d_c=0'"),
@@ -164,6 +165,7 @@ def test_vectors_file_bad_header(tmp_path):
         (b"PERSVEC1 d_c=2\nref0 1 2\n\nref1 1x5 2\n", "vecs.txt: line 4: could not convert string to float: '1x5'"),
         (b"PERSVEC1 d_c=2\nref0 1 2\nref1 1.\xb6 2\n", "vecs.txt: line 3 is not UTF-8 text"),
         (b"PERSVEC1 d_c=2\xb6\nref0 1 2\n", "vecs.txt: line 1 is not UTF-8 text"),
+        (b"PERSVEC1 d_c=2\nr0 1 2\nr1 5 6\nr0 3 4\n", "vecs.txt: line 4: ref 'r0' is listed twice"),
     ):
         path.write_bytes(content)
         with pytest.raises(codefeat.CodeFeatureError) as info:

@@ -114,8 +114,8 @@ def step_oracle(model, batch):
     update written as the paper's concat-then-affine map on full W_6/W_8.
 
     Returns the states after every real step per row ((n_valid, d_k)
-    arrays), the target logits in (step, row) order (rows of a tape node)
-    and the full-softmax mean loss node over them.
+    arrays), the head rows of the targets in (step, row) order (tape
+    nodes) and the full-softmax mean loss node over them.
     """
     T = model.tensors
     hp = model.hyper
@@ -126,7 +126,7 @@ def step_oracle(model, batch):
         return tk.affine(x, T[f"W_{tag}"], T[f"b_{tag}"])
 
     zeros = tk.tensor(np.zeros((1, hp.d_k)))
-    states, target_logits = [], {}
+    states, target_heads = [], {}
     for row in range(batch.batch):
         pa = ps = us = prev_p = prev_c = zeros
         prev_idx = None
@@ -165,17 +165,18 @@ def step_oracle(model, batch):
                 dropped = perscell.ablated_latent(variant)
                 if dropped is not None:
                     slots[dropped] = zeros
-                pre = encoder.apply_mlp(T, "11", tk.concat([slots["pa"], slots["ps"], slots["us"]]), layers)
-                target_logits[(row, t)] = aff("12", pre)
+                target_heads[(row, t)] = encoder.apply_mlp(
+                    T, "11", tk.concat([slots["pa"], slots["ps"], slots["us"]]), layers
+                )
             prev_p, prev_c, prev_idx = ep, ec, idx
         states.append(tuple(np.array(s) for s in zip(*steps_of_row)) if steps_of_row else None)
 
-    cells = [(r, t) for t in range(batch.length) for r in range(batch.batch) if (r, t) in target_logits]
-    ordered = [target_logits[cell] for cell in cells]
+    cells = [(r, t) for t in range(batch.length) for r in range(batch.batch) if (r, t) in target_heads]
+    ordered = [target_heads[cell] for cell in cells]
     class_mask = perscell.output_class_mask(hp.vocab_size)
     loss = tk.Tensor(np.asarray(0.0))
-    for lg, (r, t) in zip(ordered, cells):
-        loss = add(loss, tk.cross_entropy(lg, batch.targets[r, t : t + 1], class_mask))
+    for pre, (r, t) in zip(ordered, cells):
+        loss = add(loss, tk.cross_entropy(pre, T["W_12"], T["b_12"], batch.targets[r, t : t + 1], class_mask))
     return states, ordered, tk.hadamard(loss, tk.Tensor(np.asarray(1.0 / max(len(ordered), 1))))
 
 
@@ -226,11 +227,11 @@ def assert_matches_oracle(model, batch, tol=1e-12):
         for g, w in zip(got, want):
             assert rel_err(g, w) <= tol  # every valid step, the last being the final latents
     if not ordered:
-        assert run.logits == []
+        assert run.head is None
         return
-    want_logits = np.concatenate([lg.data for lg in ordered])
-    assert rel_err(run.logits[0].data, want_logits) <= tol
-    loss = training.sequence_loss(run, batch, model.hyper.vocab_size)
+    want_logits = np.concatenate([output_logits(model.tensors, pre).data for pre in ordered])
+    assert rel_err(output_logits(model.tensors, run.head).data, want_logits) <= tol
+    loss = training.sequence_loss(run, batch, model.hyper.vocab_size, tensors=model.tensors)
     assert rel_err(loss.data, oracle_loss.data) <= tol
     got_g = tk.backward(loss, model.tensors)
     want_g = tk.backward(oracle_loss, model.tensors)
@@ -245,10 +246,10 @@ def test_frozen_run_matches_taped_run_bitwise_and_records_no_tape():
                 model = make_params(21, variant=variant, layers=layers, buckets=16 if code_source == "hashed" else None)
                 batch = ragged_batch(model, [5, 2, 4, 1], 4, code_source)
                 taped, frozen = perscell.run_window(model, batch), perscell.run_window(model.frozen(), batch)
-                nodes = [*frozen.logits, frozen.pa, frozen.ps, frozen.us, frozen.delta_exercise, frozen.gate_ps, frozen.gate_us]
+                nodes = [frozen.head, frozen.pa, frozen.ps, frozen.us, frozen.delta_exercise, frozen.gate_ps, frozen.gate_us]
                 assert all(t.parents == () and t.vjp is None for t in nodes)
                 assert taped.pa.parents  # the taped run is not vacuous
-                for want, got in zip([*taped.logits, taped.pa, taped.ps, taped.us], nodes):
+                for want, got in zip([taped.head, taped.pa, taped.ps, taped.us], nodes):
                     assert want.data.tobytes() == got.data.tobytes()
                 assert all(f.data is t.data for f, t in zip(model.frozen().tensors.values(), model.tensors.values()))
 
@@ -341,6 +342,11 @@ def test_update_us_constant_over_zero_gated_run():
 # --- predicting -------------------------------------------------------------
 
 
+def output_logits(tensors, pre):
+    """The output layer W_12 over (R, d_k) head rows: (R, M) logits."""
+    return tk.affine(pre, tensors["W_12"], tensors["b_12"])
+
+
 def softmax_masked(logits, vocab_size):
     mask = perscell.output_class_mask(vocab_size)
     z = np.where(mask, logits, -np.inf)
@@ -352,7 +358,7 @@ def test_predict_zero_state_zero_params_uniform_over_real_exercises(rng):
     model = make_params(14)
     model = with_tensors(model, **{n: np.zeros_like(model.tensors[n].data) for n in ("W_11", "b_11", "W_12", "b_12")})
     zeros = tk.tensor(np.zeros((1, 8)))
-    logits = perscell.predict(model.tensors, perscell.head(model.tensors, zeros, zeros, zeros))
+    logits = output_logits(model.tensors, perscell.head(model.tensors, zeros, zeros, zeros))
     probs = softmax_masked(logits.data[0], model.hyper.vocab_size)
     np.testing.assert_allclose(probs[2:], np.full(10, 1.0 / 10.0), atol=1e-12)
     assert probs[0] == 0.0 and probs[1] == 0.0
@@ -360,7 +366,7 @@ def test_predict_zero_state_zero_params_uniform_over_real_exercises(rng):
 
 def test_predict_masked_indices_never_in_topk(rng):
     model = make_params(15)
-    logits = perscell.predict(model.tensors, perscell.head(model.tensors, *(rand_node(rng, (3, 8)) for _ in range(3))))
+    logits = output_logits(model.tensors, perscell.head(model.tensors, *(rand_node(rng, (3, 8)) for _ in range(3))))
     mask = perscell.output_class_mask(model.hyper.vocab_size)
     z = np.where(mask, logits.data, -np.inf)
     top = np.argsort(-z, axis=1)[:, :10]
@@ -371,7 +377,7 @@ def test_predict_softmax_sums_to_one_and_matches_oracle(rng):
     model = make_params(16)
     params = model.tensors
     pa, ps, us = (rng.normal(size=(2, 8)) for _ in range(3))
-    logits = perscell.predict(params, perscell.head(params, tk.tensor(pa), tk.tensor(ps), tk.tensor(us)))
+    logits = output_logits(params, perscell.head(params, tk.tensor(pa), tk.tensor(ps), tk.tensor(us)))
     for row in range(2):
         pre = params["W_11"].data.T @ np.concatenate([pa[row], ps[row], us[row]]) + params["b_11"].data
         expected = params["W_12"].data.T @ pre + params["b_12"].data
@@ -383,8 +389,8 @@ def test_predict_softmax_sums_to_one_and_matches_oracle(rng):
 def test_predict_ablated_latent_is_ignored(rng):
     model = make_params(17, variant="PERS-pa")
     ps, us = rand_node(rng, (1, 8)), rand_node(rng, (1, 8))
-    la = perscell.predict(model.tensors, perscell.head(model.tensors, rand_node(rng, (1, 8)), ps, us, variant="PERS-pa"))
-    lb = perscell.predict(model.tensors, perscell.head(model.tensors, rand_node(rng, (1, 8)), ps, us, variant="PERS-pa"))
+    la = output_logits(model.tensors, perscell.head(model.tensors, rand_node(rng, (1, 8)), ps, us, variant="PERS-pa"))
+    lb = output_logits(model.tensors, perscell.head(model.tensors, rand_node(rng, (1, 8)), ps, us, variant="PERS-pa"))
     np.testing.assert_array_equal(la.data, lb.data)
 
 
@@ -446,8 +452,8 @@ def test_unroll_matches_step_oracle_for_every_variant():
 
 
 def full_row_bce(logits, targets, negatives):
-    """The sampled objective read off full (N, M) logit rows, as it was
-    computed before the loss scored only its own columns: the oracle."""
+    """The sampled objective read off full (N, M) logit rows: the oracle
+    for a loss that scores only its own columns."""
     b = len(targets)
     rows = np.arange(b)
     z_t = logits.data[rows, targets]
@@ -466,8 +472,8 @@ def full_row_bce(logits, targets, negatives):
 
 def test_sampled_loss_matches_full_row_oracle():
     # For the same negatives and dropout masks, scoring only the target
-    # and negative columns gives the loss and every gradient that reading
-    # them off full logit rows gives.
+    # and negative columns of the head gives the loss and every gradient
+    # that reading them off full logit rows gives.
     for variant in perscell.VARIANTS:
         for layers in (1, 2):
             for code_source in ("precomputed", "hashed"):
@@ -476,28 +482,16 @@ def test_sampled_loss_matches_full_row_oracle():
                 vocab_size = model.hyper.vocab_size
                 negatives = training._batch_negatives(batch, vocab_size, 4, np.random.default_rng(layers))
                 rows, steps = batch.target_cells()
-                columns = training.sampled_columns(batch, negatives)
-                assert columns.shape == (rows.size, 5)
-                run = perscell.run_window(model, batch, 0.3, np.random.default_rng(9), columns)
-                loss = training.sequence_loss(run, batch, vocab_size, "sampled_bce", negatives)
-                full = perscell.run_window(model, batch, 0.3, np.random.default_rng(9))
-                assert full.logits[0].data.shape == (rows.size, vocab_size)
-                oracle = full_row_bce(full.logits[0], batch.targets[rows, steps], negatives[rows, steps])
+                run = perscell.run_window(model, batch, 0.3, np.random.default_rng(9))
+                loss = training.sequence_loss(run, batch, vocab_size, "sampled_bce", negatives, tensors=model.tensors)
+                full = output_logits(model.tensors, perscell.run_window(model, batch, 0.3, np.random.default_rng(9)).head)
+                assert full.data.shape == (rows.size, vocab_size)
+                oracle = full_row_bce(full, batch.targets[rows, steps], negatives[rows, steps])
                 assert rel_err(loss.data, oracle.data) <= 1e-12
                 got_g = tk.backward(loss, model.tensors)
                 want_g = tk.backward(oracle, model.tensors)
                 for name in model.tensors:
                     assert rel_err(got_g[name], want_g[name]) <= 1e-12, (variant, layers, code_source, name)
-
-
-def test_sampled_loss_rejects_full_row_run():
-    model = make_params(41)
-    batch = ragged_batch(model, [4, 3], 2, "precomputed")
-    negatives = training._batch_negatives(batch, model.hyper.vocab_size, 4, np.random.default_rng(0))
-    with pytest.raises(ValueError, match="negative columns"):
-        training.sequence_loss(perscell.run_window(model, batch), batch, model.hyper.vocab_size, "sampled_bce", negatives)
-    with pytest.raises(tk.ShapeError, match="cols must be"):
-        perscell.run_window(model, batch, columns=training.sampled_columns(batch, negatives)[1:])
 
 
 def test_all_padding_row_keeps_exact_zero_state():
@@ -514,7 +508,7 @@ def test_all_padding_row_keeps_exact_zero_state():
         code_source=PrecomputedSource({"v": np.zeros(hp.d_c)}, hp.d_c),
     )
     run = perscell.run_window(model, batch)
-    assert run.logits == []  # no target steps, no logits
+    assert run.head is None and run.logits == []  # no target steps, no head
     assert all(s.shape == (0, hp.d_k) for s in run.row_states(1))
     assert all(s.shape == (4, hp.d_k) and np.all(np.isfinite(s)) for s in run.row_states(0))
 
@@ -575,7 +569,7 @@ def variant_loss_fn(model, batch):
     def fn(tensors):
         probe = model.replace_tensors(dict(tensors))
         run = perscell.run_window(probe, batch)
-        return add(sum_all(run.logits[0]), sum_all(tk.tanh(run.us)))
+        return add(sum_all(output_logits(probe.tensors, run.head)), sum_all(tk.tanh(run.us)))
     return fn
 
 

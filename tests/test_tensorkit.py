@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import add, padded_bags, padded_gather, store_of, sum_all
+from conftest import add, affine_columns_bce, affine_cross_entropy, padded_bags, padded_gather, store_of, sum_all
 from pers import tensorkit as tk
 
 
@@ -293,47 +293,63 @@ def test_gather_bags_matches_padded_oracle_bitwise(case, d):
     assert out.vjp(upstream)[0].tobytes() == want.vjp(upstream)[0].tobytes()
 
 
-def test_affine_columns_matches_full_affine_and_finite_differences():
+def identity_head(logits: np.ndarray) -> tuple[tk.Tensor, tk.Tensor]:
+    """An output layer that passes (B, M) head rows through as logits,
+    bit for bit."""
+    m = logits.shape[1]
+    return tk.tensor(np.eye(m), "W"), tk.tensor(np.zeros(m), "b")
+
+
+def test_bce_with_negatives_columns_match_full_affine_and_finite_differences():
     # Column 3 repeats within row 0 and across rows 0, 1 and 3.
     g = rng(11)
     x = tk.parameter(g.normal(size=(4, 3)), "x")
     w = tk.parameter(g.normal(size=(3, 6)), "W")
     b = tk.parameter(g.normal(size=6), "b")
     cols = np.array([[3, 3, 0], [5, 3, 1], [2, 4, 0], [3, 0, 5]])
-    out = tk.affine_columns(x, w, b, cols)
-    full = tk.affine(x, w, b).data
-    np.testing.assert_allclose(out.data, np.take_along_axis(full, cols, axis=1), rtol=1e-14, atol=1e-14)
-    probe = tk.tensor(g.normal(size=cols.shape))
-    fn = lambda p: sum_all(tk.hadamard(tk.tanh(tk.affine_columns(p["x"], p["W"], p["b"], cols)), probe))
+    loss = tk.bce_with_negatives(x, w, b, cols)
+    z = np.take_along_axis(tk.affine(x, w, b).data, cols, axis=1)
+    sig = 1.0 / (1.0 + np.exp(-z))
+    want = (-np.log(sig[:, 0]) - np.log(1.0 - sig[:, 1:]).sum(axis=1)).mean()
+    assert float(loss.data) == pytest.approx(want, rel=1e-13)
     params = {"x": x, "W": w, "b": b}
+    fn = lambda p: tk.bce_with_negatives(p["x"], p["W"], p["b"], cols)
     for name in params:
         assert tk.finite_diff_check(fn, params, name) < 1e-8, name
-    grads = tk.backward(sum_all(out), params)
-    want_w = np.zeros((3, 6))
+    grads = tk.backward(loss, params)
+    dz = sig.copy()
+    dz[:, 0] -= 1.0
+    dz /= len(cols)
+    want_w, want_b = np.zeros((3, 6)), np.zeros(6)
     for i, row in enumerate(cols):
-        for c in row:
-            want_w[:, c] += x.data[i]
-    np.testing.assert_allclose(grads["W"], want_w, rtol=1e-14, atol=1e-14)
-    np.testing.assert_array_equal(grads["b"], np.bincount(cols.ravel(), minlength=6))
+        for j, c in enumerate(row):
+            want_w[:, c] += dz[i, j] * x.data[i]
+            want_b[c] += dz[i, j]
+    np.testing.assert_allclose(grads["W"], want_w, rtol=1e-12, atol=1e-14)
+    np.testing.assert_allclose(grads["b"], want_b, rtol=1e-12, atol=1e-14)
 
 
-def test_affine_columns_shape_errors():
+def test_bce_with_negatives_shape_errors():
     x, w, b = tk.tensor(np.zeros((2, 3))), tk.parameter(np.zeros((3, 5)), "W"), tk.tensor(np.zeros(5))
     with pytest.raises(tk.ShapeError, match="out of range"):
-        tk.affine_columns(x, w, b, np.array([[0, 5], [1, 2]]))
+        tk.bce_with_negatives(x, w, b, np.array([[0, 5], [1, 2]]))
     with pytest.raises(tk.ShapeError, match="integer"):
-        tk.affine_columns(x, w, b, np.zeros((2, 2)))
-    with pytest.raises(tk.ShapeError, match=r"\(2,C\)"):
-        tk.affine_columns(x, w, b, np.zeros((3, 2), dtype=np.int64))
+        tk.bce_with_negatives(x, w, b, np.zeros((2, 2)))
+    with pytest.raises(tk.ShapeError, match=r"\(2,1\+K\)"):
+        tk.bce_with_negatives(x, w, b, np.zeros((3, 2), dtype=np.int64))
+    with pytest.raises(tk.ShapeError, match=r"\(2,1\+K\)"):
+        tk.bce_with_negatives(x, w, b, np.zeros((2, 0), dtype=np.int64))
     with pytest.raises(tk.ShapeError, match="chain"):
-        tk.affine_columns(x, w, tk.tensor(np.zeros(4)), np.zeros((2, 2), dtype=np.int64))
+        tk.bce_with_negatives(x, w, tk.tensor(np.zeros(4)), np.zeros((2, 2), dtype=np.int64))
+    with pytest.raises(tk.ShapeError, match="at least 1 row"):
+        tk.bce_with_negatives(tk.tensor(np.zeros((0, 3))), w, b, np.zeros((0, 2), dtype=np.int64))
 
 
 def test_cross_entropy_uniform_logits_is_log_k():
     # 5 allowed classes with equal logits: loss = ln 5 per the softmax definition.
-    logits = tk.tensor(np.zeros((2, 7)))
     mask = np.array([False, False, True, True, True, True, True])
-    loss = tk.cross_entropy(logits, np.array([2, 4]), mask)
+    loss = tk.cross_entropy(tk.tensor(np.zeros((2, 3))), tk.tensor(np.ones((3, 7))), tk.tensor(np.zeros(7)),
+                            np.array([2, 4]), mask)
     assert loss.data == pytest.approx(np.log(5.0), abs=1e-12)
 
 
@@ -346,7 +362,8 @@ def test_cross_entropy_matches_naive_oracle():
     class_mask[:2] = False
 
     logits = tk.parameter(logits_data, "logits")
-    loss = tk.cross_entropy(logits, targets, class_mask)
+    w, b = identity_head(logits_data)
+    loss = tk.cross_entropy(logits, w, b, targets, class_mask)
 
     # Definitional oracle: explicit softmax over allowed classes.
     total = 0.0
@@ -357,7 +374,7 @@ def test_cross_entropy_matches_naive_oracle():
     assert float(loss.data) == pytest.approx(total / keep.size, abs=1e-12)
 
     err = tk.finite_diff_check(
-        lambda p: tk.cross_entropy(p["logits"], targets, class_mask),
+        lambda p: tk.cross_entropy(p["logits"], w, b, targets, class_mask),
         {"logits": logits},
         "logits",
     )
@@ -365,12 +382,16 @@ def test_cross_entropy_matches_naive_oracle():
 
 
 def test_cross_entropy_rejects_masked_target():
-    logits = tk.tensor(np.zeros((1, 4)))
+    w, b = identity_head(np.zeros((1, 4)))
     mask = np.array([False, False, True, True])
-    with pytest.raises(ValueError):
-        tk.cross_entropy(logits, np.array([0]), mask)
-    with pytest.raises(tk.ShapeError, match="B >= 1"):
-        tk.cross_entropy(tk.tensor(np.zeros((0, 4))), np.zeros(0, dtype=np.int64), mask)
+    with pytest.raises(ValueError, match="masked-out"):
+        tk.cross_entropy(tk.tensor(np.zeros((1, 4))), w, b, np.array([0]), mask)
+    with pytest.raises(tk.ShapeError, match="at least 1 row"):
+        tk.cross_entropy(tk.tensor(np.zeros((0, 4))), w, b, np.zeros(0, dtype=np.int64), mask)
+    with pytest.raises(tk.ShapeError, match="chain"):
+        tk.cross_entropy(tk.tensor(np.zeros((1, 3))), w, b, np.array([2]), mask)
+    with pytest.raises(tk.ShapeError, match="line up"):
+        tk.cross_entropy(tk.tensor(np.zeros((1, 4))), w, b, np.array([2, 3]), mask)
 
 
 def test_bce_with_negatives_matches_naive_oracle():
@@ -381,16 +402,54 @@ def test_bce_with_negatives_matches_naive_oracle():
     for row in logits_data:
         total += -np.log(sig(row[0])) - np.log(1.0 - sig(row[1:])).sum()
     logits = tk.parameter(logits_data, "logits")
-    loss = tk.bce_with_negatives(logits)
+    w, b = identity_head(logits_data)
+    cols = np.tile(np.arange(3), (3, 1))
+    loss = tk.bce_with_negatives(logits, w, b, cols)
     assert float(loss.data) == pytest.approx(total / 3.0, abs=1e-12)
     grad = tk.backward(loss, {"logits": logits})["logits"]
     want = sig(logits_data)
     want[:, 0] -= 1.0
     np.testing.assert_allclose(grad, want / 3.0, rtol=1e-14)
-    err = tk.finite_diff_check(lambda p: tk.bce_with_negatives(p["logits"]), {"logits": logits}, "logits")
+    err = tk.finite_diff_check(lambda p: tk.bce_with_negatives(p["logits"], w, b, cols), {"logits": logits}, "logits")
     assert err < 1e-4
-    with pytest.raises(tk.ShapeError, match="B >= 1"):
-        tk.bce_with_negatives(tk.tensor(np.zeros((0, 3))))
+
+
+@st.composite
+def head_cases(draw):
+    """(x, w, b) of a random output layer, each row's target under a
+    random class mask, and (B, 1+K) columns that repeat within and across
+    rows."""
+    bsz, d = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    m = draw(st.integers(3, 12))
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.integers(-3, 2))
+    x, w, b = (scale * g.normal(size=shape) for shape in ((bsz, d), (d, m), (m,)))
+    class_mask = g.random(m) < 0.7
+    class_mask[g.integers(m)] = True
+    targets = g.choice(np.flatnonzero(class_mask), size=bsz)
+    pool = g.integers(0, m, size=draw(st.integers(1, m)))  # a small pool makes many repeats
+    cols = g.choice(pool, size=(bsz, draw(st.integers(1, 6))))
+    return x, w, b, targets, class_mask, cols
+
+
+def assert_same_node(fused: tk.Tensor, oracle: tk.Tensor, params: dict) -> None:
+    assert fused.data.tobytes() == oracle.data.tobytes()
+    got, want = tk.backward(fused, params), tk.backward(oracle, params)
+    for name in params:
+        assert got[name].tobytes() == want[name].tobytes(), name
+
+
+@settings(max_examples=60, deadline=None)
+@given(head_cases())
+def test_fused_losses_match_unfused_oracles_bitwise(case):
+    x, w, b, targets, class_mask, cols = case
+    params = {"x": tk.parameter(x, "x"), "W": tk.parameter(w, "W"), "b": tk.parameter(b, "b")}
+    head = (params["x"], params["W"], params["b"])
+    with np.errstate(over="ignore"):  # a sigmoid of a large logit saturates in both
+        assert_same_node(
+            tk.cross_entropy(*head, targets, class_mask), affine_cross_entropy(*head, targets, class_mask), params
+        )
+        assert_same_node(tk.bce_with_negatives(*head, cols), affine_columns_bce(*head, cols), params)
 
 
 def test_adam_zero_gradient_leaves_params_unchanged():

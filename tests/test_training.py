@@ -169,20 +169,20 @@ def test_loss_perfect_logits_approaches_zero():
     # class 3 (exercise p1), the target of every step.
     bias = np.full(7, -50.0)
     bias[3] = 50.0
-    run, batch, _ = loss_setup([["p0", "p1", "p1"]], W_12=np.zeros((8, 7)), b_12=bias)
-    loss = training.sequence_loss(run, batch, 7)
+    run, batch, model = loss_setup([["p0", "p1", "p1"]], W_12=np.zeros((8, 7)), b_12=bias)
+    loss = training.sequence_loss(run, batch, 7, tensors=model.tensors)
     assert float(loss.data) < 1e-9
 
 
 def test_loss_two_step_matches_hand_computed_cross_entropy():
     run, batch, model = loss_setup([["p2", "p0", "p3"], ["p4", "p1"]])
-    loss = training.sequence_loss(run, batch, 7)
+    loss = training.sequence_loss(run, batch, 7, tensors=model.tensors)
     T = model.tensors
 
     def nll(row, t):
         at = row * batch.length + t
         latents = (tk.tensor(s.data[at : at + 1]) for s in (run.pa, run.ps, run.us))
-        z = perscell.predict(T, perscell.head(T, *latents)).data[0]
+        z = tk.affine(perscell.head(T, *latents), T["W_12"], T["b_12"]).data[0]
         target = batch.targets[row, t]
         return -np.log(np.exp(z[target]) / np.exp(z[2:]).sum())
 
@@ -191,10 +191,29 @@ def test_loss_two_step_matches_hand_computed_cross_entropy():
 
 
 def test_loss_rejects_padding_target():
-    run, batch, _ = loss_setup([["p0", "p1"]])
+    run, batch, model = loss_setup([["p0", "p1"]])
     batch.targets[0, 0] = 0
     with pytest.raises(ValueError, match="padding"):
-        training.sequence_loss(run, batch, 7)
+        training.sequence_loss(run, batch, 7, tensors=model.tensors)
+
+
+@pytest.mark.parametrize("mode", training.LOSS_MODES)
+def test_loss_tape_holds_no_catalog_wide_node(mode):
+    # The output layer and the loss are one node over the head, so no
+    # recorded op of a training loss has a column per catalog entry.
+    run, batch, model = loss_setup([["p2", "p0", "p3"], ["p4", "p1", "p2"]])
+    negatives = training._batch_negatives(batch, 7, 2, np.random.default_rng(0)) if mode == "sampled_bce" else None
+    loss = training.sequence_loss(run, batch, 7, mode, negatives, tensors=model.tensors)
+    assert run.logits == []
+    assert set(loss.parents) == {run.head, model.tensors["W_12"], model.tensors["b_12"]}
+    nodes, stack = {id(loss): loss}, [loss]
+    while stack:
+        for parent in stack.pop().parents:
+            if id(parent) not in nodes:
+                nodes[id(parent)] = parent
+                stack.append(parent)
+    wide = [n for n in nodes.values() if n.parents and n.data.ndim == 2 and n.data.shape[1] == 7]
+    assert not wide, [n.dims for n in wide]
 
 
 def test_gradient_clipping_rescales_to_max_norm():
@@ -414,7 +433,7 @@ def test_every_active_parameter_receives_gradient(variant):
     )
     batch = perscell.assemble_batch(windows, vocab, hp, source if perscell.uses_code(variant) else None)
     run = perscell.run_window(model, batch)
-    loss = training.sequence_loss(run, batch, hp.vocab_size)
+    loss = training.sequence_loss(run, batch, hp.vocab_size, tensors=model.tensors)
     grads = tk.backward(loss, model.tensors)
     dead = excluded_params(variant, model.tensors.keys())
     for name, g in grads.items():
@@ -478,11 +497,12 @@ def test_loss_modes_agree_on_overfit_direction():
         run = perscell.run_window(cp.model, batch)
         mask = perscell.output_class_mask(cp.model.hyper.vocab_size)
         rows, steps = batch.target_cells()
-        (logits,) = run.logits
-        assert logits.data.shape[0] == rows.size == int(batch.loss_mask.sum())
+        T = cp.model.tensors
+        logits = tk.affine(run.head, T["W_12"], T["b_12"]).data
+        assert logits.shape[0] == rows.size == int(batch.loss_mask.sum())
         hits = total = 0
         for i, (row, t) in enumerate(zip(rows, steps)):
-            z = np.where(mask, logits.data[i], -np.inf)
+            z = np.where(mask, logits[i], -np.inf)
             hits += int(np.argmax(z) == batch.targets[row, t])
             total += 1
         assert total > 0
