@@ -98,6 +98,8 @@ def load_config(path: str | None) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise ConfigError(f"config {path} is not valid JSON: nested too deeply") from None
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config {path} is not UTF-8 text: {exc}") from exc
     if not isinstance(raw, dict):

@@ -15,6 +15,7 @@ stored tables stay portable.
 
 from __future__ import annotations
 
+import array
 import functools
 import re
 from collections import Counter
@@ -72,13 +73,25 @@ class PrecomputedSource:
     with weight 1."""
 
     def __init__(self, table: dict[str, np.ndarray], dim: int):
-        self.dim = dim
-        self.rows = {ref: i for i, ref in enumerate(table)}
-        self.matrix = np.array(list(table.values()), dtype=np.float64).reshape(len(table), dim)
+        matrix = np.array(list(table.values()), dtype=np.float64).reshape(len(table), dim)
+        self._adopt({ref: i for i, ref in enumerate(table)}, matrix)
+
+    @classmethod
+    def from_matrix(cls, rows: dict[str, int], matrix: np.ndarray) -> PrecomputedSource:
+        """The source over `matrix` (R, dim) as it is, without a copy: the
+        vector of ref is row rows[ref]."""
+        source = cls.__new__(cls)
+        source._adopt(rows, matrix)
+        return source
+
+    def _adopt(self, rows: dict[str, int], matrix: np.ndarray) -> None:
+        self.dim = matrix.shape[1]
+        self.rows = rows
+        self.matrix = matrix
         self.matrix.flags.writeable = False
-        offsets = np.arange(len(table) + 1, dtype=np.int64)
-        # Views, not copies: the store holds one array of len(table) + 1.
-        self.store = (offsets[:-1], np.broadcast_to(1.0, (len(table),)), offsets)
+        offsets = np.arange(len(rows) + 1, dtype=np.int64)
+        # Views, not copies: the store holds one array of len(rows) + 1.
+        self.store = (offsets[:-1], np.broadcast_to(1.0, (len(rows),)), offsets)
 
     def bag_numbers(self, events: Sequence[Interaction]) -> np.ndarray:
         """The bag number of each event's code: its vector's row."""
@@ -185,7 +198,8 @@ def read_vectors(path) -> PrecomputedSource:
             dim = 0  # refused below
         if dim < 1:
             raise CodeFeatureError(f"{path}: bad d_c in header: {header!r}; need an integer >= 1")
-        table: dict[str, np.ndarray] = {}
+        rows: dict[str, int] = {}
+        values = array.array("d")  # every vector's floats, row after row
         for lineno, line in lines:
             if line is None:
                 raise CodeFeatureError(f"{path}: line {lineno} is not UTF-8 text")
@@ -194,14 +208,16 @@ def read_vectors(path) -> PrecomputedSource:
                 continue
             if len(fields) != dim + 1:
                 raise CodeFeatureError(f"{path}: line {lineno}: expected {dim} floats after ref")
-            if fields[0] in table:
-                raise CodeFeatureError(f"{path}: line {lineno}: ref {fields[0]!r} is listed twice")
+            ref = fields[0]
+            if ref in rows:
+                raise CodeFeatureError(f"{path}: line {lineno}: ref {ref!r} is listed twice")
             try:
-                table[fields[0]] = np.array([float(x) for x in fields[1:]])
+                values.extend(map(float, fields[1:]))
             except ValueError as exc:
                 raise CodeFeatureError(f"{path}: line {lineno}: {exc}") from None
-    source = PrecomputedSource(table, dim)
-    bad = ~np.isfinite(source.matrix).all(axis=1)
+            rows[ref] = len(rows)
+    matrix = np.frombuffer(values, dtype=np.float64).reshape(len(rows), dim)
+    bad = ~np.isfinite(matrix).all(axis=1)
     if bad.any():
-        raise CodeFeatureError(f"{path}: vector of '{list(table)[int(np.argmax(bad))]}' is not finite")
-    return source
+        raise CodeFeatureError(f"{path}: vector of '{list(rows)[int(np.argmax(bad))]}' is not finite")
+    return PrecomputedSource.from_matrix(rows, matrix)

@@ -22,7 +22,8 @@ import math
 import weakref
 from dataclasses import dataclass
 from itertools import chain
-from typing import BinaryIO, Iterable, Iterator, Sequence
+from operator import attrgetter, itemgetter
+from typing import BinaryIO, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -46,9 +47,12 @@ class DataError(ValueError):
     """Unusable input data (unreadable file, strict-mode parse failure)."""
 
 
-@dataclass(slots=True, frozen=True)
-class Interaction:
-    """One submission event: the model's (exercise, code, result) triple."""
+class Interaction(NamedTuple):
+    """One submission event: the model's (exercise, code, result) triple.
+
+    A tuple, so it is immutable and cheap to build; it also compares equal
+    to the plain tuple of its fields.
+    """
 
     learner_id: str
     exercise_id: str
@@ -83,6 +87,11 @@ class ParseIssue:
 
 _REQUIRED = ("learner_id", "exercise_id", "timestamp", "status", "exec_time_ms", "exec_memory_kb")
 _OPTIONAL = ("code", "code_vec_ref")
+_REQUIRED_KEYS = frozenset(_REQUIRED)
+_KEYS = frozenset(_REQUIRED + _OPTIONAL)
+_required_values = itemgetter(*_REQUIRED)
+_scan = json.JSONDecoder().scan_once  # the C scanner that json.loads runs
+_JSON_SPACE = " \t\n\r"
 
 
 def _interaction_from_record(rec: dict) -> Interaction:
@@ -91,7 +100,7 @@ def _interaction_from_record(rec: dict) -> Interaction:
     for key in _REQUIRED:
         if key not in rec:
             raise ValueError(f"missing key '{key}'")
-    unknown = set(rec) - set(_REQUIRED) - set(_OPTIONAL)
+    unknown = set(rec) - _KEYS
     if unknown:
         raise ValueError(f"unknown keys {sorted(unknown)}")
     status = rec["status"]
@@ -125,6 +134,48 @@ def _interaction_from_record(rec: dict) -> Interaction:
     )
 
 
+def _parse_line(line: str | None) -> Interaction | None:
+    """The reference reading of one log line: its record, or None for a
+    blank line. Any other line raises a ValueError whose text is the
+    line's parse message."""
+    if line is None:
+        raise ValueError("not UTF-8 text")
+    if not line.strip():
+        return None
+    try:
+        rec = json.loads(line)
+    except RecursionError:
+        raise ValueError("nested too deeply") from None
+    return _interaction_from_record(rec)
+
+
+def _scan_line(line: str) -> Interaction | None:
+    """The record of a line that is one valid record as it stands: a JSON
+    object from the first character on, with only JSON whitespace after
+    it, exactly the allowed keys and fields of the exact types. None for
+    any other line, whatever `_parse_line` makes of it.
+
+    One call of the C scanner and a few type tests: the same record as
+    `_parse_line` at a fraction of the cost."""
+    try:
+        rec, end = _scan(line, 0)
+    except (StopIteration, ValueError, RecursionError):  # no value at 0, bad JSON, deep nesting
+        return None
+    if type(rec) is not dict or line[end:].strip(_JSON_SPACE) or not _REQUIRED_KEYS <= rec.keys() <= _KEYS:
+        return None
+    lid, eid, ts, status, t_ms, m_kb = _required_values(rec)
+    code = rec.get("code")
+    ref = rec.get("code_vec_ref")
+    # JSON yields no int subclass but bool. An optional key present with
+    # null makes the record longer than its non-null fields.
+    if (type(lid) is str and lid and type(eid) is str and eid and type(ts) is int and type(status) is str
+            and type(t_ms) is int and t_ms >= 0 and type(m_kb) is int and m_kb >= 0
+            and (code is None or type(code) is str) and (ref is None or type(ref) is str)
+            and len(rec) == len(_REQUIRED) + (code is not None) + (ref is not None)):
+        return Interaction(lid, eid, ts, status if status in STATUSES else "other", t_ms, m_kb, code, ref)
+    return None
+
+
 def numbered_lines(fh: BinaryIO) -> Iterator[tuple[int, str | None]]:
     """Each line of a binary file, numbered from 1, with a CR LF ending read
     as LF as text mode reads it, decoded alone as UTF-8 (a newline byte is
@@ -143,7 +194,8 @@ def parse_log(path, strict: bool = False) -> tuple[list[Interaction], list[Parse
 
     Malformed lines, a line that is not UTF-8 text among them, are
     collected as ParseIssues with their 1-based line numbers; with
-    strict=True the first issue aborts instead.
+    strict=True the first issue aborts instead. A line that `_scan_line`
+    does not take goes to `_parse_line`, which words every message.
     """
     interactions: list[Interaction] = []
     issues: list[ParseIssue] = []
@@ -153,15 +205,17 @@ def parse_log(path, strict: bool = False) -> tuple[list[Interaction], list[Parse
         raise DataError(f"cannot read {path}: {exc}") from exc
     with fh:
         for lineno, line in numbered_lines(fh):
-            try:
-                if line is None:
-                    raise ValueError("not UTF-8 text")
-                if line.strip():
-                    interactions.append(_interaction_from_record(json.loads(line)))
-            except ValueError as exc:
-                if strict:
-                    raise DataError(f"line {lineno}: {exc}") from exc
-                issues.append(ParseIssue(lineno, str(exc)))
+            record = None if line is None else _scan_line(line)
+            if record is None:
+                try:
+                    record = _parse_line(line)
+                except ValueError as exc:
+                    if strict:
+                        raise DataError(f"line {lineno}: {exc}") from exc
+                    issues.append(ParseIssue(lineno, str(exc)))
+                    continue
+            if record is not None:
+                interactions.append(record)
     return interactions, issues
 
 
@@ -254,6 +308,12 @@ def memory_bucket(exec_memory_kb) -> np.ndarray:
     return _log2_bucket(exec_memory_kb, N_MEMORY_BUCKETS)
 
 
+def _field(events: Sequence[Interaction], name: str) -> list:
+    """One field of every event. An index read of a tuple costs less than
+    the attribute read of a named tuple's field."""
+    return list(map(itemgetter(Interaction._fields.index(name)), events))
+
+
 class EventTable:
     """A dataset's events in window order. Row r is `events[r]`, and the
     read-only (4, n) int64 `columns[:, r]`, encoded when the table is
@@ -270,12 +330,11 @@ class EventTable:
         self.events: tuple[Interaction, ...] = tuple(events)
         self.vocab = vocab
         events = self.events
-        # One list per field: faster than one pass that builds a tuple per event.
         self.columns = np.stack((
-            vocab.encode_all([ev.exercise_id for ev in events]),
-            status_index([ev.status for ev in events]),
-            time_bucket([ev.exec_time_ms for ev in events]),
-            memory_bucket([ev.exec_memory_kb for ev in events]),
+            vocab.encode_all(_field(events, "exercise_id")),
+            status_index(_field(events, "status")),
+            time_bucket(_field(events, "exec_time_ms")),
+            memory_bucket(_field(events, "exec_memory_kb")),
         ))
         self.columns.flags.writeable = False
         self._bags = weakref.WeakKeyDictionary()  # code source -> bag number of each row, -1 if not asked yet
@@ -311,14 +370,15 @@ def build_sequences(
     by_learner: dict[str, list[Interaction]] = {}
     vocab_ids: list[str] = []
     for it in interactions:
-        if it.learner_id not in by_learner:
-            by_learner[it.learner_id] = []
-        by_learner[it.learner_id].append(it)
+        lid = it.learner_id
+        if lid not in by_learner:
+            by_learner[lid] = []
+        by_learner[lid].append(it)
         vocab_ids.append(it.exercise_id)
     vocab = Vocabulary(vocab_ids)
 
     # dicts keep first-seen order; the sort is stable, so ties keep file order
-    histories = {lid: sorted(events, key=lambda it: it.timestamp) for lid, events in by_learner.items()}
+    histories = {lid: sorted(events, key=attrgetter("timestamp")) for lid, events in by_learner.items()}
     table = EventTable(chain.from_iterable(histories.values()), vocab)
     sequences: list[LearnerSequence] = []
     base = 0

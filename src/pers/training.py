@@ -289,6 +289,8 @@ def load_checkpoint(path) -> Checkpoint:
             header = json.loads(blob.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise CheckpointError(f"unreadable header: {exc}") from exc
+        except RecursionError:
+            raise CheckpointError("unreadable header: nested too deeply") from None
         if not isinstance(header, dict):
             raise CheckpointError("header is not a JSON object")
         if header.get("format_version") != FORMAT_VERSION:

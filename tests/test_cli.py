@@ -66,7 +66,8 @@ def test_missing_required_key_exits_1_and_names_it(tmp_path, capsys):
     ("stats", json.dumps({"lern_rate": 0.1}).encode(), "lern_rate"),
     ("train", json.dumps({"epochs": "ten"}).encode(), "epochs"),
     ("stats", b'{"dataset_name": "caf\xb6"}', "config {path} is not UTF-8 text"),
-], ids=["unknown-key", "wrong-type", "not-utf8"])
+    ("stats", b"[" * 100_000, "config {path} is not valid JSON: nested too deeply"),
+], ids=["unknown-key", "wrong-type", "not-utf8", "nested-too-deeply"])
 def test_bad_config_file_exits_1_and_names_the_fault(tmp_path, capsys, command, text, fragment):
     path = tmp_path / "bad.json"
     path.write_bytes(text)
@@ -194,6 +195,19 @@ def test_a_log_line_that_is_not_utf8_is_a_warning_or_under_strict_an_error(tmp_p
     assert capsys.readouterr().err == "warning: line 4: not UTF-8 text\n"
     assert run(["stats", "--data", str(data), "--out-dir", str(tmp_path / "out"), "--strict"]) == 2
     assert_one_line_error(capsys, "line 4: not UTF-8 text")
+
+
+def test_a_log_line_nested_too_deeply_is_a_warning_or_under_strict_an_error(tmp_path, capsys):
+    _, _, paths = simulate(tmp_path)
+    lines = open(paths["data"], "rb").read().split(b"\n")
+    lines[3] = b"[" * 100_000
+    data = tmp_path / "data.jsonl"
+    data.write_bytes(b"\n".join(lines))
+    capsys.readouterr()
+    assert run(["stats", "--data", str(data), "--out-dir", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == "warning: line 4: nested too deeply\n"
+    assert_fresh_process_exits_with_one_line(
+        ["stats", "--data", str(data), "--out-dir", str(tmp_path / "out"), "--strict"], 2, "line 4: nested too deeply")
 
 
 def test_stats_command_prints_table(tmp_path, capsys):
@@ -416,6 +430,17 @@ def test_eval_checkpoint_header_length_past_end_exits_2(tmp_path, capsys):
     capsys.readouterr()
     assert run(eval_argv) == 2
     assert_one_line_error(capsys, "header length")
+
+
+def test_eval_checkpoint_header_nested_too_deeply_exits_2(tmp_path, capsys):
+    config_path, _, paths = simulate(tmp_path)
+    blob = b"[" * 100_000
+    model = tmp_path / "model.pers"
+    model.write_bytes(training.CHECKPOINT_MAGIC + len(blob).to_bytes(8, "little") + blob)
+    capsys.readouterr()
+    argv = ["eval", "--config", config_path, "--data", paths["data"], "--vectors", paths["vectors"], "--checkpoint", str(model)]
+    assert run(argv) == 2
+    assert_one_line_error(capsys, "unreadable header: nested too deeply")
 
 
 def rewrite_header(model, edit):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -166,6 +168,8 @@ def test_vectors_file_bad_header(tmp_path):
         (b"PERSVEC1 d_c=2\nref0 1 2\nref1 1.\xb6 2\n", "vecs.txt: line 3 is not UTF-8 text"),
         (b"PERSVEC1 d_c=2\xb6\nref0 1 2\n", "vecs.txt: line 1 is not UTF-8 text"),
         (b"PERSVEC1 d_c=2\nr0 1 2\nr1 5 6\nr0 3 4\n", "vecs.txt: line 4: ref 'r0' is listed twice"),
+        (b"PERSVEC1 d_c=2\nr0 1 2\nr1 5 inf\nr2 nan 0\n", "vecs.txt: vector of 'r1' is not finite"),
+        (b"PERSVEC1 d_c=2\nr0 1 2 3\n", "vecs.txt: line 2: expected 2 floats after ref"),
     ):
         path.write_bytes(content)
         with pytest.raises(codefeat.CodeFeatureError) as info:
@@ -178,3 +182,47 @@ def test_vectors_file_wrong_width(tmp_path):
     path.write_text("PERSVEC1 d_c=3\nref0 1.0 2.0\n")
     with pytest.raises(codefeat.CodeFeatureError, match="line 2"):
         codefeat.read_vectors(path)
+
+
+def per_line_vectors(path):
+    """The vectors file read one line and one np.array at a time: the
+    oracle for read_vectors' bulk read."""
+    lines = open(path, encoding="utf-8").read().splitlines()[1:]
+    table = {}
+    for line in lines:
+        if line.split():
+            ref, *values = line.split()
+            table[ref] = np.array([float(x) for x in values])
+    return table
+
+
+_FLOAT_TEXTS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-(10**30), 10**30).map(str),
+    st.sampled_from(["-0.0", "1e-320", "1_000.5", "+.5", "5.", "1E3", "0x1p3"]),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    dim=st.integers(1, 5),
+    data=st.data(),
+    seps=st.lists(st.sampled_from([" ", "\t", "  ", " \t "]), min_size=1, max_size=3),
+)
+def test_read_vectors_equals_the_per_line_float_oracle(tmp_path_factory, dim, data, seps):
+    refs = data.draw(st.lists(st.text("abc:\u00e9", min_size=1, max_size=4), unique=True, max_size=8))
+    lines = [seps[i % len(seps)].join([ref, *data.draw(st.lists(_FLOAT_TEXTS, min_size=dim, max_size=dim))])
+             for i, ref in enumerate(refs)]
+    blank = data.draw(st.sampled_from(["", " ", "\t"]))
+    path = tmp_path_factory.mktemp("vec") / "vecs.txt"
+    path.write_text(f"{codefeat.VECTORS_MAGIC} d_c={dim}\n" + "\n".join([blank, *lines]) + "\n", encoding="utf-8")
+    try:
+        table = per_line_vectors(path)
+    except ValueError as exc:  # "0x1p3" is no float
+        with pytest.raises(codefeat.CodeFeatureError, match=re.escape(str(exc))):
+            codefeat.read_vectors(path)
+        return
+    src = codefeat.read_vectors(path)
+    assert src.rows == {ref: i for i, ref in enumerate(table)}
+    assert src.matrix.shape == (len(table), dim) and src.dim == dim
+    assert src.matrix.tobytes() == np.array(list(table.values()), dtype=np.float64).reshape(len(table), dim).tobytes()

@@ -82,6 +82,109 @@ def test_parse_a_line_that_is_not_utf8_is_one_issue(tmp_path, newline):
         dataio.parse_log(p, strict=True)
 
 
+def test_parse_a_line_nested_too_deeply_is_one_issue(tmp_path):
+    good = json.dumps(valid_record()).encode()
+    p = tmp_path / "log.jsonl"
+    p.write_bytes(b"\n".join([good, b"[" * 100_000, b'{"learner_id": ' + b"[" * 100_000, good]) + b"\n")
+    interactions, issues = dataio.parse_log(p)
+    assert len(interactions) == 2
+    assert issues == [dataio.ParseIssue(2, "nested too deeply"), dataio.ParseIssue(3, "nested too deeply")]
+    with pytest.raises(dataio.DataError, match="^line 2: nested too deeply$"):
+        dataio.parse_log(p, strict=True)
+
+
+def reference_parse_log(path, strict=False):
+    """parse_log with every line read by the reference reader alone."""
+    interactions, issues = [], []
+    with open(path, "rb") as fh:
+        for lineno, line in dataio.numbered_lines(fh):
+            try:
+                record = dataio._parse_line(line)
+            except ValueError as exc:
+                if strict:
+                    raise dataio.DataError(f"line {lineno}: {exc}") from exc
+                issues.append(dataio.ParseIssue(lineno, str(exc)))
+                continue
+            if record is not None:
+                interactions.append(record)
+    return interactions, issues
+
+
+def outcome(parse, path, strict):
+    try:
+        return parse(path, strict)
+    except dataio.DataError as exc:
+        return str(exc)
+
+
+_IDS = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=6)
+_COUNTS = st.one_of(st.integers(0, 10**6), st.integers(0, 10**30))
+_WRONG = st.sampled_from([True, False, None, 1.5, -1, 0, "7", "", [], {}, [1], {"a": 1}])
+
+
+@st.composite
+def record_lines(draw):
+    """One JSON object line of a submission log, valid or with one fault."""
+    rec = {
+        "learner_id": draw(_IDS), "exercise_id": draw(_IDS), "timestamp": draw(st.integers(-(10**20), 10**20)),
+        "status": draw(st.sampled_from([*dataio.STATUSES, "judge_crashed", ""])),
+        "exec_time_ms": draw(_COUNTS), "exec_memory_kb": draw(_COUNTS),
+    }
+    for key in ("code", "code_vec_ref"):
+        if draw(st.booleans()):
+            rec[key] = draw(st.text(max_size=12))
+    fault = draw(st.sampled_from(["none", "wrong-type", "wrong-type", "null", "missing", "unknown"]))
+    if fault == "wrong-type":
+        rec[draw(st.sampled_from(sorted(rec)))] = draw(_WRONG)
+    elif fault == "null":
+        rec[draw(st.sampled_from(sorted({*rec, "code", "code_vec_ref"})))] = None
+    elif fault == "missing":
+        del rec[draw(st.sampled_from(sorted(rec)))]
+    elif fault == "unknown":
+        rec[draw(st.sampled_from(["extra", "Status", "code_vec"]))] = draw(_WRONG)
+    keys = draw(st.permutations(sorted(rec)))
+    text = json.dumps({k: rec[k] for k in keys}, ensure_ascii=draw(st.booleans()))
+    frame = draw(st.one_of(st.just("{}"), st.sampled_from([" {}", "\ufeff{}", "{} \t", "{} x", "{}{{}}", "[{}]"])))
+    return frame.format(text).encode()
+
+
+_OTHER_LINES = st.sampled_from([
+    b"", b"  \t", "\u00a0\u2003".encode(), "\ufeff".encode(), b"null", b"[]", b"{", b'{"a": ',
+    b"[" * 100_000, b'{"learner_id": ' + b"[" * 100_000, b"\xb6", b'{"learner_id": "\xb6"}',
+])
+
+
+@st.composite
+def log_files(draw):
+    lines = draw(st.lists(st.one_of(record_lines(), record_lines(), _OTHER_LINES), max_size=12))
+    if lines and draw(st.booleans()):
+        i = draw(st.integers(0, len(lines) - 1))
+        lines[i] = lines[i][:1] + b"\xff" + lines[i][1:]  # one line that is not UTF-8
+    ends = draw(st.lists(st.sampled_from([b"\n", b"\r\n"]), min_size=len(lines), max_size=len(lines)))
+    body = b"".join(line + end for line, end in zip(lines, ends))
+    return body[: -len(ends[-1])] if lines and draw(st.booleans()) else body  # no final newline
+
+
+@settings(max_examples=300, deadline=None)
+@given(body=log_files())
+def test_parse_log_equals_the_per_line_reference(tmp_path_factory, body):
+    p = tmp_path_factory.mktemp("log") / "log.jsonl"
+    p.write_bytes(body)
+    for strict in (False, True):
+        assert outcome(dataio.parse_log, p, strict) == outcome(reference_parse_log, p, strict)
+
+
+def test_the_scanner_takes_every_written_record(tmp_path):
+    log = [make_interaction(eid="p\u00e9", ts=-3, code="x = 1\n\ty"), make_interaction(status="judge_crashed", code_vec_ref="v"),
+           make_interaction(t=10**30, m=0, code="", code_vec_ref="")]
+    p = tmp_path / "log.jsonl"
+    dataio.write_log(p, log)
+    with open(p, "rb") as fh:
+        lines = [line for _, line in dataio.numbered_lines(fh)]
+    scanned = [dataio._scan_line(line) for line in lines]
+    assert None not in scanned and scanned == [dataio._parse_line(line) for line in lines]
+
+
 def test_parse_unreadable_file():
     with pytest.raises(dataio.DataError):
         dataio.parse_log("/nonexistent/nowhere.jsonl")

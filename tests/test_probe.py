@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import copy
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -44,7 +43,7 @@ def test_export_frees_each_batch_run_before_the_next(watch_runs):
 def test_identical_learners_export_identical_rows():
     cp, seqs, source = trained_checkpoint()
     events = tuple(ev for s in seqs if s.learner_id == "u0" for ev in s.events)
-    ghost_events = tuple(replace(ev, learner_id="ghost") for ev in events)
+    ghost_events = tuple(ev._replace(learner_id="ghost") for ev in events)
     windows = table_windows(cp.vocab, [("u0", events, ()), ("ghost", ghost_events, ())])
     rows = probe.export_latents(cp, [mw.window for mw in windows], source)
     a, b = rows[0], rows[1]
@@ -240,7 +239,7 @@ def windowed_corpus():
     """Learners of 11 events in three windows each, under both code
     sources, with an untrained model apiece."""
     interactions, vectors = toy_corpus(n_learners=5, n_exercises=8, events_per=11)
-    interactions = [replace(ev, code=f"x = {ev.code_vec_ref}") for ev in interactions]
+    interactions = [ev._replace(code=f"x = {ev.code_vec_ref}") for ev in interactions]
     cases = []
     for source, buckets in ((vectors, None), (HashedTokenSource(16, vectors.dim), 16)):
         seqs, vocab = build_sequences(interactions, max_len=4)
